@@ -89,14 +89,22 @@ def _solve(x, algorithm, alpha, stride, max_iter, step_size, epsilon):
 
 
 def _run_table_trial(task: dict) -> ExperimentRecord:
-    """Worker for the t1/t4/t5/fig6/fig7 style trials (picklable)."""
+    """Worker for the t1/t4/t5/fig6/fig7 style trials (picklable).
+
+    Source rows are drawn from task["kinds"], or, when task["sources"] holds
+    an array, are those rows centred; the trial generator then draws only
+    what the task leaves open (mixing matrix, noise seed).
+    """
     seed = task["seed"]
     rng = rng_for(seed, *task["key"])
-    sources = _sources_for(task["kinds"], task["t"], rng)
+    if task.get("sources") is not None:
+        sources = task["sources"] - task["sources"].mean(axis=1, keepdims=True)
+    else:
+        sources = _sources_for(task["kinds"], task["t"], rng)
     if task.get("matrix") is not None:
         a = np.asarray(task["matrix"], dtype=float)
     else:
-        a = random_mixing_matrix(len(task["kinds"]), rng)
+        a = random_mixing_matrix(sources.shape[0], rng)
     sigma = 0.0
     if task.get("snr_db") is not None:
         sigma = noise_sigma_for_snr(a @ sources, task["snr_db"])
@@ -236,42 +244,20 @@ def _bench_three_source(table_key, scale, seed, jobs, algorithm, snr_db, wav_sou
     header = ["trial", "source", "sir_db", "baseline_sir_db", "amari_x100"]
     trials = _scaled_trials(10, scale)
     a = DEMO_MATRIX_3 if matrix is None else np.asarray(matrix, dtype=float)
+    if wav_sources is not None:
+        wav_sources = np.asarray(wav_sources, dtype=float)
+        t_count = wav_sources.shape[1]
+    tasks = [
+        dict(seed=seed, key=(table_key, k), trial=k, kinds=("uniform", "rayleigh", "laplacian"),
+             t=t_count, sources=wav_sources, algorithm=algorithm, alpha=-0.99999,
+             stride=max(1, t_count // 200), matrix=a.tolist(), snr_db=snr_db, baseline=True)
+        for k in range(trials)
+    ]
     rows = []
-    for k in range(trials):
-        task = dict(seed=seed, key=(table_key, k), trial=k, kinds=("uniform", "rayleigh", "laplacian"),
-                    t=t_count, algorithm=algorithm, alpha=-0.99999,
-                    stride=max(1, t_count // 200), matrix=a.tolist(),
-                    snr_db=snr_db, baseline=True)
-        if wav_sources is not None:
-            record, baseline = _run_wav_trial(task, wav_sources)
-        else:
-            record, baseline = _run_table_trial(task)
+    for k, (record, baseline) in enumerate(_execute(tasks, jobs)):
         for src, (s_val, b_val) in enumerate(zip(record.sir_db, baseline)):
             rows.append([k, src, float(s_val), float(b_val), record.amari_times_100])
     return header, rows
-
-
-def _run_wav_trial(task: dict, wav_sources: np.ndarray):
-    """Same as _run_table_trial but with externally supplied source rows."""
-    sources = wav_sources - wav_sources.mean(axis=1, keepdims=True)
-    a = np.asarray(task["matrix"], dtype=float)
-    rng = rng_for(task["seed"], *task["key"])
-    sigma = 0.0
-    if task.get("snr_db") is not None:
-        sigma = noise_sigma_for_snr(a @ sources, task["snr_db"])
-    x = mix(sources, MixingModel(a, noise_sigma=sigma), seed=int(rng.integers(1 << 31)))
-    start = time.perf_counter()
-    res = _solve(x, task["algorithm"], task["alpha"], task["stride"], 400, 0.3, 1e-5)
-    runtime = time.perf_counter() - start
-    record = ExperimentRecord(
-        trial_index=task["trial"],
-        seed=task["seed"],
-        amari_times_100=100.0 * amari_index(res.demixer, a),
-        sir_db=tuple(sir_db(res.estimate(x), sources)),
-        iterations=res.n_iter,
-        runtime_seconds=runtime,
-    )
-    return record, tuple(sir_db(res.whitening.apply(x), sources))
 
 
 def bench_fig6(scale=1.0, seed=0, jobs=1, algorithm="jacobi", wav_sources=None, matrix=None):

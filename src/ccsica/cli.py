@@ -81,9 +81,11 @@ def cmd_gen(args) -> int:
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     if not kinds:
         raise InvalidInput("gen needs at least one source kind")
+    # draw every row before writing, so a bad kind or shape leaves no files
+    rows = [draw_source(k, args.t, rng_for(args.seed, i), args.tau1, args.tau2)
+            for i, k in enumerate(kinds)]
     out = _out_dir(args.out)
-    for i, kind in enumerate(kinds):
-        data = draw_source(kind, args.t, rng_for(args.seed, i), args.tau1, args.tau2)
+    for i, (kind, data) in enumerate(zip(kinds, rows)):
         name = f"source_{i:02d}_{kind}"
         if args.format == "wav":
             write_wav(out / f"{name}.wav", _wav_safe(data))

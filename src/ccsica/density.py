@@ -2,12 +2,12 @@
 
 Estimates are direct sums over the full reference set (no tree or FFT
 shortcuts, no leave-one-out), evaluated in query chunks so memory stays
-bounded at roughly chunk x reference-count floats.
+bounded at roughly chunk x reference-count floats.  There are two sums: the
+1-D one, which also carries the derivative sums the contrast gradient needs,
+and the joint M-D density.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,91 +25,33 @@ def default_bandwidth(t_count: int) -> float:
     return 1.06 * float(t_count) ** -0.2
 
 
-@dataclass(frozen=True)
-class ParzenModel:
-    """A reference sample block (channels x T) plus one shared bandwidth."""
+def gaussian_sums_1d(refs, queries, h: float, feats=None):
+    """Unnormalised Gaussian kernel sums of 1-D queries against 1-D references.
 
-    samples: np.ndarray
-    bandwidth: float
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
-        if s.ndim != 2:
-            raise InvalidInput(f"samples must be channels x T, got shape {s.shape}")
-        if s.shape[1] < 2:
-            raise InvalidInput("need at least 2 reference samples")
-        if not np.all(np.isfinite(s)):
-            raise InvalidInput("samples contain non-finite entries")
-        if not float(self.bandwidth) > 0.0:
-            raise InvalidInput("bandwidth must be positive")
-        object.__setattr__(self, "samples", s)
-        object.__setattr__(self, "bandwidth", float(self.bandwidth))
-
-    @classmethod
-    def from_samples(cls, samples) -> "ParzenModel":
-        samples = np.asarray(samples, dtype=float)
-        if samples.ndim != 2:
-            raise InvalidInput(f"samples must be channels x T, got shape {samples.shape}")
-        return cls(samples=samples, bandwidth=default_bandwidth(samples.shape[1]))
-
-
-def _check_row(model: ParzenModel, row: int) -> np.ndarray:
-    if not 0 <= row < model.samples.shape[0]:
-        raise InvalidInput(f"row {row} out of range for {model.samples.shape[0]} channels")
-    return model.samples[row]
-
-
-def kde_univariate(model: ParzenModel, row: int, queries):
-    """Density of one channel at the query points."""
-    refs = _check_row(model, row)
-    return gaussian_density_1d(refs, queries, model.bandwidth)
-
-
-def kde_univariate_grad(model: ParzenModel, row: int, queries):
-    """Derivative of the univariate density estimate in the query point."""
-    refs = _check_row(model, row)
-    return gaussian_density_grad_1d(refs, queries, model.bandwidth)
-
-
-def kde_multivariate(model: ParzenModel, queries):
-    """Joint density of all channels at query column vectors."""
-    return gaussian_density_nd(model.samples, queries, model.bandwidth)
-
-
-# ---------------------------------------------------------------------------
-# array-level workers, shared with the contrast module
-
-
-def gaussian_density_1d(refs, queries, h: float):
-    refs = np.asarray(refs, dtype=float).ravel()
-    q = np.asarray(queries, dtype=float)
-    scalar = q.ndim == 0
-    qf = np.atleast_1d(q).astype(float).ravel()
-    n = refs.size
-    out = np.empty(qf.size)
-    norm = 1.0 / (n * h * _SQRT_2PI)
-    for lo in range(0, qf.size, _CHUNK):
-        hi = min(lo + _CHUNK, qf.size)
-        u = (qf[lo:hi, None] - refs[None, :]) / h
-        out[lo:hi] = np.exp(-0.5 * u * u).sum(axis=1)
-    out *= norm
-    return float(out[0]) if scalar else out.reshape(np.shape(q))
-
-
-def gaussian_density_grad_1d(refs, queries, h: float):
-    refs = np.asarray(refs, dtype=float).ravel()
-    q = np.asarray(queries, dtype=float)
-    scalar = q.ndim == 0
-    qf = np.atleast_1d(q).astype(float).ravel()
-    n = refs.size
-    out = np.empty(qf.size)
-    norm = -1.0 / (n * h * h * _SQRT_2PI)
-    for lo in range(0, qf.size, _CHUNK):
-        hi = min(lo + _CHUNK, qf.size)
-        u = (qf[lo:hi, None] - refs[None, :]) / h
-        out[lo:hi] = (u * np.exp(-0.5 * u * u)).sum(axis=1)
-    out *= norm
-    return float(out[0]) if scalar else out.reshape(np.shape(q))
+    With u = (q - r) / h and k = exp(-u^2 / 2), returns sum_r k per query.
+    Given per-reference features (T x d), returns (sum_r k, sum_r u*k,
+    sum_r u*k*feats[r]) instead; the last two carry the derivative of the
+    sum in the query point (-usum / h) or through features that move it.
+    """
+    refs = np.asarray(refs, dtype=float)
+    queries = np.asarray(queries, dtype=float)
+    n = queries.size
+    ksum = np.empty(n)
+    if feats is not None:
+        usum = np.empty(n)
+        ufsum = np.empty((n, feats.shape[1]))
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        u = (queries[lo:hi, None] - refs[None, :]) / h
+        kern = np.exp(-0.5 * u * u)
+        ksum[lo:hi] = kern.sum(axis=1)
+        if feats is not None:
+            ku = u * kern
+            usum[lo:hi] = ku.sum(axis=1)
+            ufsum[lo:hi] = ku @ feats
+    if feats is None:
+        return ksum
+    return ksum, usum, ufsum
 
 
 def gaussian_density_nd(refs, queries, h: float):

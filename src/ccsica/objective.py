@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import _CHUNK, _SQRT_2PI, default_bandwidth, gaussian_density_nd
+from .density import _SQRT_2PI, default_bandwidth, gaussian_density_nd, gaussian_sums_1d
 from .divergences import EPS_FLOOR, convex_f, convex_f_prime
 from .errors import DegenerateDivergence, InvalidInput, NonFinite, SingularDemixer
 from .preprocess import validate_signal
@@ -61,35 +61,6 @@ def cofactor_matrix(w) -> np.ndarray:
             cols = np.delete(np.arange(m), j)
             out[i, j] = (-1.0) ** (i + j) * np.linalg.det(sub[:, cols])
     return out
-
-
-@dataclass(frozen=True)
-class DemixingState:
-    """A demixing matrix with its determinant, cofactors, and row norms."""
-
-    matrix: np.ndarray
-    det: float
-    cofactors: np.ndarray
-    row_norms: np.ndarray
-
-    @classmethod
-    def from_matrix(cls, w) -> "DemixingState":
-        w = np.asarray(w, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise InvalidInput(f"demixing matrix must be square, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise InvalidInput("demixing matrix contains non-finite entries")
-        return cls(
-            matrix=w,
-            det=float(np.linalg.det(w)),
-            cofactors=cofactor_matrix(w),
-            row_norms=np.linalg.norm(w, axis=1),
-        )
-
-    def laplace_residual(self) -> float:
-        """Worst row deviation of sum_l w[m,l]*cof[m,l] from det."""
-        per_row = np.einsum("ml,ml->m", self.matrix, self.cofactors)
-        return float(np.max(np.abs(per_row - self.det)))
 
 
 @dataclass(frozen=True)
@@ -148,39 +119,31 @@ class CcsObjective:
     def _marginal_pass(self, row: np.ndarray, need_grad: bool):
         """Kernel density of one output row at its strided points, plus the
         derivative of that density in the corresponding row of W."""
-        refs = row
         vals = row[:: self.stride]
-        n = vals.size
         h = self.h
-        dens = np.empty(n)
-        grad = np.empty((n, self.n_channels)) if need_grad else None
         norm_p = 1.0 / (self.n_refs * h * _SQRT_2PI)
+        if not need_grad:
+            return gaussian_sums_1d(row, vals, h) * norm_p, None
         norm_k = 1.0 / (self.n_refs * h * h * _SQRT_2PI)
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            u = (vals[lo:hi, None] - refs[None, :]) / h
-            kern = np.exp(-0.5 * u * u)
-            dens[lo:hi] = kern.sum(axis=1)
-            if need_grad:
-                ku = u * kern
-                row_sum = ku.sum(axis=1)
-                grad[lo:hi] = -norm_k * (row_sum[:, None] * self.queries_t[lo:hi] - ku @ self.data_t)
-        dens *= norm_p
-        return dens, grad
+        ksum, usum, ufsum = gaussian_sums_1d(row, vals, h, self.data_t)
+        grad = -norm_k * (usum[:, None] * self.queries_t - ufsum)
+        return ksum * norm_p, grad
 
     # -- evaluation ---------------------------------------------------------------
 
-    def _evaluate(self, w, need_grad: bool):
-        state = DemixingState.from_matrix(w)
-        if state.matrix.shape[0] != self.n_channels:
-            raise InvalidInput(
-                f"demixing matrix is {state.matrix.shape[0]}x{state.matrix.shape[0]} "
-                f"but data has {self.n_channels} channels"
-            )
-        if abs(state.det) < DET_FLOOR:
-            raise SingularDemixer(f"determinant {state.det!r} below {DET_FLOOR}")
+    def _evaluate(self, w, need_grad: bool) -> ContrastTerms:
+        w = np.asarray(w, dtype=float)
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise InvalidInput(f"demixing matrix must be square, got shape {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise InvalidInput("demixing matrix contains non-finite entries")
         m = self.n_channels
-        y = state.matrix @ self.data
+        if w.shape[0] != m:
+            raise InvalidInput(f"demixing matrix is {w.shape[0]}x{w.shape[0]} but data has {m} channels")
+        det = float(np.linalg.det(w))
+        if abs(det) < DET_FLOOR:
+            raise SingularDemixer(f"determinant {det!r} below {DET_FLOOR}")
+        y = w @ self.data
 
         dens = np.empty((m, self.n_points))
         grads = []
@@ -189,7 +152,7 @@ class CcsObjective:
             grads.append(g)
 
         q = dens.prod(axis=0)
-        py = self.base_density / abs(state.det)
+        py = self.base_density / abs(det)
         py_c = np.maximum(py, EPS_FLOOR)
         q_c = np.maximum(q, EPS_FLOOR)
 
@@ -202,16 +165,17 @@ class CcsObjective:
             raise DegenerateDivergence("contrast sums vanished, log ratio undefined")
 
         if not need_grad:
-            return ContrastTerms(v_joint, v_marg, v_cross), state
+            return ContrastTerms(v_joint, v_marg, v_cross)
 
         fpj = convex_f_prime(py_c, self.alpha)
         fpm = convex_f_prime(q_c, self.alpha)
 
         # joint chain: d(py)/d w_ml = coef * cofactor[m, l]
-        coef = -self.base_density * np.sign(state.det) / (state.det * state.det)
+        cofactors = cofactor_matrix(w)
+        coef = -self.base_density * np.sign(det) / (det * det)
         coef = np.where(py > EPS_FLOOR, coef, 0.0)
-        g_joint = (2.0 * np.dot(fj * fpj, coef)) * state.cofactors
-        g_cross = np.dot(fpj * fm, coef) * state.cofactors
+        g_joint = (2.0 * np.dot(fj * fpj, coef)) * cofactors
+        g_cross = np.dot(fpj * fm, coef) * cofactors
 
         # marginal chain: d(q)/d w_ml = (product of the other rows) * d(dens_m)/d w_ml
         marg_mask = q > EPS_FLOOR
@@ -226,19 +190,16 @@ class CcsObjective:
             g_marg[r] = (w2 * others) @ grads[r]
             g_cross[r] += (w3 * others) @ grads[r]
 
-        terms = ContrastTerms(v_joint, v_marg, v_cross, g_joint, g_marg, g_cross)
-        return terms, state
+        return ContrastTerms(v_joint, v_marg, v_cross, g_joint, g_marg, g_cross)
 
     def terms(self, w) -> ContrastTerms:
-        t, _ = self._evaluate(w, need_grad=False)
-        return t
+        return self._evaluate(w, need_grad=False)
 
     def value(self, w) -> float:
-        t, _ = self._evaluate(w, need_grad=False)
-        return self._log_ratio(t)
+        return self._log_ratio(self._evaluate(w, need_grad=False))
 
     def value_and_gradient(self, w) -> tuple[float, np.ndarray]:
-        t, _ = self._evaluate(w, need_grad=True)
+        t = self._evaluate(w, need_grad=True)
         grad = t.g_joint / t.v_joint + t.g_marg / t.v_marg - 2.0 * t.g_cross / t.v_cross
         value = self._log_ratio(t)
         if not np.all(np.isfinite(grad)):
@@ -255,12 +216,3 @@ class CcsObjective:
             raise NonFinite("contrast value is non-finite")
         return value
 
-
-def ccs_contrast(w, data, alpha: float, stride: int = 1, bandwidth: float | None = None) -> float:
-    """One-shot contrast evaluation; build a CcsObjective to amortize the cache."""
-    return CcsObjective(data, alpha, stride=stride, bandwidth=bandwidth).value(w)
-
-
-def ccs_gradient(w, data, alpha: float, stride: int = 1, bandwidth: float | None = None) -> np.ndarray:
-    """One-shot gradient evaluation of the contrast in W."""
-    return CcsObjective(data, alpha, stride=stride, bandwidth=bandwidth).gradient(w)

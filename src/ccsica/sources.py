@@ -24,44 +24,26 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-@dataclass(frozen=True)
-class SourceSpec:
-    """One synthetic source: distribution kind, length, seed, shape knobs.
+def draw_source(kind: str, n: int, rng: np.random.Generator,
+                tau1: float = 3.0, tau2: float = 1.0) -> np.ndarray:
+    """n draws of one source kind.
 
     tau1 is the half-width of the uniform kind, tau2 the scale of the
     laplacian kind; the rayleigh and lognormal kinds are fixed to unit shape.
     """
-
-    kind: str
-    t_count: int
-    seed: int = 0
-    tau1: float = 3.0
-    tau2: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in SOURCE_KINDS:
-            raise InvalidInput(f"unknown source kind {self.kind!r}, expected one of {SOURCE_KINDS}")
-        if int(self.t_count) < 2:
-            raise InvalidInput("need at least 2 samples")
-        if not (self.tau1 > 0.0 and self.tau2 > 0.0):
-            raise InvalidInput("scale parameters must be positive")
-
-
-def draw_source(kind: str, n: int, rng: np.random.Generator,
-                tau1: float = 3.0, tau2: float = 1.0) -> np.ndarray:
+    if kind not in SOURCE_KINDS:
+        raise InvalidInput(f"unknown source kind {kind!r}, expected one of {SOURCE_KINDS}")
+    if int(n) < 2:
+        raise InvalidInput("need at least 2 samples")
+    if not (tau1 > 0.0 and tau2 > 0.0):
+        raise InvalidInput("scale parameters must be positive")
     if kind == "uniform":
         return rng.uniform(-tau1, tau1, n)
     if kind == "rayleigh":
         return rng.rayleigh(1.0, n)
     if kind == "laplacian":
         return rng.laplace(0.0, tau2, n)
-    if kind == "lognormal":
-        return rng.lognormal(0.0, 1.0, n)
-    raise InvalidInput(f"unknown source kind {kind!r}, expected one of {SOURCE_KINDS}")
-
-
-def sample_source(spec: SourceSpec) -> np.ndarray:
-    return draw_source(spec.kind, int(spec.t_count), rng_for(spec.seed), spec.tau1, spec.tau2)
+    return rng.lognormal(0.0, 1.0, n)
 
 
 def source_bank(kinds, t_count: int, seed: int = 0, tau1: float = 3.0, tau2: float = 1.0) -> np.ndarray:

@@ -107,6 +107,13 @@ class TestExitCodes:
         assert main(["gen", "--kinds", "cauchy", "--out", str(tmp_path)]) == 2
         assert main(["bench", "t9", "--out", str(tmp_path)]) == 2
 
+    def test_bad_gen_shape_exits_two(self, tmp_path):
+        out = tmp_path / "gen"
+        assert main(["gen", "--kinds", "laplacian", "--tau2", "-1", "--out", str(out)]) == 2
+        assert main(["gen", "--t", "0", "--out", str(out)]) == 2
+        assert main(["gen", "--kinds", "uniform,cauchy", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_missing_files_exit_four(self, tmp_path):
         missing = str(tmp_path / "nope.csv")
         assert main(["separate", "--input", missing, "--out", str(tmp_path)]) == 4

@@ -1,19 +1,24 @@
 import numpy as np
 import pytest
 
-from ccsica.density import (
-    ParzenModel,
-    default_bandwidth,
-    gaussian_density_1d,
-    gaussian_density_grad_1d,
-    gaussian_density_nd,
-    kde_multivariate,
-    kde_univariate,
-    kde_univariate_grad,
-)
+from ccsica import density
+from ccsica.density import default_bandwidth, gaussian_density_nd, gaussian_sums_1d
 from ccsica.errors import InvalidInput
+from ccsica.objective import CcsObjective
 
 SQRT2PI = np.sqrt(2.0 * np.pi)
+
+
+def _parzen(refs, queries, h):
+    """Normalised 1-D Parzen density from the kernel sums."""
+    return gaussian_sums_1d(refs, queries, h) / (np.size(refs) * h * SQRT2PI)
+
+
+def _parzen_grad(refs, queries, h):
+    """Derivative of the 1-D Parzen density in the query point."""
+    refs = np.asarray(refs, dtype=float)
+    _, usum, _ = gaussian_sums_1d(refs, queries, h, np.empty((refs.size, 0)))
+    return -usum / (refs.size * h * h * SQRT2PI)
 
 
 class TestBandwidth:
@@ -30,50 +35,24 @@ class TestBandwidth:
             default_bandwidth(0)
 
 
-class TestParzenModel:
-    def test_validation(self):
-        with pytest.raises(InvalidInput):
-            ParzenModel(np.zeros(8), 0.5)
-        with pytest.raises(InvalidInput):
-            ParzenModel(np.zeros((2, 1)), 0.5)
-        with pytest.raises(InvalidInput):
-            ParzenModel(np.array([[0.0, np.nan]]), 0.5)
-        with pytest.raises(InvalidInput):
-            ParzenModel(np.zeros((2, 8)), 0.0)
-
-    def test_from_samples_sets_rule_of_thumb_bandwidth(self):
-        model = ParzenModel.from_samples(np.arange(10.0).reshape(1, 10))
-        assert model.bandwidth == pytest.approx(default_bandwidth(10), rel=1e-14)
-
-    def test_row_index_checked(self):
-        model = ParzenModel(np.zeros((2, 4)), 1.0)
-        with pytest.raises(InvalidInput):
-            kde_univariate(model, 2, [0.0])
-        with pytest.raises(InvalidInput):
-            kde_univariate_grad(model, -1, [0.0])
-
-
 class TestUnivariate:
     def test_coincident_references_peak(self):
         h = 0.3
-        model = ParzenModel(np.array([[1.5, 1.5]]), h)
-        peak = kde_univariate(model, 0, [1.5])
-        assert peak == pytest.approx(1.0 / (h * SQRT2PI), rel=1e-12)
+        peak = _parzen(np.array([1.5, 1.5]), np.array([1.5]), h)
+        assert peak[0] == pytest.approx(1.0 / (h * SQRT2PI), rel=1e-12)
 
     def test_matches_hand_loop(self):
         refs = np.array([-0.3, 0.4, 1.1])
         h = 0.5
-        model = ParzenModel(refs[None, :], h)
         queries = np.array([0.0, 0.9])
         want = np.array(
             [np.mean(np.exp(-0.5 * ((x - refs) / h) ** 2)) / (h * SQRT2PI) for x in queries]
         )
-        assert np.allclose(kde_univariate(model, 0, queries), want, rtol=1e-12)
+        assert np.allclose(_parzen(refs, queries, h), want, rtol=1e-12)
 
     def test_grad_matches_hand_loop(self):
         refs = np.array([-0.3, 0.4, 1.1])
         h = 0.5
-        model = ParzenModel(refs[None, :], h)
         queries = np.array([0.0, 0.9])
         want = np.array(
             [
@@ -81,68 +60,105 @@ class TestUnivariate:
                 for x in queries
             ]
         )
-        assert np.allclose(kde_univariate_grad(model, 0, queries), want, rtol=1e-12)
+        assert np.allclose(_parzen_grad(refs, queries, h), want, rtol=1e-12)
 
     def test_grad_matches_finite_differences(self, rng):
-        model = ParzenModel.from_samples(rng.normal(size=(1, 200)))
+        refs = rng.normal(size=200)
+        h = default_bandwidth(refs.size)
         queries = np.linspace(-2.0, 2.0, 9)
         eps = 1e-6
-        fd = (kde_univariate(model, 0, queries + eps) - kde_univariate(model, 0, queries - eps)) / (2 * eps)
-        assert np.allclose(kde_univariate_grad(model, 0, queries), fd, rtol=1e-6, atol=1e-9)
+        fd = (_parzen(refs, queries + eps, h) - _parzen(refs, queries - eps, h)) / (2 * eps)
+        assert np.allclose(_parzen_grad(refs, queries, h), fd, rtol=1e-6, atol=1e-9)
 
     def test_integrates_to_one(self, rng):
-        model = ParzenModel.from_samples(rng.normal(size=(1, 4000)))
+        refs = rng.normal(size=4000)
         grid = np.linspace(-6.0, 6.0, 1201)
-        mass = np.trapezoid(kde_univariate(model, 0, grid), grid)
+        mass = np.trapezoid(_parzen(refs, grid, default_bandwidth(refs.size)), grid)
         assert mass == pytest.approx(1.0, abs=1e-3)
 
     def test_standard_normal_at_origin(self, rng):
-        model = ParzenModel.from_samples(rng.normal(size=(1, 4000)))
-        assert kde_univariate(model, 0, [0.0])[0] == pytest.approx(1.0 / SQRT2PI, abs=0.05)
+        refs = rng.normal(size=4000)
+        at_origin = _parzen(refs, np.array([0.0]), default_bandwidth(refs.size))[0]
+        assert at_origin == pytest.approx(1.0 / SQRT2PI, abs=0.05)
 
     def test_scaling_covariance(self, rng):
         refs = rng.normal(size=200)
         queries = np.linspace(-1.5, 1.5, 7)
         h, c = 0.4, 2.5
-        base = gaussian_density_1d(refs, queries, h)
-        scaled = gaussian_density_1d(c * refs, c * queries, c * h)
+        base = _parzen(refs, queries, h)
+        scaled = _parzen(c * refs, c * queries, c * h)
         assert np.allclose(scaled, base / c, rtol=1e-10)
 
     def test_reference_permutation_invariance(self, rng):
         refs = rng.normal(size=300)
         queries = np.linspace(-2.0, 2.0, 11)
-        base = gaussian_density_1d(refs, queries, 0.3)
-        shuffled = gaussian_density_1d(rng.permutation(refs), queries, 0.3)
+        base = _parzen(refs, queries, 0.3)
+        shuffled = _parzen(rng.permutation(refs), queries, 0.3)
         assert np.max(np.abs(shuffled - base) / base) <= 1e-12
 
-    def test_scalar_query(self):
-        model = ParzenModel(np.array([[0.0, 1.0]]), 0.5)
-        v = kde_univariate(model, 0, 0.5)
-        assert isinstance(v, float) and v > 0.0
+    def test_feature_sums_match_hand_loop(self, rng):
+        refs = rng.normal(size=7)
+        queries = rng.normal(size=4)
+        feats = rng.normal(size=(7, 3))
+        h = 0.6
+        ksum, usum, ufsum = gaussian_sums_1d(refs, queries, h, feats)
+        u = (queries[:, None] - refs[None, :]) / h
+        k = np.exp(-0.5 * u * u)
+        assert np.array_equal(ksum, gaussian_sums_1d(refs, queries, h))
+        assert np.allclose(ksum, k.sum(axis=1), rtol=1e-13)
+        assert np.allclose(usum, (u * k).sum(axis=1), rtol=1e-13)
+        assert np.allclose(ufsum, (u * k) @ feats, rtol=1e-12, atol=1e-15)
+
+    def test_chunking_does_not_change_sums(self, rng, monkeypatch):
+        refs = rng.normal(size=50)
+        queries = rng.normal(size=23)
+        feats = rng.normal(size=(50, 2))
+        whole = gaussian_sums_1d(refs, queries, 0.4, feats)
+        monkeypatch.setattr(density, "_CHUNK", 5)
+        chunked = gaussian_sums_1d(refs, queries, 0.4, feats)
+        for a, b in zip(whole, chunked):
+            assert np.allclose(a, b, rtol=1e-13, atol=1e-15)
+
+    def test_marginal_pass_matches_hand_loop(self, rng):
+        # the contrast's own call into the shared sums: density of one output
+        # row at its strided points, and its derivative in that row of W
+        z = rng.normal(size=(2, 60))
+        obj = CcsObjective(z, alpha=0.5, stride=4)
+        w_row = np.array([0.8, -0.3])
+        row = w_row @ z
+        dens, grad = obj._marginal_pass(row, need_grad=True)
+        h, n = obj.h, row.size
+        q = row[::4]
+        u = (q[:, None] - row[None, :]) / h
+        k = np.exp(-0.5 * u * u)
+        assert np.allclose(dens, k.sum(axis=1) / (n * h * SQRT2PI), rtol=1e-13)
+        dz = z[:, ::4][:, :, None] - z[:, None, :]
+        want = -np.einsum("ij,lij->il", u * k, dz) / (n * h * h * SQRT2PI)
+        assert np.allclose(grad, want, rtol=1e-10, atol=1e-14)
+        value_only, none = obj._marginal_pass(row, need_grad=False)
+        assert none is None and np.array_equal(value_only, dens)
 
 
 class TestMultivariate:
     def test_matches_hand_loop(self, rng):
         refs = rng.normal(size=(2, 5))
         h = 0.7
-        model = ParzenModel(refs, h)
         queries = rng.normal(size=(2, 3))
         want = np.empty(3)
         for k in range(3):
             d2 = np.sum((queries[:, k, None] - refs) ** 2, axis=0)
             want[k] = np.mean(np.exp(-0.5 * d2 / h**2)) / ((2 * np.pi) * h**2)
-        assert np.allclose(kde_multivariate(model, queries), want, rtol=1e-12)
+        assert np.allclose(gaussian_density_nd(refs, queries, h), want, rtol=1e-12)
 
     def test_product_rule_for_independent_channels(self, rng):
         # joint kernel estimate of an independent pair tracks the product of
         # its marginal estimates only up to smoothing error, hence the loose bound
-        model = ParzenModel.from_samples(
-            np.vstack([rng.uniform(-1, 1, 900), rng.normal(size=900)])
-        )
+        refs = np.vstack([rng.uniform(-1, 1, 900), rng.normal(size=900)])
+        h = default_bandwidth(900)
         ticks = np.linspace(-0.8, 0.8, 9)
         queries = np.vstack([ticks, ticks])
-        joint = kde_multivariate(model, queries)
-        product = kde_univariate(model, 0, ticks) * kde_univariate(model, 1, ticks)
+        joint = gaussian_density_nd(refs, queries, h)
+        product = _parzen(refs[0], ticks, h) * _parzen(refs[1], ticks, h)
         assert np.max(np.abs(joint - product) / product) <= 0.2
 
     def test_scaling_covariance(self, rng):
@@ -154,16 +170,14 @@ class TestMultivariate:
         assert np.allclose(scaled, base / c**3, rtol=1e-10)
 
     def test_vector_query_is_scalar(self, rng):
-        model = ParzenModel(rng.normal(size=(2, 20)), 0.5)
-        v = kde_multivariate(model, np.zeros(2))
+        v = gaussian_density_nd(rng.normal(size=(2, 20)), np.zeros(2), 0.5)
         assert isinstance(v, float) and v > 0.0
 
     def test_channel_mismatch_rejected(self, rng):
-        model = ParzenModel(rng.normal(size=(2, 20)), 0.5)
         with pytest.raises(InvalidInput):
-            kde_multivariate(model, np.zeros((3, 4)))
+            gaussian_density_nd(rng.normal(size=(2, 20)), np.zeros((3, 4)), 0.5)
 
     def test_grad_worker_sign(self):
         # density falls to the right of a lone mass point, rises to the left
-        assert gaussian_density_grad_1d(np.array([0.0, 0.0]), np.array([0.5]), 0.4)[0] < 0.0
-        assert gaussian_density_grad_1d(np.array([0.0, 0.0]), np.array([-0.5]), 0.4)[0] > 0.0
+        assert _parzen_grad(np.array([0.0, 0.0]), np.array([0.5]), 0.4)[0] < 0.0
+        assert _parzen_grad(np.array([0.0, 0.0]), np.array([-0.5]), 0.4)[0] > 0.0

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
+from ccsica.density import default_bandwidth
 from ccsica.errors import InvalidInput, SingularDemixer
-from ccsica.objective import (
-    DET_FLOOR,
-    CcsObjective,
-    DemixingState,
-    ccs_contrast,
-    ccs_gradient,
-    cofactor_matrix,
-)
+from ccsica.objective import DET_FLOOR, CcsObjective, cofactor_matrix
 from ccsica.optimizers import rotation
 from ccsica.sources import source_bank
 
@@ -54,20 +48,6 @@ class TestCofactorMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(InvalidInput):
             cofactor_matrix(np.zeros((2, 3)))
-
-
-class TestDemixingState:
-    def test_fields(self):
-        st = DemixingState.from_matrix([[3.0, 0.0], [0.0, 4.0]])
-        assert st.det == pytest.approx(12.0, rel=1e-14)
-        assert np.allclose(st.row_norms, [3.0, 4.0])
-        assert st.laplace_residual() <= 1e-12
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(InvalidInput):
-            DemixingState.from_matrix(np.zeros((2, 3)))
-        with pytest.raises(InvalidInput):
-            DemixingState.from_matrix([[1.0, np.inf], [0.0, 1.0]])
 
 
 class TestCcsObjective:
@@ -152,12 +132,38 @@ class TestCcsObjective:
         assert obj.n_refs == 200
         assert obj.n_points == 67
 
-    def test_one_shots_match_methods(self):
+    def test_rebuilt_objective_matches(self):
         z = _standardized_pair(t=200, seed=7)
         w = np.array([[0.9, 0.3], [-0.2, 1.1]])
         obj = CcsObjective(z, alpha=0.5, stride=2)
-        assert ccs_contrast(w, z, 0.5, stride=2) == obj.value(w)
-        assert np.array_equal(ccs_gradient(w, z, 0.5, stride=2), obj.gradient(w))
+        assert CcsObjective(z, 0.5, stride=2).value(w) == obj.value(w)
+        assert np.array_equal(CcsObjective(z, 0.5, stride=2).gradient(w), obj.gradient(w))
+
+    def test_rejects_bad_samples_and_bandwidth(self):
+        with pytest.raises(InvalidInput):
+            CcsObjective(np.zeros(8), alpha=0.5)
+        with pytest.raises(InvalidInput):
+            CcsObjective(np.zeros((2, 1)), alpha=0.5)
+        with pytest.raises(InvalidInput):
+            CcsObjective(np.array([[0.0, np.nan, 1.0], [1.0, 0.0, 2.0]]), alpha=0.5)
+        z = _standardized_pair(t=50, seed=7)
+        for h in (0.0, -0.3):
+            with pytest.raises(InvalidInput):
+                CcsObjective(z, alpha=0.5, bandwidth=h)
+
+    def test_default_bandwidth_follows_reference_count(self):
+        z = _standardized_pair(t=200, seed=7)
+        assert CcsObjective(z, alpha=0.5, stride=7).h == default_bandwidth(200)
+        assert CcsObjective(z, alpha=0.5, bandwidth=0.25).h == 0.25
+
+    def test_rejects_bad_demixer(self):
+        z = _standardized_pair(t=200, seed=7)
+        obj = CcsObjective(z, alpha=0.5, stride=2)
+        for w in (np.zeros((2, 3)), np.array([[1.0, np.inf], [0.0, 1.0]])):
+            with pytest.raises(InvalidInput):
+                obj.value(w)
+            with pytest.raises(InvalidInput):
+                obj.value_and_gradient(w)
 
     def test_value_and_gradient_consistent(self):
         z = _standardized_pair(t=200, seed=7)

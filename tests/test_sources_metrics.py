@@ -13,13 +13,11 @@ from ccsica.metrics import (
 from ccsica.sources import (
     SOURCE_KINDS,
     MixingModel,
-    SourceSpec,
     draw_source,
     mix,
     noise_sigma_for_snr,
     random_mixing_matrix,
     rng_for,
-    sample_source,
     source_bank,
 )
 
@@ -45,20 +43,22 @@ class TestSources:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInput):
             draw_source("cauchy", 10, rng_for(0))
-        with pytest.raises(InvalidInput):
-            SourceSpec("cauchy", 10)
 
     def test_spec_validation(self):
         with pytest.raises(InvalidInput):
-            SourceSpec("uniform", 1)
+            draw_source("uniform", 1, rng_for(0))
         with pytest.raises(InvalidInput):
-            SourceSpec("uniform", 10, tau1=0.0)
+            draw_source("uniform", 0, rng_for(0))
         with pytest.raises(InvalidInput):
-            SourceSpec("laplacian", 10, tau2=-1.0)
+            draw_source("uniform", 10, rng_for(0), tau1=0.0)
+        with pytest.raises(InvalidInput):
+            draw_source("laplacian", 10, rng_for(0), tau2=-1.0)
+        with pytest.raises(InvalidInput):
+            draw_source("laplacian", 10, rng_for(0), tau2=float("nan"))
 
     def test_sample_source_deterministic(self):
-        spec = SourceSpec("laplacian", 64, seed=4)
-        assert np.array_equal(sample_source(spec), sample_source(spec))
+        a = draw_source("laplacian", 64, rng_for(4), tau2=2.0)
+        assert np.array_equal(a, draw_source("laplacian", 64, rng_for(4), tau2=2.0))
 
     def test_uniform_respects_half_width(self):
         s = draw_source("uniform", 5000, rng_for(0), tau1=2.0)
