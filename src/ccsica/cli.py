@@ -218,12 +218,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate synthetic source files")
     common(g)
-    g.add_argument("--kinds", type=str, default="uniform,laplacian",
-                   help=f"comma list from {SOURCE_KINDS}")
+    g.add_argument("--kinds", type=str, default=None,
+                   help=f"comma list from {SOURCE_KINDS} (default uniform,laplacian)")
     g.add_argument("--t", type=int, default=None, help="samples per source (default 1000)")
     g.add_argument("--tau1", type=float, default=None, help="uniform half width (default 3)")
     g.add_argument("--tau2", type=float, default=None, help="laplacian scale (default 1)")
-    g.add_argument("--format", choices=("csv", "wav"), default="csv")
+    g.add_argument("--format", choices=("csv", "wav"), default=None, help="default csv")
     g.set_defaults(func=cmd_gen)
 
     mx = sub.add_parser("mix", help="mix source files through a matrix")
@@ -246,8 +246,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="gradient iteration cap (default 250)")
     sep.add_argument("--epsilon", type=float, default=None, help="contrast-change stop (default 1e-4)")
     sep.add_argument("--sweeps", type=int, default=None, help="pairwise-gd sweep count (default 3)")
-    sep.add_argument("--format", choices=("csv", "wav"), default="csv",
-                     help="estimate output format")
+    sep.add_argument("--format", choices=("csv", "wav"), default=None,
+                     help="estimate output format (default csv)")
     sep.set_defaults(func=cmd_separate)
 
     ev = sub.add_parser("eval", help="score estimates against ground truth")
@@ -286,11 +286,16 @@ def _build_parser() -> argparse.ArgumentParser:
     su.add_argument("--beta", type=float, default=None, help="exponent for the beta divergence")
     su.set_defaults(func=cmd_surface)
 
+    for p in sub.choices.values():
+        # config-file values are checked against the subcommand's own flags
+        flags = {a.dest: a for a in p._actions if a.option_strings and a.dest != "help"}
+        p.set_defaults(flags=flags)
     return parser
 
 
 _DEFAULTS = {
-    "seed": 0, "out": "out", "t": 1000, "tau1": 3.0, "tau2": 1.0,
+    "seed": 0, "out": "out", "kinds": "uniform,laplacian", "format": "csv",
+    "t": 1000, "tau1": 3.0, "tau2": 1.0,
     "algorithm": "jacobi", "divergence": "ccs", "alpha": -0.99999, "gamma": 0.3,
     "ts": 1, "max_iter": 250, "epsilon": 1e-4, "sweeps": 3,
     "scale": 1.0, "jobs": 1, "grid": 64, "marg1": "0.6,0.4", "weight": 0.5, "beta": 2.0,
@@ -298,8 +303,23 @@ _DEFAULTS = {
 _SURFACE_DEFAULTS = {"alpha": -1.0}
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """Convert and check one config-file value as its flag would be."""
+    try:
+        value = (action.type or str)(str(value))
+    except ValueError as exc:
+        raise InvalidInput(f"config value {key}: {value!r} is not valid: {exc}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise InvalidInput(f"config value {key}: {value!r} is not one of {tuple(action.choices)}")
+    return value
+
+
 def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from the YAML config, then from built-in defaults."""
+    """Fill unset flags from the YAML config, then from built-in defaults.
+
+    A file value goes through its flag's type and choices; None leaves the
+    flag unset.
+    """
     file_values = {}
     if getattr(args, "config", None):
         try:
@@ -313,7 +333,11 @@ def _apply_config(args: argparse.Namespace) -> None:
             raise InvalidInput("config file must hold a key/value mapping")
         file_values = {str(k).replace("-", "_"): v for k, v in loaded.items()}
     for key, value in file_values.items():
-        if hasattr(args, key) and getattr(args, key) is None:
+        action = args.flags.get(key)
+        if action is None or value is None:
+            continue
+        value = _config_value(action, key, value)
+        if getattr(args, key) is None:
             setattr(args, key, value)
     for key, value in _DEFAULTS.items():
         if hasattr(args, key) and getattr(args, key) is None:

@@ -19,15 +19,14 @@ The gradient is the exact derivative of the log form,
 
     dD = d(v_joint)/v_joint + d(v_marg)/v_marg - 2 d(v_cross)/v_cross,
 
-assembled from two chains: the joint side flows through the determinant via
-the cofactor matrix, the marginal side flows through each output row's
-kernel sums.  Points whose density sits on the clamping floor contribute
-zero derivative, so the gradient stays consistent with the clamped value.
+assembled from two chains: the joint side flows through the determinant,
+d(py)/dW = -py W^-T because py = p_x / |det W|; the marginal side flows
+through each output row's kernel sums.  Points whose density sits on the
+clamping floor contribute zero derivative, so the gradient stays consistent
+with the clamped value.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,42 +36,6 @@ from .errors import DegenerateDivergence, InvalidInput, NonFinite, SingularDemix
 from .preprocess import validate_signal
 
 DET_FLOOR = 1e-12
-
-
-def cofactor_matrix(w) -> np.ndarray:
-    """Matrix of signed minors; row-dotted with w it reproduces det(w).
-
-    Defined for singular matrices too, hence the explicit minor expansion
-    instead of det * inverse-transpose.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise InvalidInput(f"cofactor_matrix needs a square matrix, got shape {w.shape}")
-    m = w.shape[0]
-    if m == 1:
-        return np.ones((1, 1))
-    if m == 2:
-        return np.array([[w[1, 1], -w[1, 0]], [-w[0, 1], w[0, 0]]])
-    out = np.empty((m, m))
-    for i in range(m):
-        rows = np.delete(np.arange(m), i)
-        sub = w[rows]
-        for j in range(m):
-            cols = np.delete(np.arange(m), j)
-            out[i, j] = (-1.0) ** (i + j) * np.linalg.det(sub[:, cols])
-    return out
-
-
-@dataclass(frozen=True)
-class ContrastTerms:
-    """The three contrast sums, plus their W-derivatives when requested."""
-
-    v_joint: float
-    v_marg: float
-    v_cross: float
-    g_joint: np.ndarray | None = None
-    g_marg: np.ndarray | None = None
-    g_cross: np.ndarray | None = None
 
 
 class CcsObjective:
@@ -95,6 +58,8 @@ class CcsObjective:
         self.data_t = np.ascontiguousarray(data.T)
         self.queries_t = np.ascontiguousarray(queries.T)
         self.alpha = float(alpha)
+        if not np.isfinite(self.alpha):
+            raise InvalidInput("alpha must be finite")
         self.stride = stride
         self.h = float(bandwidth) if bandwidth is not None else default_bandwidth(data.shape[1])
         if not self.h > 0.0:
@@ -131,7 +96,7 @@ class CcsObjective:
 
     # -- evaluation ---------------------------------------------------------------
 
-    def _evaluate(self, w, need_grad: bool) -> ContrastTerms:
+    def _evaluate(self, w, need_grad: bool) -> tuple[float, np.ndarray | None]:
         w = np.asarray(w, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise InvalidInput(f"demixing matrix must be square, got shape {w.shape}")
@@ -163,56 +128,31 @@ class CcsObjective:
         v_cross = float(fj @ fm)
         if v_joint <= 0.0 or v_marg <= 0.0 or v_cross <= 0.0:
             raise DegenerateDivergence("contrast sums vanished, log ratio undefined")
-
+        value = float(np.log(v_joint) + np.log(v_marg) - 2.0 * np.log(v_cross))
+        if not np.isfinite(value):
+            raise NonFinite("contrast value is non-finite")
         if not need_grad:
-            return ContrastTerms(v_joint, v_marg, v_cross)
+            return value, None
 
+        # dD = sum(a * d(py)) + sum(b * d(q)) over the evaluation points
         fpj = convex_f_prime(py_c, self.alpha)
         fpm = convex_f_prime(q_c, self.alpha)
-
-        # joint chain: d(py)/d w_ml = coef * cofactor[m, l]
-        cofactors = cofactor_matrix(w)
-        coef = -self.base_density * np.sign(det) / (det * det)
-        coef = np.where(py > EPS_FLOOR, coef, 0.0)
-        g_joint = (2.0 * np.dot(fj * fpj, coef)) * cofactors
-        g_cross = np.dot(fpj * fm, coef) * cofactors
-
-        # marginal chain: d(q)/d w_ml = (product of the other rows) * d(dens_m)/d w_ml
-        marg_mask = q > EPS_FLOOR
-        w2 = np.where(marg_mask, 2.0 * fm * fpm, 0.0)
-        w3 = np.where(marg_mask, fj * fpm, 0.0)
-        g_marg = np.empty((m, m))
+        a = np.where(py > EPS_FLOOR, 2.0 * fpj * (fj / v_joint - fm / v_cross), 0.0)
+        b = np.where(q > EPS_FLOOR, 2.0 * fpm * (fm / v_marg - fj / v_cross), 0.0)
+        # joint chain: d(py)/dW = -py W^-T; inv is safe past the DET_FLOOR check
+        grad = -float(a @ py) * np.linalg.inv(w).T
+        # marginal chain: d(q)/dW[r] = (product of the other rows) * d(dens_r)/dW[r]
         for r in range(m):
-            others = np.ones(self.n_points)
-            for s in range(m):
-                if s != r:
-                    others *= dens[s]
-            g_marg[r] = (w2 * others) @ grads[r]
-            g_cross[r] += (w3 * others) @ grads[r]
-
-        return ContrastTerms(v_joint, v_marg, v_cross, g_joint, g_marg, g_cross)
-
-    def terms(self, w) -> ContrastTerms:
-        return self._evaluate(w, need_grad=False)
-
-    def value(self, w) -> float:
-        return self._log_ratio(self._evaluate(w, need_grad=False))
-
-    def value_and_gradient(self, w) -> tuple[float, np.ndarray]:
-        t = self._evaluate(w, need_grad=True)
-        grad = t.g_joint / t.v_joint + t.g_marg / t.v_marg - 2.0 * t.g_cross / t.v_cross
-        value = self._log_ratio(t)
+            grad[r] += (b * np.delete(dens, r, axis=0).prod(axis=0)) @ grads[r]
         if not np.all(np.isfinite(grad)):
             raise NonFinite("contrast gradient contains non-finite entries")
         return value, grad
 
+    def value(self, w) -> float:
+        return self._evaluate(w, need_grad=False)[0]
+
+    def value_and_gradient(self, w) -> tuple[float, np.ndarray]:
+        return self._evaluate(w, need_grad=True)
+
     def gradient(self, w) -> np.ndarray:
-        return self.value_and_gradient(w)[1]
-
-    @staticmethod
-    def _log_ratio(t: ContrastTerms) -> float:
-        value = float(np.log(t.v_joint) + np.log(t.v_marg) - 2.0 * np.log(t.v_cross))
-        if not np.isfinite(value):
-            raise NonFinite("contrast value is non-finite")
-        return value
-
+        return self._evaluate(w, need_grad=True)[1]

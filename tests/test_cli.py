@@ -114,6 +114,12 @@ class TestExitCodes:
         assert main(["gen", "--kinds", "uniform,cauchy", "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_non_finite_alpha_exits_two(self, tmp_path):
+        _, mixture, _ = _gen_and_mix(tmp_path)
+        for alpha in ("nan", "inf"):
+            assert main(["separate", "--input", str(mixture), "--alpha", alpha,
+                         "--ts", "4", "--out", str(tmp_path / "sep")]) == 2
+
     def test_missing_files_exit_four(self, tmp_path):
         missing = str(tmp_path / "nope.csv")
         assert main(["separate", "--input", missing, "--out", str(tmp_path)]) == 4
@@ -141,6 +147,33 @@ class TestConfigFile:
         assert main(["separate", "--input", str(mixture), "--config", str(cfg),
                      "--max-iter", "5", "--out", str(sep)]) == 0
         assert len((sep / "trace.csv").read_text().splitlines()) == 7
+
+    def test_quoted_numbers_parse_like_flags(self, tmp_path):
+        _, mixture, _ = _gen_and_mix(tmp_path)
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump({"algorithm": "gd", "max_iter": "0", "ts": "4",
+                                       "epsilon": None}))
+        sep = tmp_path / "sep"
+        assert main(["separate", "--input", str(mixture), "--config", str(cfg),
+                     "--out", str(sep)]) == 0
+        assert len((sep / "trace.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("entry", [{"ts": 2.5}, {"max_iter": "five"}, {"format": "xyz"},
+                                       {"algorithm": "newton"}, {"alpha": "steep"}])
+    def test_bad_values_exit_two(self, tmp_path, entry):
+        _, mixture, _ = _gen_and_mix(tmp_path)
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump(entry))
+        sep = tmp_path / "sep"
+        assert main(["separate", "--input", str(mixture), "--config", str(cfg),
+                     "--out", str(sep)]) == 2
+        assert not sep.exists()
+
+    def test_file_sets_defaulted_flags(self, tmp_path):
+        cfg = tmp_path / "gen.yaml"
+        cfg.write_text(yaml.safe_dump({"kinds": "laplacian", "format": "wav", "t": 64}))
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "src")]) == 0
+        assert [p.name for p in (tmp_path / "src").iterdir()] == ["source_00_laplacian.wav"]
 
 
 class TestSurface:

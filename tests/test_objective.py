@@ -1,53 +1,17 @@
 import numpy as np
 import pytest
 
-from ccsica.density import default_bandwidth
+from ccsica.density import default_bandwidth, gaussian_sums_1d
+from ccsica.divergences import EPS_FLOOR, convex_f
 from ccsica.errors import InvalidInput, SingularDemixer
-from ccsica.objective import DET_FLOOR, CcsObjective, cofactor_matrix
+from ccsica.objective import DET_FLOOR, CcsObjective
 from ccsica.optimizers import rotation
 from ccsica.sources import source_bank
 
 
-def _standardized_pair(t=400, seed=3):
-    s = source_bank(("uniform", "laplacian"), t, seed, tau1=3.0, tau2=1.0)
+def _standardized_pair(t=400, seed=3, kinds=("uniform", "laplacian")):
+    s = source_bank(kinds, t, seed, tau1=3.0, tau2=1.0)
     return (s - s.mean(axis=1, keepdims=True)) / s.std(axis=1, keepdims=True)
-
-
-class TestCofactorMatrix:
-    def test_two_by_two_closed_form(self):
-        w = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(cofactor_matrix(w), [[4.0, -3.0], [-2.0, 1.0]])
-
-    def test_one_by_one(self):
-        assert np.array_equal(cofactor_matrix([[7.0]]), [[1.0]])
-
-    def test_laplace_expansion_recovers_det(self, rng):
-        w = rng.normal(size=(3, 3))
-        cof = cofactor_matrix(w)
-        det = np.linalg.det(w)
-        per_row = np.einsum("ml,ml->m", w, cof)
-        assert np.allclose(per_row, det, rtol=1e-12)
-
-    def test_matches_det_finite_differences(self, rng):
-        # dDet/dW[i,j] is exactly the (i,j) cofactor
-        w = rng.normal(size=(3, 3))
-        cof = cofactor_matrix(w)
-        eps = 1e-6
-        for i in range(3):
-            for j in range(3):
-                wp, wm = w.copy(), w.copy()
-                wp[i, j] += eps
-                wm[i, j] -= eps
-                fd = (np.linalg.det(wp) - np.linalg.det(wm)) / (2 * eps)
-                assert cof[i, j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
-
-    def test_defined_for_singular_input(self):
-        cof = cofactor_matrix([[1.0, 1.0], [1.0, 1.0]])
-        assert np.array_equal(cof, [[1.0, -1.0], [-1.0, 1.0]])
-
-    def test_rejects_non_square(self):
-        with pytest.raises(InvalidInput):
-            cofactor_matrix(np.zeros((2, 3)))
 
 
 class TestCcsObjective:
@@ -62,20 +26,36 @@ class TestCcsObjective:
         z = _standardized_pair()
         obj = CcsObjective(z, alpha=-0.99999, stride=4)
         w = np.array([[0.9, 0.3], [-0.2, 1.1]])
-        t = obj.terms(w)
-        assert t.v_joint > 0 and t.v_marg > 0 and t.v_cross > 0
-        recomposed = np.log(t.v_joint) + np.log(t.v_marg) - 2.0 * np.log(t.v_cross)
+        # the three sums rebuilt by hand from the cached joint density and the
+        # per-row 1-D kernel sums
+        y = w @ z
+        norm = 1.0 / (obj.n_refs * obj.h * np.sqrt(2.0 * np.pi))
+        q = np.prod([gaussian_sums_1d(row, row[::4], obj.h) * norm for row in y], axis=0)
+        py = obj.base_density / abs(np.linalg.det(w))
+        fj = convex_f(np.maximum(py, EPS_FLOOR), obj.alpha)
+        fm = convex_f(np.maximum(q, EPS_FLOOR), obj.alpha)
+        v_joint, v_marg, v_cross = fj @ fj, fm @ fm, fj @ fm
+        assert v_joint > 0 and v_marg > 0 and v_cross > 0
+        recomposed = np.log(v_joint) + np.log(v_marg) - 2.0 * np.log(v_cross)
         assert obj.value(w) == pytest.approx(recomposed, abs=1e-12)
 
-    @pytest.mark.parametrize("alpha,stride", [(-0.99999, 1), (1.0, 1), (0.5, 3)])
-    def test_gradient_matches_finite_differences(self, alpha, stride):
-        z = _standardized_pair(t=200, seed=7)
+    @pytest.mark.parametrize("alpha,stride,kinds", [
+        pytest.param(-0.99999, 1, ("uniform", "laplacian"), id="-0.99999-1"),
+        pytest.param(1.0, 1, ("uniform", "laplacian"), id="1.0-1"),
+        pytest.param(0.5, 3, ("uniform", "laplacian"), id="0.5-3"),
+        pytest.param(-0.99999, 1, ("uniform", "laplacian", "rayleigh"), id="m3"),
+        pytest.param(0.5, 2, ("uniform", "laplacian", "rayleigh", "lognormal"), id="m4"),
+    ])
+    def test_gradient_matches_finite_differences(self, alpha, stride, kinds):
+        m = len(kinds)
+        z = _standardized_pair(t=200, seed=7, kinds=kinds)
         obj = CcsObjective(z, alpha=alpha, stride=stride)
-        w = np.array([[0.9, 0.3], [-0.2, 1.1]])
+        w = np.eye(m) + 0.2 * np.cos(np.arange(m * m).reshape(m, m))
+        w[:2, :2] = [[0.9, 0.3], [-0.2, 1.1]]  # the whole demixer when m = 2
         grad = obj.gradient(w)
         eps = 1e-6
-        for i in range(2):
-            for j in range(2):
+        for i in range(m):
+            for j in range(m):
                 wp, wm = w.copy(), w.copy()
                 wp[i, j] += eps
                 wm[i, j] -= eps
@@ -150,6 +130,12 @@ class TestCcsObjective:
         for h in (0.0, -0.3):
             with pytest.raises(InvalidInput):
                 CcsObjective(z, alpha=0.5, bandwidth=h)
+
+    def test_rejects_non_finite_alpha(self):
+        z = _standardized_pair(t=50, seed=7)
+        for alpha in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidInput):
+                CcsObjective(z, alpha=alpha)
 
     def test_default_bandwidth_follows_reference_count(self):
         z = _standardized_pair(t=200, seed=7)
