@@ -98,7 +98,7 @@ def cmd_gen(args) -> int:
 def cmd_mix(args) -> int:
     sources = _read_any_signal(args.inputs)
     m = sources.shape[0]
-    if args.matrix == "random":
+    if args.matrix in (None, "random"):
         a = random_mixing_matrix(m, rng_for(args.seed, 0x31))
     else:
         a = read_matrix_csv(args.matrix)
@@ -229,7 +229,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mx = sub.add_parser("mix", help="mix source files through a matrix")
     common(mx)
     mx.add_argument("--inputs", type=str, required=True, help="comma list of source files")
-    mx.add_argument("--matrix", type=str, default="random", help="matrix CSV path or 'random'")
+    mx.add_argument("--matrix", type=str, default=None,
+                    help="matrix CSV path or 'random' (default: random)")
     mx.add_argument("--snr-db", dest="snr_db", type=float, default=None,
                     help="add noise at this SNR (default: noise free)")
     mx.set_defaults(func=cmd_mix)

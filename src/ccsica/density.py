@@ -1,10 +1,14 @@
 """Parzen window density estimation with a Gaussian kernel.
 
 Estimates are direct sums over the full reference set (no tree or FFT
-shortcuts, no leave-one-out), evaluated in query chunks so memory stays
-bounded at roughly chunk x reference-count floats.  There are two sums: the
-1-D one, which also carries the derivative sums the contrast gradient needs,
-and the joint M-D density.
+shortcuts, no leave-one-out).  Each sum works in place through blocks of
+query rows, a block holding at most `_CHUNK` kernel terms (query rows x
+references), so its working memory is two such blocks whatever the number
+of references, unless one query row (two, for the joint sum) alone exceeds
+the budget.  A row's kernel sum does not depend on how many rows share its
+block; only the feature product of the 1-D sum, which BLAS blocks itself,
+can move by an ulp.  There are two sums: the 1-D one, which also carries
+the derivative sums the contrast gradient needs, and the joint M-D density.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ import numpy as np
 
 from .errors import InvalidInput
 
-_CHUNK = 1024
+# kernel terms (query rows x references) per block; two float64 blocks of
+# this size are the working memory of one sum
+_CHUNK = 1 << 16
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 
@@ -25,30 +31,51 @@ def default_bandwidth(t_count: int) -> float:
     return 1.06 * float(t_count) ** -0.2
 
 
-def gaussian_sums_1d(refs, queries, h: float, feats=None):
+def _block_rows(n_queries: int, n_refs: int) -> int:
+    return max(1, min(n_queries, _CHUNK // max(n_refs, 1)))
+
+
+def kernel_scratch(n_queries: int, n_refs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two work blocks one kernel sum of n_queries against n_refs needs."""
+    size = _block_rows(n_queries, n_refs) * n_refs
+    return np.empty(size), np.empty(size)
+
+
+def gaussian_sums_1d(refs, queries, h: float, feats=None, work=None):
     """Unnormalised Gaussian kernel sums of 1-D queries against 1-D references.
 
     With u = (q - r) / h and k = exp(-u^2 / 2), returns sum_r k per query.
     Given per-reference features (T x d), returns (sum_r k, sum_r u*k,
     sum_r u*k*feats[r]) instead; the last two carry the derivative of the
     sum in the query point (-usum / h) or through features that move it.
+    `work` is a pair of blocks from `kernel_scratch` to reuse across calls;
+    without it the call allocates its own.
     """
     refs = np.asarray(refs, dtype=float)
     queries = np.asarray(queries, dtype=float)
-    n = queries.size
+    n, n_refs = queries.size, refs.size
+    rows = _block_rows(n, n_refs)
+    if work is None:
+        work = kernel_scratch(n, n_refs)
+    u_block = work[0][: rows * n_refs].reshape(rows, n_refs)
+    k_block = work[1][: rows * n_refs].reshape(rows, n_refs)
     ksum = np.empty(n)
     if feats is not None:
         usum = np.empty(n)
         ufsum = np.empty((n, feats.shape[1]))
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        u = (queries[lo:hi, None] - refs[None, :]) / h
-        kern = np.exp(-0.5 * u * u)
-        ksum[lo:hi] = kern.sum(axis=1)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        u, k = u_block[: hi - lo], k_block[: hi - lo]
+        np.subtract.outer(queries[lo:hi], refs, out=u)
+        np.divide(u, h, out=u)
+        np.multiply(u, -0.5, out=k)
+        k *= u
+        np.exp(k, out=k)
+        k.sum(axis=1, out=ksum[lo:hi])
         if feats is not None:
-            ku = u * kern
-            usum[lo:hi] = ku.sum(axis=1)
-            ufsum[lo:hi] = ku @ feats
+            u *= k
+            u.sum(axis=1, out=usum[lo:hi])
+            np.matmul(u, feats, out=ufsum[lo:hi])
     if feats is None:
         return ksum
     return ksum, usum, ufsum
@@ -72,10 +99,23 @@ def gaussian_density_nd(refs, queries, h: float):
     q_sq = np.einsum("ij,ij->j", q, q)
     out = np.empty(k)
     inv = -0.5 / (h * h)
-    for lo in range(0, k, _CHUNK):
-        hi = min(lo + _CHUNK, k)
-        d2 = q_sq[lo:hi, None] + ref_sq[None, :] - 2.0 * (q[:, lo:hi].T @ refs)
+    # numpy computes a one-row product with a matrix-vector routine that
+    # rounds differently, so a block holds at least two rows and a last block
+    # of one row starts a row early: each row's sum is then the same however
+    # the queries fall into blocks
+    rows = max(2, _block_rows(k, n))
+    d2_block, g_block = np.empty((rows, n)), np.empty((rows, n))
+    for lo in range(0, k, rows):
+        lo = min(lo, max(k - 2, 0))
+        hi = min(lo + rows, k)
+        d2, g = d2_block[: hi - lo], g_block[: hi - lo]
+        np.add.outer(q_sq[lo:hi], ref_sq, out=d2)
+        np.matmul(q[:, lo:hi].T, refs, out=g)
+        g *= 2.0
+        d2 -= g
         np.maximum(d2, 0.0, out=d2)
-        out[lo:hi] = np.exp(inv * d2).sum(axis=1)
+        d2 *= inv
+        np.exp(d2, out=d2)
+        d2.sum(axis=1, out=out[lo:hi])
     out *= norm
     return float(out[0]) if scalar else out

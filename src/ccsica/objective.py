@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .density import _SQRT_2PI, default_bandwidth, gaussian_density_nd, gaussian_sums_1d
+from .density import (_SQRT_2PI, default_bandwidth, gaussian_density_nd, gaussian_sums_1d,
+                      kernel_scratch)
 from .divergences import EPS_FLOOR, convex_f, convex_f_prime
 from .errors import DegenerateDivergence, InvalidInput, NonFinite, SingularDemixer
 from .preprocess import validate_signal
@@ -44,6 +45,9 @@ class CcsObjective:
     The kernel reference set is every column of the data; the evaluation sum
     runs over every stride-th column starting at the first.  The bandwidth
     follows the reference count unless given explicitly.
+
+    An objective owns the scratch blocks its kernel sums work in, so one
+    instance must not be evaluated from two threads at once.
     """
 
     def __init__(self, data, alpha: float, stride: int = 1, bandwidth: float | None = None):
@@ -66,6 +70,7 @@ class CcsObjective:
             raise InvalidInput("bandwidth must be positive")
         # input joint density at the evaluation points; W enters only via det
         self.base_density = gaussian_density_nd(self.data, queries, self.h)
+        self._work = kernel_scratch(self.n_points, self.n_refs)
 
     @property
     def n_points(self) -> int:
@@ -88,9 +93,9 @@ class CcsObjective:
         h = self.h
         norm_p = 1.0 / (self.n_refs * h * _SQRT_2PI)
         if not need_grad:
-            return gaussian_sums_1d(row, vals, h) * norm_p, None
+            return gaussian_sums_1d(row, vals, h, work=self._work) * norm_p, None
         norm_k = 1.0 / (self.n_refs * h * h * _SQRT_2PI)
-        ksum, usum, ufsum = gaussian_sums_1d(row, vals, h, self.data_t)
+        ksum, usum, ufsum = gaussian_sums_1d(row, vals, h, self.data_t, work=self._work)
         grad = -norm_k * (usum[:, None] * self.queries_t - ufsum)
         return ksum * norm_p, grad
 

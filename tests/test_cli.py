@@ -3,7 +3,7 @@ import pytest
 import yaml
 
 from ccsica.cli import main
-from ccsica.fileio import read_matrix_csv, read_signal_csv, read_wav
+from ccsica.fileio import read_matrix_csv, read_signal_csv, read_wav, write_matrix_csv
 from ccsica.metrics import kurtosis
 from ccsica.preprocess import remove_mean, whiten
 
@@ -174,6 +174,16 @@ class TestConfigFile:
         cfg.write_text(yaml.safe_dump({"kinds": "laplacian", "format": "wav", "t": 64}))
         assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "src")]) == 0
         assert [p.name for p in (tmp_path / "src").iterdir()] == ["source_00_laplacian.wav"]
+
+    def test_file_sets_mix_matrix(self, tmp_path):
+        sources, _, _ = _gen_and_mix(tmp_path)
+        write_matrix_csv(tmp_path / "a.csv", np.eye(2))
+        cfg = tmp_path / "mix.yaml"
+        cfg.write_text(yaml.safe_dump({"matrix": str(tmp_path / "a.csv")}))
+        out = tmp_path / "fixed"
+        assert main(["mix", "--inputs", ",".join(sources), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert np.array_equal(read_matrix_csv(out / "mixing_matrix.csv"), np.eye(2))
 
 
 class TestSurface:

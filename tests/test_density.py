@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -113,11 +115,23 @@ class TestUnivariate:
         refs = rng.normal(size=50)
         queries = rng.normal(size=23)
         feats = rng.normal(size=(50, 2))
-        whole = gaussian_sums_1d(refs, queries, 0.4, feats)
-        monkeypatch.setattr(density, "_CHUNK", 5)
-        chunked = gaussian_sums_1d(refs, queries, 0.4, feats)
-        for a, b in zip(whole, chunked):
-            assert np.allclose(a, b, rtol=1e-13, atol=1e-15)
+        ksum, usum, ufsum = gaussian_sums_1d(refs, queries, 0.4, feats)
+        # 5 elements: one row per block; 150: three rows and a short last block
+        for chunk in (5, 150):
+            monkeypatch.setattr(density, "_CHUNK", chunk)
+            k_chunked, u_chunked, uf_chunked = gaussian_sums_1d(refs, queries, 0.4, feats)
+            assert np.array_equal(ksum, k_chunked)
+            assert np.array_equal(usum, u_chunked)
+            # the matrix product is blocked by BLAS, so it may move by an ulp
+            assert np.allclose(ufsum, uf_chunked, rtol=1e-13, atol=1e-15)
+
+    def test_chunking_does_not_change_contrast_value(self, monkeypatch):
+        # Jacobi's angle choice breaks ties by exact equality
+        z = np.random.default_rng(4).laplace(size=(2, 300))
+        w = np.array([[0.9, 0.3], [-0.2, 1.1]])
+        whole = CcsObjective(z, alpha=-0.99999, stride=3).value(w)
+        monkeypatch.setattr(density, "_CHUNK", 700)
+        assert CcsObjective(z, alpha=-0.99999, stride=3).value(w) == whole
 
     def test_marginal_pass_matches_hand_loop(self, rng):
         # the contrast's own call into the shared sums: density of one output
@@ -169,6 +183,16 @@ class TestMultivariate:
         scaled = gaussian_density_nd(c * refs, c * queries, c * h)
         assert np.allclose(scaled, base / c**3, rtol=1e-10)
 
+    @pytest.mark.parametrize("chunk", [5, 150, 550])
+    def test_chunking_does_not_change_density(self, rng, monkeypatch, chunk):
+        # blocks of 2, 3 and 11 rows; 23 queries leave a last block of 1, 2
+        # and 1 rows
+        refs = rng.normal(size=(3, 50))
+        queries = rng.normal(size=(3, 23))
+        whole = gaussian_density_nd(refs, queries, 0.6)
+        monkeypatch.setattr(density, "_CHUNK", chunk)
+        assert np.array_equal(gaussian_density_nd(refs, queries, 0.6), whole)
+
     def test_vector_query_is_scalar(self, rng):
         v = gaussian_density_nd(rng.normal(size=(2, 20)), np.zeros(2), 0.5)
         assert isinstance(v, float) and v > 0.0
@@ -181,3 +205,36 @@ class TestMultivariate:
         # density falls to the right of a lone mass point, rises to the left
         assert _parzen_grad(np.array([0.0, 0.0]), np.array([0.5]), 0.4)[0] < 0.0
         assert _parzen_grad(np.array([0.0, 0.0]), np.array([-0.5]), 0.4)[0] > 0.0
+
+
+class TestMemory:
+    """Peak memory of a kernel sum is set by the block budget, not by T."""
+
+    BOUND = 8 * 2**20
+    T = 20000
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_sums_1d(self, rng):
+        refs = rng.normal(size=self.T)
+        feats = rng.normal(size=(self.T, 2))
+        h = default_bandwidth(self.T)
+        assert self._peak(lambda: gaussian_sums_1d(refs, refs[::10], h, feats)) < self.BOUND
+
+    def test_density_nd(self, rng):
+        refs = rng.normal(size=(2, self.T))
+        h = default_bandwidth(self.T)
+        assert self._peak(lambda: gaussian_density_nd(refs, refs[:, ::10], h)) < self.BOUND
+
+    def test_objective_value_and_gradient(self, rng):
+        z = rng.laplace(size=(2, self.T))
+        w = np.array([[0.9, 0.3], [-0.2, 1.1]])
+        peak = self._peak(lambda: CcsObjective(z, alpha=-0.99999, stride=100).value_and_gradient(w))
+        assert peak < self.BOUND
