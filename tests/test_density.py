@@ -133,6 +133,14 @@ class TestUnivariate:
         monkeypatch.setattr(density, "_CHUNK", 700)
         assert CcsObjective(z, alpha=-0.99999, stride=3).value(w) == whole
 
+    @pytest.mark.parametrize("n_queries, n_refs", [(1000, 1000), (100, 1000), (3, 7), (1, 20000)])
+    def test_scratch_blocks_start_on_cache_line(self, n_queries, n_refs):
+        # the speed of a sum must not depend on where the heap put its blocks
+        for _ in range(8):
+            for block in density.kernel_scratch(n_queries, n_refs):
+                assert block.ctypes.data % 64 == 0
+                assert block.size == density._block_rows(n_queries, n_refs) * n_refs
+
     def test_marginal_pass_matches_hand_loop(self, rng):
         # the contrast's own call into the shared sums: density of one output
         # row at its strided points, and its derivative in that row of W
