@@ -5,10 +5,14 @@ shortcuts, no leave-one-out).  Each sum works in place through blocks of
 query rows, a block holding at most `_CHUNK` kernel terms (query rows x
 references), so its working memory is two such blocks whatever the number
 of references, unless one query row (two, for the joint sum) alone exceeds
-the budget.  A row's kernel sum does not depend on how many rows share its
-block; only the feature product of the 1-D sum, which BLAS blocks itself,
-can move by an ulp.  There are two sums: the 1-D one, which also carries
-the derivative sums the contrast gradient needs, and the joint M-D density.
+the budget.  For arbitrary queries a row's kernel sum does not depend on
+how many rows share its block; only the feature product of the 1-D sum,
+which BLAS blocks itself, can move by an ulp.  When the 1-D queries are the
+first n of T references, each pair of queries is computed once, about
+n*T - n^2/2 terms in all; a query's sum then gathers its pairs with earlier
+queries block by block, so it too can move by an ulp with the budget.
+There are two sums: the 1-D one, which also carries the derivative sums
+the contrast gradient needs, and the joint M-D density.
 """
 
 from __future__ import annotations
@@ -59,37 +63,50 @@ def gaussian_sums_1d(refs, queries, h: float, feats=None, work=None):
     Given per-reference features (T x d), returns (sum_r k, sum_r u*k,
     sum_r u*k*feats[r]) instead; the last two carry the derivative of the
     sum in the query point (-usum / h) or through features that move it.
-    `work` is a pair of blocks from `kernel_scratch` to reuse across calls;
-    without it the call allocates its own.
+    `queries` is an array of points, or a count n meaning the first n
+    references themselves; then k(q, r) = k(r, q) and u(q, r) = -u(r, q)
+    exactly, so each pair of queries is computed once.  `work` is a pair of
+    blocks from `kernel_scratch` to reuse across calls; without it the call
+    allocates its own.
     """
     refs = np.asarray(refs, dtype=float)
-    queries = np.asarray(queries, dtype=float)
+    shared = isinstance(queries, (int, np.integer))
+    queries = refs[:queries] if shared else np.asarray(queries, dtype=float)
     n, n_refs = queries.size, refs.size
     rows = _block_rows(n, n_refs)
     if work is None:
         work = kernel_scratch(n, n_refs)
-    u_block = work[0][: rows * n_refs].reshape(rows, n_refs)
-    k_block = work[1][: rows * n_refs].reshape(rows, n_refs)
-    ksum = np.empty(n)
+    # a strip of query rows [lo, hi) runs over the references from `start`;
+    # shared, its part against the later queries hi:n is also their part
+    # against the strip, so it is added to those queries by column (*_cols)
+    ksum, k_cols, part, ones = np.empty(n), np.zeros(n), np.empty(n), np.ones(rows)
     if feats is not None:
-        usum = np.empty(n)
-        ufsum = np.empty((n, feats.shape[1]))
+        usum, ufsum = np.empty(n), np.empty((n, feats.shape[1]))
+        u_cols, uf_cols, uf_part = np.zeros(n), np.zeros_like(ufsum), np.empty_like(ufsum)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        u, k = u_block[: hi - lo], k_block[: hi - lo]
-        np.subtract.outer(queries[lo:hi], refs, out=u)
+        start, cols = (lo, n - hi) if shared else (0, 0)
+        r, width = hi - lo, n_refs - start
+        u = work[0][: r * width].reshape(r, width)
+        k = work[1][: r * width].reshape(r, width)
+        np.subtract.outer(queries[lo:hi], refs[start:], out=u)
         np.divide(u, h, out=u)
         np.multiply(u, -0.5, out=k)
         k *= u
         np.exp(k, out=k)
         k.sum(axis=1, out=ksum[lo:hi])
+        if cols:
+            k_cols[hi:] += np.matmul(ones[:r], k[:, r : r + cols], out=part[:cols])
         if feats is not None:
             u *= k
             u.sum(axis=1, out=usum[lo:hi])
-            np.matmul(u, feats, out=ufsum[lo:hi])
+            np.matmul(u, feats[start:], out=ufsum[lo:hi])
+            if cols:
+                u_cols[hi:] += np.matmul(ones[:r], u[:, r : r + cols], out=part[:cols])
+                uf_cols[hi:] += np.matmul(u[:, r : r + cols].T, feats[lo:hi], out=uf_part[:cols])
     if feats is None:
-        return ksum
-    return ksum, usum, ufsum
+        return ksum + k_cols
+    return ksum + k_cols, usum - u_cols, ufsum - uf_cols
 
 
 def gaussian_density_nd(refs, queries, h: float):

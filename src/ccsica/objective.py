@@ -12,8 +12,10 @@ The joint output density factors as (input density) / |det W|, so its value
 at each evaluation point is cached once per data set and only the
 determinant is touched when W moves.  The marginal factors are Parzen
 estimates of each output row against the full reference set; the stride
-thins only the evaluation sum, so one full evaluation costs O(T^2/stride)
-kernel terms and the bandwidth follows the full sample count.
+thins only the evaluation sum, and the bandwidth follows the full sample
+count.  The evaluation points are kept first among the references, so the
+kernel of each pair of them is computed once: one evaluation costs about
+T^2/ts - (T/ts)^2/2 kernel terms per output row, about T^2/2 at ts 1.
 
 The gradient is the exact derivative of the log form,
 
@@ -39,28 +41,32 @@ from .preprocess import validate_signal
 DET_FLOOR = 1e-12
 
 
+def whole_number(value, name: str, least: int = 1) -> int:
+    """`value` as an int; InvalidInput unless it is a whole number >= least."""
+    if not (isinstance(value, (int, float, np.integer, np.floating)) and float(value).is_integer()
+            and value >= least):
+        raise InvalidInput(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 class CcsObjective:
     """Contrast and gradient evaluator bound to one (whitened) data set.
 
     The kernel reference set is every column of the data; the evaluation sum
-    runs over every stride-th column starting at the first.  The bandwidth
-    follows the reference count unless given explicitly.
+    runs over every stride-th column starting at the first.  `data` holds
+    those evaluation columns first, then the others in their order.  The
+    bandwidth follows the reference count unless given explicitly.
 
     An objective owns the scratch blocks its kernel sums work in, so one
     instance must not be evaluated from two threads at once.
     """
 
     def __init__(self, data, alpha: float, stride: int = 1, bandwidth: float | None = None):
-        data = validate_signal(data)
-        stride = int(stride)
-        if stride < 1:
-            raise InvalidInput("stride must be a positive integer")
+        data = np.ascontiguousarray(validate_signal(data))
+        stride = whole_number(stride, "stride")
         queries = np.ascontiguousarray(data[:, ::stride])
         if queries.shape[1] < 2:
             raise InvalidInput("need at least 2 evaluation points after striding")
-        self.data = np.ascontiguousarray(data)
-        self.data_t = np.ascontiguousarray(data.T)
-        self.queries_t = np.ascontiguousarray(queries.T)
         self.alpha = float(alpha)
         if not np.isfinite(self.alpha):
             raise InvalidInput("alpha must be finite")
@@ -69,7 +75,13 @@ class CcsObjective:
         if not self.h > 0.0:
             raise InvalidInput("bandwidth must be positive")
         # input joint density at the evaluation points; W enters only via det
-        self.base_density = gaussian_density_nd(self.data, queries, self.h)
+        self.base_density = gaussian_density_nd(data, queries, self.h)
+        # evaluation points first, so that the marginal sums share their pairs
+        rest = np.ones(data.shape[1], dtype=bool)
+        rest[::stride] = False
+        self.data = np.concatenate([queries, data[:, rest]], axis=1)
+        self.data_t = np.ascontiguousarray(self.data.T)
+        self.queries_t = self.data_t[: queries.shape[1]]
         self._work = kernel_scratch(self.n_points, self.n_refs)
 
     @property
@@ -87,15 +99,15 @@ class CcsObjective:
     # -- single-row marginal pass -------------------------------------------------
 
     def _marginal_pass(self, row: np.ndarray, need_grad: bool):
-        """Kernel density of one output row at its strided points, plus the
-        derivative of that density in the corresponding row of W."""
-        vals = row[:: self.stride]
-        h = self.h
+        """Kernel density of one output row at its evaluation points (its
+        first n_points entries), plus the derivative of that density in the
+        corresponding row of W."""
+        n, h = self.n_points, self.h
         norm_p = 1.0 / (self.n_refs * h * _SQRT_2PI)
         if not need_grad:
-            return gaussian_sums_1d(row, vals, h, work=self._work) * norm_p, None
+            return gaussian_sums_1d(row, n, h, work=self._work) * norm_p, None
         norm_k = 1.0 / (self.n_refs * h * h * _SQRT_2PI)
-        ksum, usum, ufsum = gaussian_sums_1d(row, vals, h, self.data_t, work=self._work)
+        ksum, usum, ufsum = gaussian_sums_1d(row, n, h, self.data_t, work=self._work)
         grad = -norm_k * (usum[:, None] * self.queries_t - ufsum)
         return ksum * norm_p, grad
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, NonFinite, SingularDemixer
-from .objective import DET_FLOOR, CcsObjective
+from .objective import DET_FLOOR, CcsObjective, whole_number
 from .preprocess import WhiteningTransform, center_and_whiten
 
 QUARTER_PI = np.pi / 4.0
@@ -38,12 +38,10 @@ class GdConfig:
     def __post_init__(self):
         if not self.step_size > 0.0:
             raise InvalidInput("step_size must be positive")
-        if self.max_iter < 0:
-            raise InvalidInput("max_iter must be nonnegative")
         if not self.epsilon >= 0.0:
             raise InvalidInput("epsilon must be nonnegative")
-        if int(self.stride) < 1:
-            raise InvalidInput("stride must be a positive integer")
+        object.__setattr__(self, "max_iter", whole_number(self.max_iter, "max_iter", least=0))
+        object.__setattr__(self, "stride", whole_number(self.stride, "stride"))
 
 
 @dataclass(frozen=True)
@@ -61,10 +59,8 @@ class JacobiConfig:
             raise InvalidInput("angle_step must lie in (0, pi/4]")
         if not self.cm_stop_deg >= 0.0:
             raise InvalidInput("cm_stop_deg must be nonnegative")
-        if self.max_sweeps < 1:
-            raise InvalidInput("max_sweeps must be at least 1")
-        if int(self.stride) < 1:
-            raise InvalidInput("stride must be a positive integer")
+        object.__setattr__(self, "max_sweeps", whole_number(self.max_sweeps, "max_sweeps"))
+        object.__setattr__(self, "stride", whole_number(self.stride, "stride"))
 
 
 @dataclass
@@ -166,15 +162,14 @@ def ica_pairwise_gd(x, cfg: GdConfig | None = None, sweeps: int = 3) -> Separati
     two channels and a single sweep this is exactly ica_gradient_descent.
     """
     cfg = cfg or GdConfig()
-    if int(sweeps) < 1:
-        raise InvalidInput("need at least one pair sweep")
+    sweeps = whole_number(sweeps, "sweeps")
     z, wt = center_and_whiten(x)
     m = z.shape[0]
     w_algo = np.eye(m)
     demixed = z.copy()
     trace_parts = []
     iterations = 0
-    for _ in range(int(sweeps)):
+    for _ in range(sweeps):
         for i, j in itertools.combinations(range(m), 2):
             w_pair, trace = _gd_core(demixed[[i, j], :], cfg)
             patch = np.eye(m)

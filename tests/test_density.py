@@ -143,22 +143,91 @@ class TestUnivariate:
 
     def test_marginal_pass_matches_hand_loop(self, rng):
         # the contrast's own call into the shared sums: density of one output
-        # row at its strided points, and its derivative in that row of W
+        # row at its evaluation points, and its derivative in that row of W;
+        # the objective keeps the evaluation points first, then the rest
         z = rng.normal(size=(2, 60))
         obj = CcsObjective(z, alpha=0.5, stride=4)
+        rest = np.ones(60, dtype=bool)
+        rest[::4] = False
+        assert np.array_equal(obj.data, np.hstack([z[:, ::4], z[:, rest]]))
         w_row = np.array([0.8, -0.3])
-        row = w_row @ z
+        row = w_row @ obj.data
         dens, grad = obj._marginal_pass(row, need_grad=True)
         h, n = obj.h, row.size
-        q = row[::4]
+        q = row[: obj.n_points]
         u = (q[:, None] - row[None, :]) / h
         k = np.exp(-0.5 * u * u)
         assert np.allclose(dens, k.sum(axis=1) / (n * h * SQRT2PI), rtol=1e-13)
-        dz = z[:, ::4][:, :, None] - z[:, None, :]
+        dz = obj.data[:, : obj.n_points][:, :, None] - obj.data[:, None, :]
         want = -np.einsum("ij,lij->il", u * k, dz) / (n * h * h * SQRT2PI)
         assert np.allclose(grad, want, rtol=1e-10, atol=1e-14)
         value_only, none = obj._marginal_pass(row, need_grad=False)
         assert none is None and np.array_equal(value_only, dens)
+
+
+class TestSharedQueries:
+    """Sums whose queries are the first references: each pair computed once."""
+
+    @staticmethod
+    def _hand_loop(refs, n, h, feats):
+        u = (refs[:n, None] - refs[None, :]) / h
+        k = np.exp(-0.5 * u * u)
+        return k.sum(axis=1), (u * k).sum(axis=1), (u * k) @ feats
+
+    # ts 1: 40 of 40 references; ts 4: 10 of 40.  A 150-term budget gives
+    # strips of three rows and a short last strip of one
+    @pytest.mark.parametrize("n, chunk", [(40, 1 << 16), (40, 150), (10, 150)])
+    def test_matches_hand_loop(self, rng, monkeypatch, n, chunk):
+        refs = rng.normal(size=40)
+        feats = rng.normal(size=(40, 3))
+        monkeypatch.setattr(density, "_CHUNK", chunk)
+        ksum, usum, ufsum = gaussian_sums_1d(refs, n, 0.5, feats)
+        want_k, want_u, want_uf = self._hand_loop(refs, n, 0.5, feats)
+        assert ksum.shape == usum.shape == (n,) and ufsum.shape == (n, 3)
+        assert np.allclose(ksum, want_k, rtol=1e-13)
+        assert np.allclose(usum, want_u, rtol=1e-12, atol=1e-13)
+        assert np.allclose(ufsum, want_uf, rtol=1e-12, atol=1e-13)
+        assert np.array_equal(ksum, gaussian_sums_1d(refs, n, 0.5))
+
+    def test_matches_same_points_as_queries(self, rng):
+        # 300 of 1000 references: five strips of 65 rows, the last one short
+        refs = rng.normal(size=1000)
+        feats = rng.normal(size=(1000, 2))
+        shared = gaussian_sums_1d(refs, 300, 0.3, feats)
+        plain = gaussian_sums_1d(refs, refs[:300].copy(), 0.3, feats)
+        for a, b in zip(shared, plain):
+            assert np.allclose(a, b, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [50, 23])
+    def test_budget_does_not_change_sums(self, rng, monkeypatch, n):
+        refs = rng.normal(size=50)
+        feats = rng.normal(size=(50, 2))
+        whole = gaussian_sums_1d(refs, n, 0.4, feats)
+        # 5 elements: one-row strips; 150: three-row strips and a ragged last
+        # strip of two
+        for chunk in (5, 150):
+            monkeypatch.setattr(density, "_CHUNK", chunk)
+            # a shared pair is added to the later query by column, so the
+            # order of its additions, not the terms, follows the strips
+            for a, b in zip(whole, gaussian_sums_1d(refs, n, 0.4, feats)):
+                assert np.allclose(a, b, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("stride, bound", [(1, 0.55 * 1000**2), (10, 100 * 1000)])
+    def test_exponentiates_each_shared_pair_once(self, monkeypatch, stride, bound):
+        # ts 1 takes about T^2/2 terms, plus half of each strip's diagonal
+        # block; ts 10 no more than the 100 x 1000 of every query-reference pair
+        real_exp, terms = np.exp, []
+
+        def counting_exp(x, *args, **kwargs):
+            terms.append(np.size(x))
+            return real_exp(x, *args, **kwargs)
+
+        z = np.random.default_rng(2).laplace(size=(2, 1000))
+        obj = CcsObjective(z, alpha=-0.99999, stride=stride)
+        row = np.array([0.6, 0.8]) @ obj.data
+        monkeypatch.setattr(density.np, "exp", counting_exp)
+        gaussian_sums_1d(row, obj.n_points, obj.h, obj.data_t, work=obj._work)
+        assert 0 < sum(terms) <= bound
 
 
 class TestMultivariate:
@@ -245,4 +314,11 @@ class TestMemory:
         z = rng.laplace(size=(2, self.T))
         w = np.array([[0.9, 0.3], [-0.2, 1.1]])
         peak = self._peak(lambda: CcsObjective(z, alpha=-0.99999, stride=100).value_and_gradient(w))
+        assert peak < self.BOUND
+
+    def test_objective_every_point(self, rng):
+        # at ts 1 every reference is also a query, so the strips change shape
+        z = rng.laplace(size=(2, self.T))
+        w = np.array([[0.9, 0.3], [-0.2, 1.1]])
+        peak = self._peak(lambda: CcsObjective(z, alpha=-0.99999, stride=1).value_and_gradient(w))
         assert peak < self.BOUND

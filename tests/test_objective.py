@@ -94,6 +94,12 @@ class TestCcsObjective:
             obj.value(np.array([[1.0, 1.0], [1.0, 1.0]]))
         assert DET_FLOOR == 1e-12
 
+    def test_non_integral_stride_rejected(self):
+        z = _standardized_pair(t=200, seed=7)
+        for stride in (2.5, 0, "3"):
+            with pytest.raises(InvalidInput):
+                CcsObjective(z, alpha=0.5, stride=stride)
+
     def test_needs_two_eval_points(self):
         z = _standardized_pair(t=200, seed=7)
         with pytest.raises(InvalidInput):

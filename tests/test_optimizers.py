@@ -35,6 +35,21 @@ class TestConfigs:
         with pytest.raises(InvalidInput):
             GdConfig(stride=0)
 
+    @pytest.mark.parametrize("field, value", [("stride", 2.5), ("max_iter", 2.5), ("stride", "2")])
+    def test_gd_non_integral_counts_rejected(self, field, value):
+        with pytest.raises(InvalidInput):
+            GdConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [("stride", 2.5), ("max_sweeps", 1.5), ("max_sweeps", np.nan)])
+    def test_jacobi_non_integral_counts_rejected(self, field, value):
+        with pytest.raises(InvalidInput):
+            JacobiConfig(**{field: value})
+
+    def test_integral_floats_become_ints(self):
+        cfg = GdConfig(stride=2.0, max_iter=np.int64(7))
+        assert (cfg.stride, cfg.max_iter) == (2, 7) and type(cfg.stride) is int
+        assert JacobiConfig(max_sweeps=3.0).max_sweeps == 3
+
     def test_gd_boundary_values_accepted(self):
         # epsilon 0 runs fixed-iteration schedules, max_iter 0 returns the
         # whitening-only solution; both are part of the contract
@@ -129,6 +144,8 @@ class TestPairwiseGd:
         x = _pair(300, 1)
         with pytest.raises(InvalidInput):
             ica_pairwise_gd(x, GdConfig(stride=3, max_iter=10), sweeps=0)
+        with pytest.raises(InvalidInput):
+            ica_pairwise_gd(x, GdConfig(stride=3, max_iter=10), sweeps=1.5)
 
     def test_channel_permutation_invariance(self):
         s = source_bank(("uniform", "laplacian", "rayleigh"), 800, 13)
