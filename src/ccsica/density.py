@@ -11,6 +11,10 @@ which BLAS blocks itself, can move by an ulp.  When the 1-D queries are the
 first n of T references, each pair of queries is computed once, about
 n*T - n^2/2 terms in all; a query's sum then gathers its pairs with earlier
 queries block by block, so it too can move by an ulp with the budget.
+The 1-D sum divides its references and queries by h once per call and
+forms each block of differences u = q/h - r/h as one rank-2 matrix
+product, [q | 1] @ [1 ; -r], which rounds each u once, as a subtraction
+does, but runs about three times as fast as `subtract.outer`.
 There are two sums: the 1-D one, which also carries the derivative sums
 the contrast gradient needs, and the joint M-D density.
 """
@@ -59,23 +63,30 @@ def kernel_scratch(n_queries: int, n_refs: int) -> tuple[np.ndarray, np.ndarray]
 def gaussian_sums_1d(refs, queries, h: float, feats=None, work=None):
     """Unnormalised Gaussian kernel sums of 1-D queries against 1-D references.
 
-    With u = (q - r) / h and k = exp(-u^2 / 2), returns sum_r k per query.
+    With u = q/h - r/h and k = exp(-u^2 / 2), returns sum_r k per query.
     Given per-reference features (T x d), returns (sum_r k, sum_r u*k,
     sum_r u*k*feats[r]) instead; the last two carry the derivative of the
     sum in the query point (-usum / h) or through features that move it.
     `queries` is an array of points, or a count n meaning the first n
     references themselves; then k(q, r) = k(r, q) and u(q, r) = -u(r, q)
-    exactly, so each pair of queries is computed once.  `work` is a pair of
-    blocks from `kernel_scratch` to reuse across calls; without it the call
-    allocates its own.
+    exactly, so each pair of queries is computed once.  References and
+    queries are divided by h once per call, so u differs from (q - r) / h
+    by rounding, and each block of u is the product [q | 1] @ [1 ; -r].
+    `work` is a pair of blocks from `kernel_scratch` to reuse across calls;
+    without it the call allocates its own.
     """
-    refs = np.asarray(refs, dtype=float)
+    refs = np.asarray(refs, dtype=float) / h
     shared = isinstance(queries, (int, np.integer))
-    queries = refs[:queries] if shared else np.asarray(queries, dtype=float)
+    queries = refs[:queries] if shared else np.asarray(queries, dtype=float) / h
     n, n_refs = queries.size, refs.size
     rows = _block_rows(n, n_refs)
     if work is None:
         work = kernel_scratch(n, n_refs)
+    # u = q - r as the rank-2 product [q | 1] @ [1 ; -r]: both products are
+    # exact, so the sum rounds once, like the subtraction, at a third its cost
+    q1, r1 = np.ones((n, 2)), np.ones((2, n_refs))
+    q1[:, 0] = queries
+    np.negative(refs, out=r1[1])
     # a strip of query rows [lo, hi) runs over the references from `start`;
     # shared, its part against the later queries hi:n is also their part
     # against the strip, so it is added to those queries by column (*_cols)
@@ -89,8 +100,7 @@ def gaussian_sums_1d(refs, queries, h: float, feats=None, work=None):
         r, width = hi - lo, n_refs - start
         u = work[0][: r * width].reshape(r, width)
         k = work[1][: r * width].reshape(r, width)
-        np.subtract.outer(queries[lo:hi], refs[start:], out=u)
-        np.divide(u, h, out=u)
+        np.matmul(q1[lo:hi], r1[:, start:], out=u)
         np.multiply(u, -0.5, out=k)
         k *= u
         np.exp(k, out=k)

@@ -17,6 +17,11 @@ count.  The evaluation points are kept first among the references, so the
 kernel of each pair of them is computed once: one evaluation costs about
 T^2/ts - (T/ts)^2/2 kernel terms per output row, about T^2/2 at ts 1.
 
+`value` also takes a K x m x m stack of demixers, such as the angle grid of
+a Jacobi pair visit, and returns K values.  It checks the stack and takes
+its determinants once, then projects and evaluates one member at a time,
+exactly as that member alone; the gradient takes one demixer.
+
 The gradient is the exact derivative of the log form,
 
     dD = d(v_joint)/v_joint + d(v_marg)/v_marg - 2 d(v_cross)/v_cross,
@@ -113,18 +118,26 @@ class CcsObjective:
 
     # -- evaluation ---------------------------------------------------------------
 
-    def _evaluate(self, w, need_grad: bool) -> tuple[float, np.ndarray | None]:
-        w = np.asarray(w, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise InvalidInput(f"demixing matrix must be square, got shape {w.shape}")
+    def _checked(self, w: np.ndarray, stacks: bool) -> np.ndarray:
+        """|det| of each demixer of `w`, one m x m matrix or, where `stacks`,
+        a non-empty K x m x m stack, after the checks every evaluation makes."""
+        if not (w.ndim == 2 or stacks and w.ndim == 3 and len(w)) or w.shape[-1] != w.shape[-2]:
+            kind = "square, or a non-empty stack of square matrices" if stacks else "square"
+            raise InvalidInput(f"demixing matrix must be {kind}, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
             raise InvalidInput("demixing matrix contains non-finite entries")
         m = self.n_channels
-        if w.shape[0] != m:
-            raise InvalidInput(f"demixing matrix is {w.shape[0]}x{w.shape[0]} but data has {m} channels")
-        det = float(np.linalg.det(w))
-        if abs(det) < DET_FLOOR:
-            raise SingularDemixer(f"determinant {det!r} below {DET_FLOOR}")
+        if w.shape[-1] != m:
+            raise InvalidInput(f"demixing matrix is {w.shape[-1]}x{w.shape[-1]} but data has {m} channels")
+        dets = np.linalg.det(w.reshape(-1, m, m))
+        singular = np.abs(dets) < DET_FLOOR
+        if np.any(singular):
+            raise SingularDemixer(f"determinant {float(dets[singular][0])!r} below {DET_FLOOR}")
+        return np.abs(dets)
+
+    def _evaluate(self, w: np.ndarray, abs_det, need_grad: bool) -> tuple[float, np.ndarray | None]:
+        """Contrast, and its gradient if asked, at one checked demixer."""
+        m = self.n_channels
         y = w @ self.data
 
         dens = np.empty((m, self.n_points))
@@ -134,7 +147,7 @@ class CcsObjective:
             grads.append(g)
 
         q = dens.prod(axis=0)
-        py = self.base_density / abs(det)
+        py = self.base_density / abs_det
         py_c = np.maximum(py, EPS_FLOOR)
         q_c = np.maximum(q, EPS_FLOOR)
 
@@ -165,11 +178,22 @@ class CcsObjective:
             raise NonFinite("contrast gradient contains non-finite entries")
         return value, grad
 
-    def value(self, w) -> float:
-        return self._evaluate(w, need_grad=False)[0]
+    def value(self, w):
+        """Contrast at one m x m demixer, as a float, or at each demixer of a
+        K x m x m stack, as an array of K values.
+
+        The whole stack is checked, and its determinants taken, before any
+        member is evaluated.  Members are then evaluated one at a time, each
+        exactly as alone, so value(ws)[k] == value(ws[k]) bit for bit and the
+        scratch stays O(m * T) whatever K is.
+        """
+        w = np.asarray(w, dtype=float)
+        abs_dets = self._checked(w, stacks=True)
+        if w.ndim == 2:
+            return self._evaluate(w, abs_dets[0], need_grad=False)[0]
+        return np.array([self._evaluate(wk, d, need_grad=False)[0] for wk, d in zip(w, abs_dets)])
 
     def value_and_gradient(self, w) -> tuple[float, np.ndarray]:
-        return self._evaluate(w, need_grad=True)
-
-    def gradient(self, w) -> np.ndarray:
-        return self._evaluate(w, need_grad=True)[1]
+        """Contrast and its gradient at one m x m demixer."""
+        w = np.asarray(w, dtype=float)
+        return self._evaluate(w, self._checked(w, stacks=False)[0], need_grad=True)

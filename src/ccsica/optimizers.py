@@ -208,6 +208,10 @@ def _best_angle(values: np.ndarray, thetas: np.ndarray) -> int:
 def ica_pairwise_jacobi(x, cfg: JacobiConfig | None = None) -> SeparationResult:
     """Plane-rotation solver: per pair, grid-search the 2-D contrast minimum.
 
+    A pair visit builds one objective on the pair's demixed rows and hands
+    it the whole grid of rotations as one stack, so the contrast is checked
+    and called once per visit, not once per angle.
+
     The angle matrix cm starts at a 90 degree sentinel so every pair is
     visited at least once; a pair whose last selected angle was exactly zero
     is skipped on later sweeps.  Sweeping stops once the total absolute angle
@@ -217,7 +221,7 @@ def ica_pairwise_jacobi(x, cfg: JacobiConfig | None = None) -> SeparationResult:
     z, wt = center_and_whiten(x)
     m = z.shape[0]
     thetas = _angle_grid(cfg.angle_step)
-    rotations = [rotation(th) for th in thetas]
+    rotations = np.array([rotation(th) for th in thetas])
     w_algo = np.eye(m)
     demixed = z.copy()
     cm = np.full((m, m), 90.0)
@@ -229,8 +233,7 @@ def ica_pairwise_jacobi(x, cfg: JacobiConfig | None = None) -> SeparationResult:
             if cm[i, j] == 0.0:
                 continue
             obj = CcsObjective(demixed[[i, j], :], cfg.alpha, stride=cfg.stride)
-            values = np.array([obj.value(r) for r in rotations])
-            k = _best_angle(values, thetas)
+            k = _best_angle(obj.value(rotations), thetas)
             theta = float(thetas[k])
             cm[i, j] = cm[j, i] = np.degrees(theta)
             if theta != 0.0:

@@ -7,6 +7,7 @@ from ccsica import density
 from ccsica.density import default_bandwidth, gaussian_density_nd, gaussian_sums_1d
 from ccsica.errors import InvalidInput
 from ccsica.objective import CcsObjective
+from ccsica.optimizers import rotation
 
 SQRT2PI = np.sqrt(2.0 * np.pi)
 
@@ -229,6 +230,33 @@ class TestSharedQueries:
         gaussian_sums_1d(row, obj.n_points, obj.h, obj.data_t, work=obj._work)
         assert 0 < sum(terms) <= bound
 
+    @pytest.mark.parametrize("stride", [1, 10])
+    def test_forms_each_difference_in_one_pass(self, monkeypatch, stride):
+        # u = (q - r) / h comes from one product per block over references
+        # and queries divided by h once; no block is subtracted or divided
+        terms = []
+
+        class Counting:
+            def __init__(self, ufunc):
+                self.ufunc = ufunc
+
+            def __call__(self, a, b, *args, **kwargs):
+                terms.append(np.broadcast(a, b).size)
+                return self.ufunc(a, b, *args, **kwargs)
+
+            def outer(self, a, b, *args, **kwargs):
+                terms.append(np.size(a) * np.size(b))
+                return self.ufunc.outer(a, b, *args, **kwargs)
+
+        z = np.random.default_rng(2).laplace(size=(2, 1000))
+        obj = CcsObjective(z, alpha=-0.99999, stride=stride)
+        row = np.array([0.6, 0.8]) @ obj.data
+        for name in ("divide", "subtract"):
+            monkeypatch.setattr(density.np, name, Counting(getattr(np, name)))
+        gaussian_sums_1d(row, obj.n_points, obj.h, obj.data_t, work=obj._work)
+        gaussian_sums_1d(row, row[: obj.n_points].copy(), obj.h, obj.data_t)
+        assert max(terms, default=0) <= obj.n_refs
+
 
 class TestMultivariate:
     def test_matches_hand_loop(self, rng):
@@ -321,4 +349,11 @@ class TestMemory:
         z = rng.laplace(size=(2, self.T))
         w = np.array([[0.9, 0.3], [-0.2, 1.1]])
         peak = self._peak(lambda: CcsObjective(z, alpha=-0.99999, stride=1).value_and_gradient(w))
+        assert peak < self.BOUND
+
+    def test_objective_stacked_value(self, rng):
+        # one Jacobi pair visit: the 33 grid rotations in one call
+        z = rng.laplace(size=(2, self.T))
+        ws = np.array([rotation(th) for th in np.arange(-16, 17) * (np.pi / 64.0)])
+        peak = self._peak(lambda: CcsObjective(z, alpha=-0.99999, stride=100).value(ws))
         assert peak < self.BOUND

@@ -52,7 +52,7 @@ class TestCcsObjective:
         obj = CcsObjective(z, alpha=alpha, stride=stride)
         w = np.eye(m) + 0.2 * np.cos(np.arange(m * m).reshape(m, m))
         w[:2, :2] = [[0.9, 0.3], [-0.2, 1.1]]  # the whole demixer when m = 2
-        grad = obj.gradient(w)
+        grad = obj.value_and_gradient(w)[1]
         eps = 1e-6
         for i in range(m):
             for j in range(m):
@@ -123,7 +123,8 @@ class TestCcsObjective:
         w = np.array([[0.9, 0.3], [-0.2, 1.1]])
         obj = CcsObjective(z, alpha=0.5, stride=2)
         assert CcsObjective(z, 0.5, stride=2).value(w) == obj.value(w)
-        assert np.array_equal(CcsObjective(z, 0.5, stride=2).gradient(w), obj.gradient(w))
+        assert np.array_equal(CcsObjective(z, 0.5, stride=2).value_and_gradient(w)[1],
+                              obj.value_and_gradient(w)[1])
 
     def test_rejects_bad_samples_and_bandwidth(self):
         with pytest.raises(InvalidInput):
@@ -163,4 +164,53 @@ class TestCcsObjective:
         obj = CcsObjective(z, alpha=-0.99999, stride=2)
         v, g = obj.value_and_gradient(w)
         assert v == obj.value(w)
-        assert np.array_equal(g, obj.gradient(w))
+        assert np.array_equal(g, obj.value_and_gradient(w)[1])
+
+
+class TestStackedValue:
+    """`value` on a K x m x m stack: K values, each as the demixer alone."""
+
+    @staticmethod
+    def _obj(m, stride=3):
+        kinds = ("uniform", "laplacian", "rayleigh")[:m]
+        return CcsObjective(_standardized_pair(t=300, seed=5, kinds=kinds), alpha=-0.99999,
+                            stride=stride)
+
+    def test_rotation_grid_matches_single_calls(self):
+        obj = self._obj(2, stride=1)
+        ws = np.array([rotation(th) for th in np.arange(-16, 17) * (np.pi / 64.0)])
+        values = obj.value(ws)
+        assert values.shape == (33,)
+        assert all(values[k] == obj.value(ws[k]) for k in range(33))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_general_stack_matches_single_calls(self, m):
+        obj = self._obj(m)
+        ws = np.eye(m) + 0.3 * np.random.default_rng(m).normal(size=(5, m, m))
+        values = obj.value(ws)
+        assert values.shape == (5,)
+        assert all(values[k] == obj.value(ws[k]) for k in range(5))
+        assert values[2] == obj.value_and_gradient(ws[2])[0]
+
+    def test_single_demixer_gives_float(self):
+        obj = self._obj(2)
+        assert type(obj.value(np.eye(2))) is float
+        assert type(obj.value(np.eye(2).tolist())) is float
+        assert obj.value(np.eye(2)[None]).shape == (1,)
+
+    def test_bad_stacks_rejected_like_single_demixers(self):
+        obj = self._obj(2)
+        good = np.array([np.eye(2), rotation(0.3)])
+        non_finite = good.copy()
+        non_finite[1, 0, 1] = np.nan
+        singular = good.copy()
+        singular[1] = [[1.0, 1.0], [1.0, 1.0]]
+        for w in (np.empty((0, 2, 2)), np.ones(4), np.ones((1, 1, 2, 2)), np.ones((2, 2, 3)),
+                  non_finite, np.stack([np.eye(3)] * 2)):
+            with pytest.raises(InvalidInput):
+                obj.value(w)
+        with pytest.raises(SingularDemixer):
+            obj.value(singular)
+        # the gradient takes one demixer only
+        with pytest.raises(InvalidInput):
+            obj.value_and_gradient(good)

@@ -4,6 +4,7 @@ import pytest
 from ccsica.bench import DEMO_MATRIX_2
 from ccsica.errors import InvalidInput
 from ccsica.metrics import amari_index
+from ccsica.objective import CcsObjective
 from ccsica.optimizers import (
     ALGORITHMS,
     GdConfig,
@@ -201,6 +202,21 @@ class TestJacobi:
         assert totals[-1] <= 1.0
         if len(totals) >= 2:
             assert totals[-1] <= totals[-2]
+
+    def test_one_stacked_value_call_per_pair_visit(self, monkeypatch):
+        # each visit hands the whole angle grid to a single `value` call
+        real_value, stacks = CcsObjective.value, []
+
+        def recording_value(obj, w):
+            stacks.append(np.array(w))
+            return real_value(obj, w)
+
+        monkeypatch.setattr(CcsObjective, "value", recording_value)
+        x = DEMO_MATRIX_2 @ _pair(400, 3)
+        ica_pairwise_jacobi(x, JacobiConfig(stride=4, max_sweeps=1))
+        assert len(stacks) == 1
+        grid = np.arange(-16, 17) * (np.pi / 64.0)
+        assert np.array_equal(stacks[0], np.array([rotation(th) for th in grid]))
 
 
 class TestBestAngle:
