@@ -10,7 +10,11 @@ how many rows share its block; only the feature product of the 1-D sum,
 which BLAS blocks itself, can move by an ulp.  When the 1-D queries are the
 first n of T references, each pair of queries is computed once, about
 n*T - n^2/2 terms in all; a query's sum then gathers its pairs with earlier
-queries block by block, so it too can move by an ulp with the budget.
+queries block by block, and reduces each block by matrix products (a BLAS
+row sum is two to three times as fast as numpy's pairwise one, but rounds
+by the rows of its block), so it too can move by an ulp with the budget.
+Shared queries also admit a B x T stack of rows in one call: the set-up is
+done once, and each row then runs its blocks exactly as it would alone.
 The 1-D sum divides its references and queries by h once per call and
 forms each block of differences u = q/h - r/h as one rank-2 matrix
 product, [q | 1] @ [1 ; -r], which rounds each u once, as a subtraction
@@ -69,54 +73,81 @@ def gaussian_sums_1d(refs, queries, h: float, feats=None, work=None):
     sum in the query point (-usum / h) or through features that move it.
     `queries` is an array of points, or a count n meaning the first n
     references themselves; then k(q, r) = k(r, q) and u(q, r) = -u(r, q)
-    exactly, so each pair of queries is computed once.  References and
-    queries are divided by h once per call, so u differs from (q - r) / h
-    by rounding, and each block of u is the product [q | 1] @ [1 ; -r].
-    `work` is a pair of blocks from `kernel_scratch` to reuse across calls;
-    without it the call allocates its own.
+    exactly, so each pair of queries is computed once.  With a count, `refs`
+    may also be a B x T stack of rows, each with its own queries; the sums
+    then gain a leading axis of B, and row b of the result equals the call
+    on refs[b] alone bit for bit.  References and queries are divided by h
+    once per call, so u differs from (q - r) / h by rounding, and each block
+    of u is the product [q | 1] @ [1 ; -r].  With a count each block is
+    reduced by matrix products, whose rounding follows the budget; with an
+    array of queries a row's sums (not its feature sums) are pairwise sums
+    that do not.  `work` is a pair of blocks from `kernel_scratch` to reuse
+    across calls; without it the call allocates its own.
     """
-    refs = np.asarray(refs, dtype=float) / h
+    refs = np.asarray(refs, dtype=float)
     shared = isinstance(queries, (int, np.integer))
-    queries = refs[:queries] if shared else np.asarray(queries, dtype=float) / h
-    n, n_refs = queries.size, refs.size
+    if refs.ndim != 1 and not (shared and refs.ndim == 2):
+        raise InvalidInput("references must be one row, or a stack of rows with shared queries")
+    n_rows, n_refs = (1, refs.size) if refs.ndim == 1 else refs.shape
+    n = queries if shared else np.size(queries)
     rows = _block_rows(n, n_refs)
     if work is None:
         work = kernel_scratch(n, n_refs)
     # u = q - r as the rank-2 product [q | 1] @ [1 ; -r]: both products are
-    # exact, so the sum rounds once, like the subtraction, at a third its cost
-    q1, r1 = np.ones((n, 2)), np.ones((2, n_refs))
-    q1[:, 0] = queries
-    np.negative(refs, out=r1[1])
+    # exact, so the sum rounds once, like the subtraction, at a third its cost;
+    # -(r/h) == r/-h and, shared, q = -(-r/h) exactly
+    q1, r1 = np.ones((n_rows, n, 2)), np.ones((n_rows, 2, n_refs))
+    np.divide(refs.reshape(n_rows, n_refs), -h, out=r1[:, 1])
+    if shared:
+        np.negative(r1[:, 1, :n], out=q1[:, :, 0])
+    else:
+        np.divide(np.asarray(queries, dtype=float), h, out=q1[0, :, 0])
     # a strip of query rows [lo, hi) runs over the references from `start`;
     # shared, its part against the later queries hi:n is also their part
     # against the strip, so it is added to those queries by column (*_cols)
-    ksum, k_cols, part, ones = np.empty(n), np.zeros(n), np.empty(n), np.ones(rows)
+    ksum, k_cols, part, ones = np.empty((n_rows, n)), np.empty(n), np.empty(n), np.ones(n_refs)
     if feats is not None:
-        usum, ufsum = np.empty(n), np.empty((n, feats.shape[1]))
-        u_cols, uf_cols, uf_part = np.zeros(n), np.zeros_like(ufsum), np.empty_like(ufsum)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        start, cols = (lo, n - hi) if shared else (0, 0)
-        r, width = hi - lo, n_refs - start
-        u = work[0][: r * width].reshape(r, width)
-        k = work[1][: r * width].reshape(r, width)
-        np.matmul(q1[lo:hi], r1[:, start:], out=u)
-        np.multiply(u, -0.5, out=k)
-        k *= u
-        np.exp(k, out=k)
-        k.sum(axis=1, out=ksum[lo:hi])
-        if cols:
-            k_cols[hi:] += np.matmul(ones[:r], k[:, r : r + cols], out=part[:cols])
+        # [1 | feats]: one product gives sum_r u*k and sum_r u*k*feats[r]
+        f1 = np.ones((n_refs, feats.shape[1] + 1))
+        f1[:, 1:] = feats
+        uf, uf_cols = np.empty((n_rows, n, f1.shape[1])), np.empty((n, f1.shape[1]))
+        uf_part = np.empty_like(uf_cols)
+    for b in range(n_rows):
+        k_cols.fill(0.0)
         if feats is not None:
-            u *= k
-            u.sum(axis=1, out=usum[lo:hi])
-            np.matmul(u, feats[start:], out=ufsum[lo:hi])
+            uf_cols.fill(0.0)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            start, cols = (lo, n - hi) if shared else (0, 0)
+            r, width = hi - lo, n_refs - start
+            u = work[0][: r * width].reshape(r, width)
+            k = work[1][: r * width].reshape(r, width)
+            np.matmul(q1[b, lo:hi], r1[b, :, start:], out=u)
+            np.multiply(u, -0.5, out=k)
+            k *= u
+            np.exp(k, out=k)
+            # a BLAS row sum rounds by the rows of its block; shared sums
+            # already follow the budget by column, arbitrary ones do not
+            if shared:
+                np.matmul(k, ones[:width], out=ksum[b, lo:hi])
+            else:
+                k.sum(axis=1, out=ksum[b, lo:hi])
             if cols:
-                u_cols[hi:] += np.matmul(ones[:r], u[:, r : r + cols], out=part[:cols])
-                uf_cols[hi:] += np.matmul(u[:, r : r + cols].T, feats[lo:hi], out=uf_part[:cols])
-    if feats is None:
-        return ksum + k_cols
-    return ksum + k_cols, usum - u_cols, ufsum - uf_cols
+                k_cols[hi:] += np.matmul(ones[:r], k[:, r : r + cols], out=part[:cols])
+            if feats is not None:
+                u *= k
+                np.matmul(u, f1[start:], out=uf[b, lo:hi])
+                if not shared:  # usum as a pairwise sum too, like ksum
+                    u.sum(axis=1, out=uf[b, lo:hi, 0])
+                if cols:
+                    uf_cols[hi:] += np.matmul(u[:, r : r + cols].T, f1[lo:hi], out=uf_part[:cols])
+        ksum[b] += k_cols
+        if feats is not None:
+            uf[b] -= uf_cols
+    sums = (ksum,) if feats is None else (ksum, uf[..., 0], uf[..., 1:])
+    if refs.ndim == 1:
+        sums = tuple(s[0] for s in sums)
+    return sums[0] if feats is None else sums
 
 
 def gaussian_density_nd(refs, queries, h: float):
@@ -132,7 +163,13 @@ def gaussian_density_nd(refs, queries, h: float):
     if q.shape[0] != m:
         raise InvalidInput(f"query channel count {q.shape[0]} does not match references ({m})")
     k = q.shape[1]
-    norm = (2.0 * np.pi) ** (-m / 2.0) / (n * h**m)
+    h = float(h)
+    if not 0.0 < h < np.inf:
+        raise InvalidInput(f"bandwidth must be positive and finite, got {h!r}")
+    try:
+        norm = (2.0 * np.pi) ** (-m / 2.0) / (n * h**m)
+    except (OverflowError, ZeroDivisionError):
+        raise InvalidInput(f"bandwidth {h!r} puts h^{m} outside the float range") from None
     ref_sq = np.einsum("ij,ij->j", refs, refs)
     q_sq = np.einsum("ij,ij->j", q, q)
     out = np.empty(k)

@@ -19,8 +19,11 @@ T^2/ts - (T/ts)^2/2 kernel terms per output row, about T^2/2 at ts 1.
 
 `value` also takes a K x m x m stack of demixers, such as the angle grid of
 a Jacobi pair visit, and returns K values.  It checks the stack and takes
-its determinants once, then projects and evaluates one member at a time,
-exactly as that member alone; the gradient takes one demixer.
+its determinants once, then evaluates it in groups of max(1, _CHUNK // (m T))
+members, so its scratch stays O(m T) whatever K is.  A group's output rows
+are projected by one product and summed by one kernel-sum call, and its
+contrast terms are assembled on G x n arrays, each member's row computed
+exactly as that member alone.  The gradient is the group of one demixer.
 
 The gradient is the exact derivative of the log form,
 
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import density
 from .density import (_SQRT_2PI, default_bandwidth, gaussian_density_nd, gaussian_sums_1d,
                       kernel_scratch)
 from .divergences import EPS_FLOOR, convex_f, convex_f_prime
@@ -48,10 +52,16 @@ DET_FLOOR = 1e-12
 
 def whole_number(value, name: str, least: int = 1) -> int:
     """`value` as an int; InvalidInput unless it is a whole number >= least."""
-    if not (isinstance(value, (int, float, np.integer, np.floating)) and float(value).is_integer()
-            and value >= least):
+    if not (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+            and float(value).is_integer() and value >= least):
         raise InvalidInput(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[g] @ b[g] for each row g, by the same BLAS dot as a product of two
+    1-D arrays, so a row's result does not depend on the other rows."""
+    return np.matmul(a[:, None], b[:, :, None])[:, 0, 0]
 
 
 class CcsObjective:
@@ -77,9 +87,9 @@ class CcsObjective:
             raise InvalidInput("alpha must be finite")
         self.stride = stride
         self.h = float(bandwidth) if bandwidth is not None else default_bandwidth(data.shape[1])
-        if not self.h > 0.0:
-            raise InvalidInput("bandwidth must be positive")
-        # input joint density at the evaluation points; W enters only via det
+        # input joint density at the evaluation points; W enters only via det.
+        # It refuses a bandwidth that is not positive and finite, or whose
+        # h^m leaves the float range
         self.base_density = gaussian_density_nd(data, queries, self.h)
         # evaluation points first, so that the marginal sums share their pairs
         rest = np.ones(data.shape[1], dtype=bool)
@@ -101,19 +111,19 @@ class CcsObjective:
     def n_channels(self) -> int:
         return self.data.shape[0]
 
-    # -- single-row marginal pass -------------------------------------------------
+    # -- marginal pass --------------------------------------------------------------
 
-    def _marginal_pass(self, row: np.ndarray, need_grad: bool):
-        """Kernel density of one output row at its evaluation points (its
-        first n_points entries), plus the derivative of that density in the
-        corresponding row of W."""
+    def _marginal_pass(self, rows: np.ndarray, need_grad: bool):
+        """Kernel density of each output row (one row, or a stack of them) at
+        its evaluation points (its first n_points entries), plus the
+        derivative of that density in the corresponding row of W."""
         n, h = self.n_points, self.h
         norm_p = 1.0 / (self.n_refs * h * _SQRT_2PI)
         if not need_grad:
-            return gaussian_sums_1d(row, n, h, work=self._work) * norm_p, None
+            return gaussian_sums_1d(rows, n, h, work=self._work) * norm_p, None
         norm_k = 1.0 / (self.n_refs * h * h * _SQRT_2PI)
-        ksum, usum, ufsum = gaussian_sums_1d(row, n, h, self.data_t, work=self._work)
-        grad = -norm_k * (usum[:, None] * self.queries_t - ufsum)
+        ksum, usum, ufsum = gaussian_sums_1d(rows, n, h, self.data_t, work=self._work)
+        grad = -norm_k * (usum[..., None] * self.queries_t - ufsum)
         return ksum * norm_p, grad
 
     # -- evaluation ---------------------------------------------------------------
@@ -135,65 +145,72 @@ class CcsObjective:
             raise SingularDemixer(f"determinant {float(dets[singular][0])!r} below {DET_FLOOR}")
         return np.abs(dets)
 
-    def _evaluate(self, w: np.ndarray, abs_det, need_grad: bool) -> tuple[float, np.ndarray | None]:
-        """Contrast, and its gradient if asked, at one checked demixer."""
-        m = self.n_channels
-        y = w @ self.data
+    def _evaluate(self, w: np.ndarray, abs_dets: np.ndarray, need_grad: bool):
+        """Contrast at each demixer of a checked G x m x m group, and, for a
+        group of one, its gradient if asked.  The group's G*m output rows go
+        through one kernel-sum call; each member's terms are then the rows
+        of G x n arrays, computed as they would be for that member alone."""
+        g, m, n = len(w), self.n_channels, self.n_points
+        y = np.matmul(w, self.data)
+        dens, grads = self._marginal_pass(y.reshape(g * m, -1), need_grad)
+        dens = dens.reshape(g, m, n)
 
-        dens = np.empty((m, self.n_points))
-        grads = []
-        for r in range(m):
-            dens[r], g = self._marginal_pass(y[r], need_grad)
-            grads.append(g)
-
-        q = dens.prod(axis=0)
-        py = self.base_density / abs_det
+        q = dens.prod(axis=1)
+        py = self.base_density / abs_dets[:, None]
         py_c = np.maximum(py, EPS_FLOOR)
         q_c = np.maximum(q, EPS_FLOOR)
 
         fj = convex_f(py_c, self.alpha)
         fm = convex_f(q_c, self.alpha)
-        v_joint = float(fj @ fj)
-        v_marg = float(fm @ fm)
-        v_cross = float(fj @ fm)
-        if v_joint <= 0.0 or v_marg <= 0.0 or v_cross <= 0.0:
+        v_joint = _row_dots(fj, fj)
+        v_marg = _row_dots(fm, fm)
+        v_cross = _row_dots(fj, fm)
+        if np.any(v_joint <= 0.0) or np.any(v_marg <= 0.0) or np.any(v_cross <= 0.0):
             raise DegenerateDivergence("contrast sums vanished, log ratio undefined")
-        value = float(np.log(v_joint) + np.log(v_marg) - 2.0 * np.log(v_cross))
-        if not np.isfinite(value):
+        values = np.log(v_joint) + np.log(v_marg) - 2.0 * np.log(v_cross)
+        if not np.all(np.isfinite(values)):
             raise NonFinite("contrast value is non-finite")
         if not need_grad:
-            return value, None
+            return values, None
 
+        # only a group of one asks for the gradient
+        py, py_c, fj, q, q_c, fm, dens = py[0], py_c[0], fj[0], q[0], q_c[0], fm[0], dens[0]
+        v_joint, v_marg, v_cross = v_joint[0], v_marg[0], v_cross[0]
         # dD = sum(a * d(py)) + sum(b * d(q)) over the evaluation points
         fpj = convex_f_prime(py_c, self.alpha)
         fpm = convex_f_prime(q_c, self.alpha)
         a = np.where(py > EPS_FLOOR, 2.0 * fpj * (fj / v_joint - fm / v_cross), 0.0)
         b = np.where(q > EPS_FLOOR, 2.0 * fpm * (fm / v_marg - fj / v_cross), 0.0)
         # joint chain: d(py)/dW = -py W^-T; inv is safe past the DET_FLOOR check
-        grad = -float(a @ py) * np.linalg.inv(w).T
-        # marginal chain: d(q)/dW[r] = (product of the other rows) * d(dens_r)/dW[r]
-        for r in range(m):
-            grad[r] += (b * np.delete(dens, r, axis=0).prod(axis=0)) @ grads[r]
+        grad = -float(a @ py) * np.linalg.inv(w[0]).T
+        # marginal chain: d(q)/dW[r] = (product of the other rows) * d(dens_r)/dW[r];
+        # row r of `others` multiplies every density row but r, in row order
+        others = dens[np.arange(m - 1) + (np.arange(m - 1) >= np.arange(m)[:, None])].prod(axis=1)
+        grad += np.matmul((b * others)[:, None], grads)[:, 0]
         if not np.all(np.isfinite(grad)):
             raise NonFinite("contrast gradient contains non-finite entries")
-        return value, grad
+        return values, grad
 
     def value(self, w):
         """Contrast at one m x m demixer, as a float, or at each demixer of a
         K x m x m stack, as an array of K values.
 
         The whole stack is checked, and its determinants taken, before any
-        member is evaluated.  Members are then evaluated one at a time, each
-        exactly as alone, so value(ws)[k] == value(ws[k]) bit for bit and the
-        scratch stays O(m * T) whatever K is.
+        member is evaluated.  Members are then evaluated in groups of
+        max(1, _CHUNK // (m * T)), one kernel-sum call per group, so the
+        scratch stays O(m * T) whatever K is; each member is computed as it
+        would be alone, so value(ws)[k] == value(ws[k]) bit for bit.
         """
         w = np.asarray(w, dtype=float)
         abs_dets = self._checked(w, stacks=True)
-        if w.ndim == 2:
-            return self._evaluate(w, abs_dets[0], need_grad=False)[0]
-        return np.array([self._evaluate(wk, d, need_grad=False)[0] for wk, d in zip(w, abs_dets)])
+        ws = w.reshape(-1, self.n_channels, self.n_channels)
+        size = max(1, density._CHUNK // (self.n_channels * self.n_refs))
+        values = np.concatenate([self._evaluate(ws[lo : lo + size], abs_dets[lo : lo + size], False)[0]
+                                 for lo in range(0, len(ws), size)])
+        return float(values[0]) if w.ndim == 2 else values
 
     def value_and_gradient(self, w) -> tuple[float, np.ndarray]:
         """Contrast and its gradient at one m x m demixer."""
         w = np.asarray(w, dtype=float)
-        return self._evaluate(w, self._checked(w, stacks=False)[0], need_grad=True)
+        values, grad = self._evaluate(w[None], self._checked(w, stacks=False), need_grad=True)
+        return float(values[0]), grad

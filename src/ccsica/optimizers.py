@@ -36,8 +36,8 @@ class GdConfig:
     stride: int = 1
 
     def __post_init__(self):
-        if not self.step_size > 0.0:
-            raise InvalidInput("step_size must be positive")
+        if not 0.0 < self.step_size < np.inf:
+            raise InvalidInput("step_size must be positive and finite")
         if not self.epsilon >= 0.0:
             raise InvalidInput("epsilon must be nonnegative")
         object.__setattr__(self, "max_iter", whole_number(self.max_iter, "max_iter", least=0))

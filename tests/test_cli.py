@@ -120,6 +120,11 @@ class TestExitCodes:
             assert main(["separate", "--input", str(mixture), "--alpha", alpha,
                          "--ts", "4", "--out", str(tmp_path / "sep")]) == 2
 
+    def test_non_finite_gamma_exits_two(self, tmp_path):
+        _, mixture, _ = _gen_and_mix(tmp_path)
+        assert main(["separate", "--input", str(mixture), "--algorithm", "gd", "--gamma", "inf",
+                     "--ts", "4", "--out", str(tmp_path / "sep")]) == 2
+
     def test_missing_files_exit_four(self, tmp_path):
         missing = str(tmp_path / "nope.csv")
         assert main(["separate", "--input", missing, "--out", str(tmp_path)]) == 4

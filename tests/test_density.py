@@ -225,10 +225,31 @@ class TestSharedQueries:
 
         z = np.random.default_rng(2).laplace(size=(2, 1000))
         obj = CcsObjective(z, alpha=-0.99999, stride=stride)
-        row = np.array([0.6, 0.8]) @ obj.data
+        rows = np.array([[0.6, 0.8], [0.8, -0.6], [1.0, 0.0]]) @ obj.data
         monkeypatch.setattr(density.np, "exp", counting_exp)
-        gaussian_sums_1d(row, obj.n_points, obj.h, obj.data_t, work=obj._work)
+        gaussian_sums_1d(rows[0], obj.n_points, obj.h, obj.data_t, work=obj._work)
         assert 0 < sum(terms) <= bound
+        # a stack of rows does each row's work once
+        terms.clear()
+        gaussian_sums_1d(rows, obj.n_points, obj.h, obj.data_t, work=obj._work)
+        assert 0 < sum(terms) <= 3 * bound
+
+    @pytest.mark.parametrize("chunk", [1 << 16, 5, 150])
+    def test_stack_matches_one_row_calls(self, rng, monkeypatch, chunk):
+        # each row of a stack runs its strips exactly as it would alone
+        stack = rng.normal(size=(4, 50))
+        feats = rng.normal(size=(50, 2))
+        monkeypatch.setattr(density, "_CHUNK", chunk)
+        for n in (50, 23):
+            ksum = gaussian_sums_1d(stack, n, 0.4)
+            sums = gaussian_sums_1d(stack, n, 0.4, feats)
+            assert ksum.shape == sums[1].shape == (4, n) and sums[2].shape == (4, n, 2)
+            for b, row in enumerate(stack):
+                assert np.array_equal(ksum[b], gaussian_sums_1d(row, n, 0.4))
+                for got, alone in zip(sums, gaussian_sums_1d(row, n, 0.4, feats)):
+                    assert np.array_equal(got[b], alone)
+        with pytest.raises(InvalidInput):
+            gaussian_sums_1d(stack, stack[0, :5], 0.4)
 
     @pytest.mark.parametrize("stride", [1, 10])
     def test_forms_each_difference_in_one_pass(self, monkeypatch, stride):

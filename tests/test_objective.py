@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ccsica import density, objective
 from ccsica.density import default_bandwidth, gaussian_sums_1d
 from ccsica.divergences import EPS_FLOOR, convex_f
 from ccsica.errors import InvalidInput, SingularDemixer
@@ -96,7 +97,7 @@ class TestCcsObjective:
 
     def test_non_integral_stride_rejected(self):
         z = _standardized_pair(t=200, seed=7)
-        for stride in (2.5, 0, "3"):
+        for stride in (2.5, 0, "3", True):
             with pytest.raises(InvalidInput):
                 CcsObjective(z, alpha=0.5, stride=stride)
 
@@ -134,7 +135,8 @@ class TestCcsObjective:
         with pytest.raises(InvalidInput):
             CcsObjective(np.array([[0.0, np.nan, 1.0], [1.0, 0.0, 2.0]]), alpha=0.5)
         z = _standardized_pair(t=50, seed=7)
-        for h in (0.0, -0.3):
+        # an infinite bandwidth floors every density, and h^m overflows at 1e300
+        for h in (0.0, -0.3, np.nan, np.inf, 1e300, 1e-200):
             with pytest.raises(InvalidInput):
                 CcsObjective(z, alpha=0.5, bandwidth=h)
 
@@ -191,6 +193,26 @@ class TestStackedValue:
         assert values.shape == (5,)
         assert all(values[k] == obj.value(ws[k]) for k in range(5))
         assert values[2] == obj.value_and_gradient(ws[2])[0]
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_groups_match_single_calls(self, monkeypatch, m):
+        # a budget of 5 m T terms evaluates the 33 grid rotations in groups
+        # of five, one kernel-sum call of 5 m rows each, the last of three
+        obj = self._obj(m)
+        ws = np.tile(np.eye(m), (33, 1, 1))
+        ws[:, :2, :2] = [rotation(th) for th in np.arange(-16, 17) * (np.pi / 64.0)]
+        monkeypatch.setattr(density, "_CHUNK", 5 * m * obj.n_refs)
+        calls = []
+
+        def counting_sums(rows, *args, **kwargs):
+            calls.append(len(rows))
+            return gaussian_sums_1d(rows, *args, **kwargs)
+
+        monkeypatch.setattr(objective, "gaussian_sums_1d", counting_sums)
+        values = obj.value(ws)
+        assert calls == [5 * m] * 6 + [3 * m]
+        for k in range(33):
+            assert values[k] == obj.value(ws[k]) == obj.value_and_gradient(ws[k])[0]
 
     def test_single_demixer_gives_float(self):
         obj = self._obj(2)

@@ -27,8 +27,10 @@ def _pair(t, seed, tau2=1.0):
 
 class TestConfigs:
     def test_gd_rejections(self):
-        with pytest.raises(InvalidInput):
-            GdConfig(step_size=0.0)
+        # an infinite step would turn the first update into NaN
+        for step in (0.0, np.inf, np.nan):
+            with pytest.raises(InvalidInput):
+                GdConfig(step_size=step)
         with pytest.raises(InvalidInput):
             GdConfig(epsilon=-1e-9)
         with pytest.raises(InvalidInput):
@@ -36,7 +38,8 @@ class TestConfigs:
         with pytest.raises(InvalidInput):
             GdConfig(stride=0)
 
-    @pytest.mark.parametrize("field, value", [("stride", 2.5), ("max_iter", 2.5), ("stride", "2")])
+    @pytest.mark.parametrize("field, value", [("stride", 2.5), ("max_iter", 2.5), ("stride", "2"),
+                                              ("max_iter", True)])
     def test_gd_non_integral_counts_rejected(self, field, value):
         with pytest.raises(InvalidInput):
             GdConfig(**{field: value})
