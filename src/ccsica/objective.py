@@ -91,6 +91,10 @@ class CcsObjective:
         # It refuses a bandwidth that is not positive and finite, or whose
         # h^m leaves the float range
         self.base_density = gaussian_density_nd(data, queries, self.h)
+        # no density, joint or marginal product, can exceed (2 pi)^(-m/2) h^-m;
+        # below the floor every point is clamped and the contrast reads 0
+        if data.shape[0] * np.log(_SQRT_2PI * self.h) > -np.log(EPS_FLOOR):
+            raise InvalidInput(f"bandwidth {self.h!r} puts every density below the floor {EPS_FLOOR}")
         # evaluation points first, so that the marginal sums share their pairs
         rest = np.ones(data.shape[1], dtype=bool)
         rest[::stride] = False

@@ -4,7 +4,9 @@ ica_gradient_descent updates the full demixing matrix by explicit gradient
 steps with row renormalization.  ica_pairwise_gd runs the same core on every
 row pair of the running demixed data and accumulates the patches.
 ica_pairwise_jacobi replaces the pair subproblem by a plane-rotation grid
-search, tracking progress in a matrix of last-applied angles.
+search, tracking progress in a matrix of last-applied angles; on a grid
+spanning one full period it settles, without a visit, a pair whose plane no
+other pair has moved since its last nonzero rotation.
 
 All three whiten exactly once up front and report both the algorithm matrix
 (acting on whitened data) and the composed demixer (acting on centered raw
@@ -188,7 +190,8 @@ def ica_pairwise_gd(x, cfg: GdConfig | None = None, sweeps: int = 3) -> Separati
 
 
 def _angle_grid(step: float) -> np.ndarray:
-    half = int(round(QUARTER_PI / step))
+    """Multiples of step in [-pi/4, pi/4], to within the rotation guard's 1e-12."""
+    half = int((QUARTER_PI + 1e-12) // step)
     if half < 1:
         raise InvalidInput("angle_step leaves no usable grid")
     return np.arange(-half, half + 1) * step
@@ -216,21 +219,38 @@ def ica_pairwise_jacobi(x, cfg: JacobiConfig | None = None) -> SeparationResult:
     visited at least once; a pair whose last selected angle was exactly zero
     is skipped on later sweeps.  Sweeping stops once the total absolute angle
     mass drops to cm_stop_deg (or max_sweeps is hit).
+
+    A pair whose plane has not moved is settled without a visit: when the
+    grid spans exactly one period, [-pi/4, pi/4], and no other pair has
+    rotated row i or row j since pair (i, j) last applied a nonzero angle,
+    cm[i, j] is set to 0 and no objective is built.  That visit would pick
+    angle 0 in exact arithmetic: the contrast of a pair is pi/2-periodic in
+    the angle (the marginal product ignores the order and the signs of the
+    two rows, the joint density is rotation-invariant), so its grid is the
+    last one shifted to put the minimum at index 0, where ties also go.  At
+    m = 2 this settles every second visit; at m >= 3 it applies in late
+    sweeps.  A grid that is not a full period, such as a step of 0.1, is
+    always visited.
     """
     cfg = cfg or JacobiConfig()
     z, wt = center_and_whiten(x)
     m = z.shape[0]
     thetas = _angle_grid(cfg.angle_step)
     rotations = np.array([rotation(th) for th in thetas])
+    full_period = abs(thetas[-1] - QUARTER_PI) <= 1e-12
     w_algo = np.eye(m)
     demixed = z.copy()
     cm = np.full((m, m), 90.0)
     np.fill_diagonal(cm, 0.0)
+    settled: set[tuple[int, int]] = set()
     sweep_totals: list[float] = []
     sweeps_done = 0
     for _ in range(cfg.max_sweeps):
         for i, j in itertools.combinations(range(m), 2):
             if cm[i, j] == 0.0:
+                continue
+            if (i, j) in settled:
+                cm[i, j] = cm[j, i] = 0.0
                 continue
             obj = CcsObjective(demixed[[i, j], :], cfg.alpha, stride=cfg.stride)
             k = _best_angle(obj.value(rotations), thetas)
@@ -241,6 +261,9 @@ def ica_pairwise_jacobi(x, cfg: JacobiConfig | None = None) -> SeparationResult:
                 patch[np.ix_([i, j], [i, j])] = rotations[k]
                 w_algo = patch @ w_algo
                 demixed[[i, j], :] = rotations[k] @ demixed[[i, j], :]
+                settled = {p for p in settled if i not in p and j not in p}
+                if full_period:
+                    settled.add((i, j))
         sweeps_done += 1
         total = float(sum(abs(cm[i, j]) for i, j in itertools.combinations(range(m), 2)))
         sweep_totals.append(total)

@@ -135,10 +135,14 @@ class TestCcsObjective:
         with pytest.raises(InvalidInput):
             CcsObjective(np.array([[0.0, np.nan, 1.0], [1.0, 0.0, 2.0]]), alpha=0.5)
         z = _standardized_pair(t=50, seed=7)
-        # an infinite bandwidth floors every density, and h^m overflows at 1e300
-        for h in (0.0, -0.3, np.nan, np.inf, 1e300, 1e-200):
+        # an infinite bandwidth floors every density, and h^m overflows at 1e300;
+        # at 1e100 h^m is finite but the largest density, 1/(2 pi h^2), is below
+        # EPS_FLOOR
+        for h in (0.0, -0.3, np.nan, np.inf, 1e300, 1e-200, 1e100):
             with pytest.raises(InvalidInput):
                 CcsObjective(z, alpha=0.5, bandwidth=h)
+        # 1/(2 pi h^2) = 1.6e-11 clears the floor: a flat contrast, not a floored one
+        assert np.isfinite(CcsObjective(z, alpha=0.5, bandwidth=1e5).value(np.eye(2)))
 
     def test_rejects_non_finite_alpha(self):
         z = _standardized_pair(t=50, seed=7)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ccsica.bench import DEMO_MATRIX_2
+from ccsica.bench import _T1_PAIRS, DEMO_MATRIX_2
 from ccsica.errors import InvalidInput
 from ccsica.metrics import amari_index
 from ccsica.objective import CcsObjective
@@ -9,6 +9,7 @@ from ccsica.optimizers import (
     ALGORITHMS,
     GdConfig,
     JacobiConfig,
+    _angle_grid,
     _best_angle,
     compose_demixer,
     ica_gradient_descent,
@@ -17,7 +18,7 @@ from ccsica.optimizers import (
     rotation,
     separate,
 )
-from ccsica.preprocess import whiten, remove_mean
+from ccsica.preprocess import center_and_whiten, whiten, remove_mean
 from ccsica.sources import random_mixing_matrix, rng_for, source_bank
 
 
@@ -220,6 +221,60 @@ class TestJacobi:
         assert len(stacks) == 1
         grid = np.arange(-16, 17) * (np.pi / 64.0)
         assert np.array_equal(stacks[0], np.array([rotation(th) for th in grid]))
+
+    @staticmethod
+    def _record_picks(monkeypatch, step=np.pi / 64.0):
+        """Record the angle each `value` call on the grid of `step` picks."""
+        real_value, picks, thetas = CcsObjective.value, [], _angle_grid(step)
+
+        def recording_value(obj, w):
+            values = real_value(obj, w)
+            picks.append(float(thetas[_best_angle(values, thetas)]))
+            return values
+
+        monkeypatch.setattr(CcsObjective, "value", recording_value)
+        return picks
+
+    def test_unmoved_pair_settled_without_a_visit(self, monkeypatch):
+        # at m = 2 the one pair's plane cannot move between its visits, so the
+        # confirmation visit after a nonzero pick is settled without a call
+        picks = self._record_picks(monkeypatch)
+        res = ica_pairwise_jacobi(DEMO_MATRIX_2 @ _pair(400, 3), JacobiConfig(stride=4))
+        assert len(picks) == 1 and picks[0] != 0.0
+        assert res.n_iter == 2
+        assert res.cm_sweep_totals == [abs(np.degrees(picks[0])), 0.0]
+        assert np.array_equal(res.cm, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kinds", _T1_PAIRS)
+    def test_confirmation_visit_picks_zero(self, kinds, seed):
+        # what the settling relies on: over a full-period grid, the visit on
+        # rows rotated by the last pick picks angle 0
+        x = random_mixing_matrix(2, rng_for(seed, 1)) @ source_bank(kinds, 1000, seed)
+        z, _ = center_and_whiten(x)
+        thetas = np.arange(-16, 17) * (np.pi / 64.0)
+        rotations = np.array([rotation(th) for th in thetas])
+        k = _best_angle(CcsObjective(z, -0.99999, stride=10).value(rotations), thetas)
+        assert thetas[k] != 0.0
+        confirm = CcsObjective(rotations[k] @ z, -0.99999, stride=10)
+        assert thetas[_best_angle(confirm.value(rotations), thetas)] == 0.0
+
+    def test_partial_period_grid_keeps_the_confirmation_visit(self, monkeypatch):
+        # a step of 0.1 gives a grid of +-0.7, not a full period, so nothing
+        # forces the second visit's pick and it is made
+        picks = self._record_picks(monkeypatch, 0.1)
+        res = ica_pairwise_jacobi(DEMO_MATRIX_2 @ _pair(400, 3), JacobiConfig(stride=4, angle_step=0.1))
+        assert len(picks) == 2 and picks[0] != 0.0
+        assert res.cm_sweep_totals == [abs(np.degrees(picks[0])), abs(np.degrees(picks[1]))]
+
+    def test_pair_whose_row_moved_is_visited_again(self, monkeypatch):
+        # sweep 1 rotates every pair, so pair (0, 1) has had row 0 rotated by
+        # pair (0, 2) before its second visit, which must then be made
+        picks = self._record_picks(monkeypatch)
+        s = source_bank(("uniform", "laplacian", "rayleigh"), 1200, 7)
+        res = ica_pairwise_jacobi(random_mixing_matrix(3, rng_for(7, 1)) @ s, JacobiConfig(stride=6))
+        assert all(p != 0.0 for p in picks[:3])
+        assert len(picks) >= 4 and res.cm_sweep_totals[1] > 0.0
 
 
 class TestBestAngle:
