@@ -3,11 +3,11 @@
 Estimates are direct sums over the full reference set (no tree or FFT
 shortcuts, no leave-one-out).  Each sum works in place through blocks of
 query rows, a block holding at most `_CHUNK` kernel terms (query rows x
-references), so its working memory is two such blocks whatever the number
-of references, unless one query row (two, for the joint sum) alone exceeds
-the budget.  For arbitrary queries a row's kernel sum does not depend on
-how many rows share its block; only the feature product of the 1-D sum,
-which BLAS blocks itself, can move by an ulp.  When the 1-D queries are the
+references), so its working memory is one such block (two for the 1-D
+sum with features) whatever the number of references, unless two query
+rows alone exceed the budget.  For arbitrary queries a row's kernel sum
+does not depend on how many rows share its block; only the feature product
+of the 1-D sum, which BLAS blocks itself, can move by an ulp.  When the 1-D queries are the
 first n of T references, each pair of queries is computed once, about
 n*T - n^2/2 terms in all; a query's sum then gathers its pairs with earlier
 queries block by block, and reduces each block by matrix products (a BLAS
@@ -15,10 +15,12 @@ row sum is two to three times as fast as numpy's pairwise one, but rounds
 by the rows of its block), so it too can move by an ulp with the budget.
 Shared queries also admit a B x T stack of rows in one call: the set-up is
 done once, and each row then runs its blocks exactly as it would alone.
-The 1-D sum divides its references and queries by h once per call and
-forms each block of differences u = q/h - r/h as one rank-2 matrix
-product, [q | 1] @ [1 ; -r], which rounds each u once, as a subtraction
-does, but runs about three times as fast as `subtract.outer`.
+Both sums divide their references and queries by h once per call and form
+each block of exponents -(q - r)^2 / 2 as one matrix product of a strip's
+query operand [-q^2/2 | q | 1] with the reference operand [1 ; r ; -r^2/2]
+(squared norms and vectors for the joint sum), then take `exp` in place.
+Every such product has at least two query rows, so that a row's exponent
+does not depend on how its strip falls.
 There are two sums: the 1-D one, which also carries the derivative sums
 the contrast gradient needs, and the joint M-D density.
 """
@@ -29,8 +31,8 @@ import numpy as np
 
 from .errors import InvalidInput
 
-# kernel terms (query rows x references) per block; two float64 blocks of
-# this size are the working memory of one sum
+# kernel terms (query rows x references) per block; one float64 block of
+# this size, two for the 1-D sum with features, is the working memory of a sum
 _CHUNK = 1 << 16
 # work blocks start on a cache line: numpy's SIMD loops run about 15 % slower
 # on a block that does not, and where an unaligned block starts depends on the
@@ -48,7 +50,7 @@ def default_bandwidth(t_count: int) -> float:
 
 
 def _block_rows(n_queries: int, n_refs: int) -> int:
-    return max(1, min(n_queries, _CHUNK // max(n_refs, 1)))
+    return max(2, min(n_queries, _CHUNK // max(n_refs, 1)))
 
 
 def _aligned_empty(size: int) -> np.ndarray:
@@ -58,10 +60,32 @@ def _aligned_empty(size: int) -> np.ndarray:
     return raw[start : start + size]
 
 
-def kernel_scratch(n_queries: int, n_refs: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two work blocks one kernel sum of n_queries against n_refs needs."""
+def kernel_scratch(n_queries: int, n_refs: int, count: int = 1) -> list[np.ndarray]:
+    """`count` work blocks for a kernel sum of n_queries against n_refs."""
     size = _block_rows(n_queries, n_refs) * n_refs
-    return _aligned_empty(size), _aligned_empty(size)
+    return [_aligned_empty(size) for _ in range(count)]
+
+
+def _operand(x: np.ndarray, h: float) -> np.ndarray:
+    """The B x 3 x T operand [1 ; x/h ; -(x/h)^2/2] of a B x T stack of points."""
+    op = np.ones((x.shape[0], 3, x.shape[1]))
+    np.divide(x, h, out=op[:, 1])
+    np.multiply(op[:, 1], op[:, 1], out=op[:, 2])
+    op[:, 2] *= -0.5
+    return op
+
+
+def _strip_product(q_op: np.ndarray, r: int, ref_op: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """q_op[:r] @ ref_op in `block`, returned as an r x width view.
+
+    A one-row product would go to numpy's matrix-vector routine, which rounds
+    differently, so a strip of one row is computed as two copies of it."""
+    if r == 1:
+        q_op[1] = q_op[0]
+    rows, width = max(r, 2), ref_op.shape[1]
+    out = block[: rows * width].reshape(rows, width)
+    np.matmul(q_op[:rows], ref_op, out=out)
+    return out[:r]
 
 
 def gaussian_sums_1d(refs, queries, h: float, feats=None, work=None):
@@ -76,13 +100,21 @@ def gaussian_sums_1d(refs, queries, h: float, feats=None, work=None):
     exactly, so each pair of queries is computed once.  With a count, `refs`
     may also be a B x T stack of rows, each with its own queries; the sums
     then gain a leading axis of B, and row b of the result equals the call
-    on refs[b] alone bit for bit.  References and queries are divided by h
-    once per call, so u differs from (q - r) / h by rounding, and each block
-    of u is the product [q | 1] @ [1 ; -r].  With a count each block is
-    reduced by matrix products, whose rounding follows the budget; with an
-    array of queries a row's sums (not its feature sums) are pairwise sums
-    that do not.  `work` is a pair of blocks from `kernel_scratch` to reuse
-    across calls; without it the call allocates its own.
+    on refs[b] alone bit for bit.
+
+    References and queries are divided by h once per call.  Each block of
+    exponents is the product [-q^2/2 | q | 1] @ [1 ; r ; -r^2/2], with q and
+    r so divided, which rounds each term to within about eps * max|q|^2 (a
+    subtraction first would give eps * |u| * max|q|, but costs two more
+    passes).  After whitening a solver row has |q| <= T^0.7 / 1.06 at the
+    default bandwidth, and typical ones far less.  With features, u comes
+    from the same reference operand and query rows [q | -1 | 0]: both
+    products are exact, so u is q - r rounded once.  With a count each block
+    is reduced by matrix products, whose rounding follows the budget; with
+    an array of queries a row's sums (not its feature sums) are pairwise
+    sums that do not.  `work` is a list of blocks from `kernel_scratch` to
+    reuse across calls: a call takes one, two with features, and appends
+    those the list lacks.
     """
     refs = np.asarray(refs, dtype=float)
     shared = isinstance(queries, (int, np.integer))
@@ -91,17 +123,14 @@ def gaussian_sums_1d(refs, queries, h: float, feats=None, work=None):
     n_rows, n_refs = (1, refs.size) if refs.ndim == 1 else refs.shape
     n = queries if shared else np.size(queries)
     rows = _block_rows(n, n_refs)
-    if work is None:
-        work = kernel_scratch(n, n_refs)
-    # u = q - r as the rank-2 product [q | 1] @ [1 ; -r]: both products are
-    # exact, so the sum rounds once, like the subtraction, at a third its cost;
-    # -(r/h) == r/-h and, shared, q = -(-r/h) exactly
-    q1, r1 = np.ones((n_rows, n, 2)), np.ones((n_rows, 2, n_refs))
-    np.divide(refs.reshape(n_rows, n_refs), -h, out=r1[:, 1])
-    if shared:
-        np.negative(r1[:, 1, :n], out=q1[:, :, 0])
-    else:
-        np.divide(np.asarray(queries, dtype=float), h, out=q1[0, :, 0])
+    work = [] if work is None else work
+    work += kernel_scratch(n, n_refs, (1 if feats is None else 2) - len(work))
+    # the reference operand [1 ; r ; -r^2/2]; read backwards and transposed,
+    # its columns for the queries (shared, its own first n) are the rows
+    # [-q^2/2 | q | 1] of a strip's query operand for the exponents
+    ref_op = _operand(refs.reshape(n_rows, n_refs), h)
+    q_src = ref_op if shared else _operand(np.reshape(queries, (1, n)), h)
+    k_op = np.empty((rows, 3))
     # a strip of query rows [lo, hi) runs over the references from `start`;
     # shared, its part against the later queries hi:n is also their part
     # against the strip, so it is added to those queries by column (*_cols)
@@ -112,6 +141,9 @@ def gaussian_sums_1d(refs, queries, h: float, feats=None, work=None):
         f1[:, 1:] = feats
         uf, uf_cols = np.empty((n_rows, n, f1.shape[1])), np.empty((n, f1.shape[1]))
         uf_part = np.empty_like(uf_cols)
+        # query rows [q | -1 | 0] give u = q - r
+        u_op = np.zeros((rows, 3))
+        u_op[:, 1] = -1.0
     for b in range(n_rows):
         k_cols.fill(0.0)
         if feats is not None:
@@ -119,12 +151,9 @@ def gaussian_sums_1d(refs, queries, h: float, feats=None, work=None):
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
             start, cols = (lo, n - hi) if shared else (0, 0)
-            r, width = hi - lo, n_refs - start
-            u = work[0][: r * width].reshape(r, width)
-            k = work[1][: r * width].reshape(r, width)
-            np.matmul(q1[b, lo:hi], r1[b, :, start:], out=u)
-            np.multiply(u, -0.5, out=k)
-            k *= u
+            r, width, ref = hi - lo, n_refs - start, ref_op[b, :, start:]
+            k_op[:r] = q_src[b, ::-1, lo:hi].T
+            k = _strip_product(k_op, r, ref, work[0])
             np.exp(k, out=k)
             # a BLAS row sum rounds by the rows of its block; shared sums
             # already follow the budget by column, arbitrary ones do not
@@ -135,6 +164,8 @@ def gaussian_sums_1d(refs, queries, h: float, feats=None, work=None):
             if cols:
                 k_cols[hi:] += np.matmul(ones[:r], k[:, r : r + cols], out=part[:cols])
             if feats is not None:
+                u_op[:r, 0] = q_src[b, 1, lo:hi]
+                u = _strip_product(u_op, r, ref, work[1])
                 u *= k
                 np.matmul(u, f1[start:], out=uf[b, lo:hi])
                 if not shared:  # usum as a pairwise sum too, like ksum
@@ -170,27 +201,24 @@ def gaussian_density_nd(refs, queries, h: float):
         norm = (2.0 * np.pi) ** (-m / 2.0) / (n * h**m)
     except (OverflowError, ZeroDivisionError):
         raise InvalidInput(f"bandwidth {h!r} puts h^{m} outside the float range") from None
-    ref_sq = np.einsum("ij,ij->j", refs, refs)
-    q_sq = np.einsum("ij,ij->j", q, q)
+    # the exponent -|q - r|^2 / 2 of a block, q and r divided by h, is the
+    # product [-|q|^2/2 | q^T | 1] @ [1 ; r ; -|r|^2/2], as in the 1-D sum
+    ref_op = np.ones((m + 2, n))
+    np.divide(refs, h, out=ref_op[1 : m + 1])
+    np.einsum("ij,ij->j", ref_op[1 : m + 1], ref_op[1 : m + 1], out=ref_op[m + 1])
+    ref_op[m + 1] *= -0.5
+    q = q / h
+    q_half_sq = np.einsum("ij,ij->j", q, q)
+    q_half_sq *= -0.5
     out = np.empty(k)
-    inv = -0.5 / (h * h)
-    # numpy computes a one-row product with a matrix-vector routine that
-    # rounds differently, so a block holds at least two rows and a last block
-    # of one row starts a row early: each row's sum is then the same however
-    # the queries fall into blocks
-    rows = max(2, _block_rows(k, n))
-    d2_block, g_block = (_aligned_empty(rows * n).reshape(rows, n) for _ in range(2))
+    rows = _block_rows(k, n)
+    q_op, block = np.ones((rows, m + 2)), _aligned_empty(rows * n)
     for lo in range(0, k, rows):
-        lo = min(lo, max(k - 2, 0))
         hi = min(lo + rows, k)
-        d2, g = d2_block[: hi - lo], g_block[: hi - lo]
-        np.add.outer(q_sq[lo:hi], ref_sq, out=d2)
-        np.matmul(q[:, lo:hi].T, refs, out=g)
-        g *= 2.0
-        d2 -= g
-        np.maximum(d2, 0.0, out=d2)
-        d2 *= inv
-        np.exp(d2, out=d2)
-        d2.sum(axis=1, out=out[lo:hi])
+        q_op[: hi - lo, 0] = q_half_sq[lo:hi]
+        q_op[: hi - lo, 1 : m + 1] = q[:, lo:hi].T
+        e = _strip_product(q_op, hi - lo, ref_op, block)
+        np.exp(e, out=e)
+        e.sum(axis=1, out=out[lo:hi])
     out *= norm
     return float(out[0]) if scalar else out

@@ -101,6 +101,7 @@ class CcsObjective:
         self.data = np.concatenate([queries, data[:, rest]], axis=1)
         self.data_t = np.ascontiguousarray(self.data.T)
         self.queries_t = self.data_t[: queries.shape[1]]
+        # one kernel work block serves values; the first gradient adds a second
         self._work = kernel_scratch(self.n_points, self.n_refs)
 
     @property

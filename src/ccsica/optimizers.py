@@ -218,7 +218,9 @@ def ica_pairwise_jacobi(x, cfg: JacobiConfig | None = None) -> SeparationResult:
     The angle matrix cm starts at a 90 degree sentinel so every pair is
     visited at least once; a pair whose last selected angle was exactly zero
     is skipped on later sweeps.  Sweeping stops once the total absolute angle
-    mass drops to cm_stop_deg (or max_sweeps is hit).
+    mass drops to cm_stop_deg, once a sweep leaves cm as the sweep before
+    last did (pairs undoing each other's rotations, which would otherwise
+    repeat until the end), or once max_sweeps is hit.
 
     A pair whose plane has not moved is settled without a visit: when the
     grid spans exactly one period, [-pi/4, pi/4], and no other pair has
@@ -244,6 +246,7 @@ def ica_pairwise_jacobi(x, cfg: JacobiConfig | None = None) -> SeparationResult:
     np.fill_diagonal(cm, 0.0)
     settled: set[tuple[int, int]] = set()
     sweep_totals: list[float] = []
+    recent: list[np.ndarray] = []  # cm after the last two sweeps
     sweeps_done = 0
     for _ in range(cfg.max_sweeps):
         for i, j in itertools.combinations(range(m), 2):
@@ -267,8 +270,9 @@ def ica_pairwise_jacobi(x, cfg: JacobiConfig | None = None) -> SeparationResult:
         sweeps_done += 1
         total = float(sum(abs(cm[i, j]) for i, j in itertools.combinations(range(m), 2)))
         sweep_totals.append(total)
-        if total <= cfg.cm_stop_deg:
+        if total <= cfg.cm_stop_deg or len(recent) == 2 and np.array_equal(cm, recent[0]):
             break
+        recent = (recent + [cm.copy()])[-2:]
     return SeparationResult(
         demixer=compose_demixer(w_algo, wt),
         algo_matrix=w_algo,

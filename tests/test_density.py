@@ -333,6 +333,50 @@ class TestMultivariate:
         assert _parzen_grad(np.array([0.0, 0.0]), np.array([-0.5]), 0.4)[0] > 0.0
 
 
+class TestAccuracy:
+    """Against an extended-precision hand loop on spread-out data.
+
+    A product-form exponent rounds each term to within about eps * max|q|^2
+    (q = points over h), so each sum is held to that bound relative to the
+    sum of its terms' magnitudes."""
+
+    EPS = np.finfo(float).eps
+    Q_MAX = 40.0
+
+    def _spread(self, rng, shape, h):
+        x = rng.laplace(size=shape)
+        return x * (self.Q_MAX * h / np.max(np.abs(x)))
+
+    def test_sums_1d(self, rng):
+        h = 0.3
+        refs = self._spread(rng, 400, h)
+        feats = rng.normal(size=(400, 2))
+        bound = self.EPS * self.Q_MAX**2
+        r = refs.astype(np.longdouble)
+        # queries within the data, where no kernel term is subnormal
+        for queries in (400, np.linspace(refs.min(), refs.max(), 51)):
+            q = r[:queries] if isinstance(queries, int) else queries.astype(np.longdouble)
+            u = (q[:, None] - r[None, :]) / np.longdouble(h)
+            k = np.exp(-u * u / 2)
+            uk = u * k
+            ksum, usum, ufsum = gaussian_sums_1d(refs, queries, h, feats)
+            assert np.all(np.abs(ksum - k.sum(axis=1)) <= bound * k.sum(axis=1))
+            assert np.all(np.abs(usum - uk.sum(axis=1)) <= bound * np.abs(uk).sum(axis=1))
+            want_uf = uk @ feats.astype(np.longdouble)
+            assert np.all(np.abs(ufsum - want_uf) <= bound * (np.abs(uk) @ np.abs(feats)))
+
+    def test_density_nd(self, rng):
+        h = 0.3
+        refs = self._spread(rng, (2, 400), h)
+        queries = refs[:, ::3]
+        r, q = refs.astype(np.longdouble), queries.astype(np.longdouble)
+        d2 = ((q[:, :, None] - r[:, None, :]) ** 2).sum(axis=0) / np.longdouble(h) ** 2
+        want = np.exp(-d2 / 2).mean(axis=1) / (2 * np.pi * np.longdouble(h) ** 2)
+        q_max = np.max(np.linalg.norm(refs, axis=0)) / h
+        got = gaussian_density_nd(refs, queries, h)
+        assert np.all(np.abs(got - want) <= self.EPS * q_max**2 * want)
+
+
 class TestMemory:
     """Peak memory of a kernel sum is set by the block budget, not by T."""
 

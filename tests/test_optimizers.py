@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ccsica.bench import _T1_PAIRS, DEMO_MATRIX_2
+from ccsica.bench import _KIND_CYCLE, _T1_PAIRS, DEMO_MATRIX_2, _sources_for
 from ccsica.errors import InvalidInput
 from ccsica.metrics import amari_index
 from ccsica.objective import CcsObjective
@@ -19,7 +19,7 @@ from ccsica.optimizers import (
     separate,
 )
 from ccsica.preprocess import center_and_whiten, whiten, remove_mean
-from ccsica.sources import random_mixing_matrix, rng_for, source_bank
+from ccsica.sources import MixingModel, mix, random_mixing_matrix, rng_for, source_bank
 
 
 def _pair(t, seed, tau2=1.0):
@@ -275,6 +275,20 @@ class TestJacobi:
         res = ica_pairwise_jacobi(random_mixing_matrix(3, rng_for(7, 1)) @ s, JacobiConfig(stride=6))
         assert all(p != 0.0 for p in picks[:3])
         assert len(picks) >= 4 and res.cm_sweep_totals[1] > 0.0
+
+    def test_cycling_sweeps_stop(self):
+        # bench t4 --scale 0.2 --seed 0, m = 4, T = 1000, trial 2: from sweep 4
+        # pairs (1, 2) and (2, 3) pick -2.8125 and +2.8125 degrees in turn
+        m, t, trial = 4, 1000, 2
+        rng = rng_for(0, 4, m, t, trial)
+        kinds = tuple(_KIND_CYCLE[i % 4] for i in range(m))
+        s = _sources_for(kinds, t, rng)
+        a = random_mixing_matrix(m, rng)
+        x = mix(s, MixingModel(a), seed=int(rng.integers(1 << 31)))
+        cfg = JacobiConfig(stride=10)
+        res = ica_pairwise_jacobi(x, cfg)
+        assert res.n_iter < cfg.max_sweeps
+        assert res.cm_sweep_totals[-1] > cfg.cm_stop_deg
 
 
 class TestBestAngle:
