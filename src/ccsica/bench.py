@@ -21,7 +21,6 @@ observations can recover.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +69,6 @@ def _scaled_trials(base: int, scale: float) -> int:
 
 
 def _stride_for_eval(t_count: int, eval_frac: float) -> int:
-    if eval_frac >= 1.0:
-        return 1
     return max(1, round(1.0 / eval_frac))
 
 
@@ -132,6 +129,9 @@ def _run_table_trial(task: dict) -> ExperimentRecord:
 def _execute(tasks: list[dict], jobs: int):
     if jobs <= 1:
         return [_run_table_trial(t) for t in tasks]
+    # imported here, so that `import ccsica` does not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_run_table_trial, tasks))
 
@@ -186,6 +186,8 @@ def bench_t5(scale=1.0, seed=0, jobs=1, algorithm="jacobi", dims=None, samples=N
     dim_list = dims or [m for m in (2, 4) if m <= max(2, int(np.ceil(4 * scale)))]
     t_list = samples or [t for t in _T4_SAMPLES if t <= max(1000, int(np.ceil(8000 * scale)))]
     fracs = eval_fracs or _T5_FRACS
+    if not all(0.0 < frac <= 1.0 for frac in fracs):
+        raise InvalidInput(f"evaluation fractions must lie in (0, 1], got {list(fracs)}")
     rows = []
     for m in dim_list:
         trials = _scaled_trials(_T4_BASE_TRIALS.get(m, 20), scale)

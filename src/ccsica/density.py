@@ -1,28 +1,32 @@
-"""Parzen window density estimation with a Gaussian kernel.
+"""Parzen window density estimation with a Gaussian kernel: one loop, two faces.
 
-Estimates are direct sums over the full reference set (no tree or FFT
-shortcuts, no leave-one-out).  Each sum works in place through blocks of
-query rows, a block holding at most `_CHUNK` kernel terms (query rows x
-references), so its working memory is one such block (two for the 1-D
-sum with features) whatever the number of references, unless two query
-rows alone exceed the budget.  For arbitrary queries a row's kernel sum
-does not depend on how many rows share its block; only the feature product
-of the 1-D sum, which BLAS blocks itself, can move by an ulp.  When the 1-D queries are the
-first n of T references, each pair of queries is computed once, about
-n*T - n^2/2 terms in all; a query's sum then gathers its pairs with earlier
-queries block by block, and reduces each block by matrix products (a BLAS
-row sum is two to three times as fast as numpy's pairwise one, but rounds
-by the rows of its block), so it too can move by an ulp with the budget.
-Shared queries also admit a B x T stack of rows in one call: the set-up is
-done once, and each row then runs its blocks exactly as it would alone.
-Both sums divide their references and queries by h once per call and form
-each block of exponents -(q - r)^2 / 2 as one matrix product of a strip's
-query operand [-q^2/2 | q | 1] with the reference operand [1 ; r ; -r^2/2]
-(squared norms and vectors for the joint sum), then take `exp` in place.
-Every such product has at least two query rows, so that a row's exponent
-does not depend on how its strip falls.
-There are two sums: the 1-D one, which also carries the derivative sums
-the contrast gradient needs, and the joint M-D density.
+`_kernel_sums` is the only code that does kernel work.  It runs over a
+B x m x T stack of reference sets, with direct sums over each full set (no
+tree or FFT shortcuts, no leave-one-out).  `gaussian_sums_1d` is its m = 1
+face, which adds the derivative sums the contrast gradient needs and
+queries shared with the references; `gaussian_density_nd` is its B = 1
+face, the normalised joint density.
+
+The loop splits the queries into strips of at most `_CHUNK` kernel terms
+(query rows x references), each worked in place in a block that starts on a
+cache line, so a sum needs one such block (two with features) whatever the
+number of references, unless two query rows alone exceed the budget.  Points
+are divided by h once per call, and a strip's exponents -|q - r|^2 / 2 are
+one matrix product of its query rows [-|q|^2/2 | q | 1] with the reference
+operand [1 ; r ; -|r|^2/2], followed by `exp` in place.  That rounds each
+term to within about eps * max|q|^2 (a subtraction first would give
+eps * |u| * max|q|, but costs two more passes).  Every product has at least
+two query rows, so a row's exponent does not depend on how its strip falls.
+
+For arbitrary queries a row's kernel sum is a pairwise sum that does not
+depend on the strips either; only the feature product, which BLAS blocks
+itself, can move by an ulp.  When the queries are the first n of T
+references, each pair of queries is computed once, about n*T - n^2/2 terms
+in all: a query gathers its pairs with earlier queries strip by strip, and
+each block is reduced by matrix products (a BLAS row sum is two to three
+times as fast as numpy's pairwise one, but rounds by the rows of its block),
+so these sums can move by an ulp with the budget.  Each set of a stack runs
+its strips exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -67,11 +71,12 @@ def kernel_scratch(n_queries: int, n_refs: int, count: int = 1) -> list[np.ndarr
 
 
 def _operand(x: np.ndarray, h: float) -> np.ndarray:
-    """The B x 3 x T operand [1 ; x/h ; -(x/h)^2/2] of a B x T stack of points."""
-    op = np.ones((x.shape[0], 3, x.shape[1]))
-    np.divide(x, h, out=op[:, 1])
-    np.multiply(op[:, 1], op[:, 1], out=op[:, 2])
-    op[:, 2] *= -0.5
+    """The B x (m+2) x T operand [1 ; x/h ; -|x/h|^2/2] of a B x m x T stack of points."""
+    m = x.shape[1]
+    op = np.ones((x.shape[0], m + 2, x.shape[2]))
+    np.divide(x, h, out=op[:, 1 : m + 1])
+    np.einsum("bij,bij->bj", op[:, 1 : m + 1], op[:, 1 : m + 1], out=op[:, m + 1])
+    op[:, m + 1] *= -0.5
     return op
 
 
@@ -79,13 +84,81 @@ def _strip_product(q_op: np.ndarray, r: int, ref_op: np.ndarray, block: np.ndarr
     """q_op[:r] @ ref_op in `block`, returned as an r x width view.
 
     A one-row product would go to numpy's matrix-vector routine, which rounds
-    differently, so a strip of one row is computed as two copies of it."""
-    if r == 1:
-        q_op[1] = q_op[0]
+    differently, so a strip of one row is computed with the next row of
+    `q_op`, which must hold a copy of it."""
     rows, width = max(r, 2), ref_op.shape[1]
     out = block[: rows * width].reshape(rows, width)
     np.matmul(q_op[:rows], ref_op, out=out)
     return out[:r]
+
+
+def _kernel_sums(refs: np.ndarray, queries, h: float, feats=None, work=None):
+    """Unnormalised kernel sums against each set of a B x m x T stack, as a
+    tuple of arrays with a leading axis of B.
+
+    `queries` is a count n, meaning the first n points of each set, or a
+    B x m x n stack.  With k = exp(-|q/h - r/h|^2 / 2) the tuple is
+    (sum_r k,); with per-reference features (T x d) at m = 1 it is
+    (sum_r k, sum_r u*k, sum_r u*k*feats[r]), where u = q/h - r/h comes from
+    query rows [q | -1] and operand rows [1 ; r], two exact products, so u is
+    q - r rounded once.  `work` is as for `gaussian_sums_1d`.
+    """
+    n_sets, _, n_refs = refs.shape
+    shared = isinstance(queries, (int, np.integer))
+    n = queries if shared else queries.shape[2]
+    rows = _block_rows(n, n_refs)
+    work = [] if work is None else work
+    work += kernel_scratch(n, n_refs, (1 if feats is None else 2) - len(work))
+    ref_op = _operand(refs, h)
+    q_op = ref_op if shared else _operand(queries, h)
+    # query rows [-|q|^2/2 | q | 1], built once; row n repeats row n-1 for
+    # `_strip_product`, since only the last strip can have one row
+    q_rows = np.ones((n_sets, n + 1, q_op.shape[1]))
+    q_rows[:, :n, 0] = q_op[:, -1, :n]
+    q_rows[:, :n, 1:-1] = q_op[:, 1:-1, :n].transpose(0, 2, 1)
+    q_rows[:, n] = q_rows[:, n - 1]
+    # a strip of query rows [lo, hi) runs over the references from `start`;
+    # shared, its part against the later queries hi:n is also their part
+    # against the strip, so it is added to those queries by column (*_cols)
+    ksum, k_cols, part, ones = np.empty((n_sets, n)), np.empty(n), np.empty(n), np.ones(n_refs)
+    if feats is not None:
+        # [1 | feats]: one product gives sum_r u*k and sum_r u*k*feats[r]
+        f1 = np.ones((n_refs, feats.shape[1] + 1))
+        f1[:, 1:] = feats
+        uf, uf_cols = np.empty((n_sets, n, f1.shape[1])), np.empty((n, f1.shape[1]))
+        uf_part = np.empty_like(uf_cols)
+        u_op = np.full((rows, 2), -1.0)
+    for b in range(n_sets):
+        k_cols.fill(0.0)
+        if feats is not None:
+            uf_cols.fill(0.0)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            start, cols = (lo, n - hi) if shared else (0, 0)
+            r, width, ref = hi - lo, n_refs - start, ref_op[b, :, start:]
+            k = _strip_product(q_rows[b, lo:], r, ref, work[0])
+            np.exp(k, out=k)
+            # a BLAS row sum rounds by the rows of its block; shared sums
+            # already follow the budget by column, arbitrary ones do not
+            if shared:
+                np.matmul(k, ones[:width], out=ksum[b, lo:hi])
+            else:
+                k.sum(axis=1, out=ksum[b, lo:hi])
+            if cols:
+                k_cols[hi:] += np.matmul(ones[:r], k[:, r : r + cols], out=part[:cols])
+            if feats is not None:
+                u_op[: max(r, 2), 0] = q_rows[b, lo : lo + max(r, 2), 1]
+                u = _strip_product(u_op, r, ref[:2], work[1])
+                u *= k
+                np.matmul(u, f1[start:], out=uf[b, lo:hi])
+                if not shared:  # usum as a pairwise sum too, like ksum
+                    u.sum(axis=1, out=uf[b, lo:hi, 0])
+                if cols:
+                    uf_cols[hi:] += np.matmul(u[:, r : r + cols].T, f1[lo:hi], out=uf_part[:cols])
+        ksum[b] += k_cols
+        if feats is not None:
+            uf[b] -= uf_cols
+    return (ksum,) if feats is None else (ksum, uf[..., 0], uf[..., 1:])
 
 
 def gaussian_sums_1d(refs, queries, h: float, feats=None, work=None):
@@ -102,98 +175,32 @@ def gaussian_sums_1d(refs, queries, h: float, feats=None, work=None):
     then gain a leading axis of B, and row b of the result equals the call
     on refs[b] alone bit for bit.
 
-    References and queries are divided by h once per call.  Each block of
-    exponents is the product [-q^2/2 | q | 1] @ [1 ; r ; -r^2/2], with q and
-    r so divided, which rounds each term to within about eps * max|q|^2 (a
-    subtraction first would give eps * |u| * max|q|, but costs two more
-    passes).  After whitening a solver row has |q| <= T^0.7 / 1.06 at the
-    default bandwidth, and typical ones far less.  With features, u comes
-    from the same reference operand and query rows [q | -1 | 0]: both
-    products are exact, so u is q - r rounded once.  With a count each block
-    is reduced by matrix products, whose rounding follows the budget; with
-    an array of queries a row's sums (not its feature sums) are pairwise
-    sums that do not.  `work` is a list of blocks from `kernel_scratch` to
-    reuse across calls: a call takes one, two with features, and appends
-    those the list lacks.
+    Each term rounds as the module docstring says; after whitening a solver
+    row has |q/h| <= T^0.7 / 1.06 at the default bandwidth, and typical ones
+    far less.  `work` is a list of blocks from `kernel_scratch` to reuse
+    across calls: a call takes one, two with features, and appends those
+    the list lacks.
     """
     refs = np.asarray(refs, dtype=float)
     shared = isinstance(queries, (int, np.integer))
     if refs.ndim != 1 and not (shared and refs.ndim == 2):
         raise InvalidInput("references must be one row, or a stack of rows with shared queries")
-    n_rows, n_refs = (1, refs.size) if refs.ndim == 1 else refs.shape
-    n = queries if shared else np.size(queries)
-    rows = _block_rows(n, n_refs)
-    work = [] if work is None else work
-    work += kernel_scratch(n, n_refs, (1 if feats is None else 2) - len(work))
-    # the reference operand [1 ; r ; -r^2/2]; read backwards and transposed,
-    # its columns for the queries (shared, its own first n) are the rows
-    # [-q^2/2 | q | 1] of a strip's query operand for the exponents
-    ref_op = _operand(refs.reshape(n_rows, n_refs), h)
-    q_src = ref_op if shared else _operand(np.reshape(queries, (1, n)), h)
-    k_op = np.empty((rows, 3))
-    # a strip of query rows [lo, hi) runs over the references from `start`;
-    # shared, its part against the later queries hi:n is also their part
-    # against the strip, so it is added to those queries by column (*_cols)
-    ksum, k_cols, part, ones = np.empty((n_rows, n)), np.empty(n), np.empty(n), np.ones(n_refs)
-    if feats is not None:
-        # [1 | feats]: one product gives sum_r u*k and sum_r u*k*feats[r]
-        f1 = np.ones((n_refs, feats.shape[1] + 1))
-        f1[:, 1:] = feats
-        uf, uf_cols = np.empty((n_rows, n, f1.shape[1])), np.empty((n, f1.shape[1]))
-        uf_part = np.empty_like(uf_cols)
-        # query rows [q | -1 | 0] give u = q - r
-        u_op = np.zeros((rows, 3))
-        u_op[:, 1] = -1.0
-    for b in range(n_rows):
-        k_cols.fill(0.0)
-        if feats is not None:
-            uf_cols.fill(0.0)
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            start, cols = (lo, n - hi) if shared else (0, 0)
-            r, width, ref = hi - lo, n_refs - start, ref_op[b, :, start:]
-            k_op[:r] = q_src[b, ::-1, lo:hi].T
-            k = _strip_product(k_op, r, ref, work[0])
-            np.exp(k, out=k)
-            # a BLAS row sum rounds by the rows of its block; shared sums
-            # already follow the budget by column, arbitrary ones do not
-            if shared:
-                np.matmul(k, ones[:width], out=ksum[b, lo:hi])
-            else:
-                k.sum(axis=1, out=ksum[b, lo:hi])
-            if cols:
-                k_cols[hi:] += np.matmul(ones[:r], k[:, r : r + cols], out=part[:cols])
-            if feats is not None:
-                u_op[:r, 0] = q_src[b, 1, lo:hi]
-                u = _strip_product(u_op, r, ref, work[1])
-                u *= k
-                np.matmul(u, f1[start:], out=uf[b, lo:hi])
-                if not shared:  # usum as a pairwise sum too, like ksum
-                    u.sum(axis=1, out=uf[b, lo:hi, 0])
-                if cols:
-                    uf_cols[hi:] += np.matmul(u[:, r : r + cols].T, f1[lo:hi], out=uf_part[:cols])
-        ksum[b] += k_cols
-        if feats is not None:
-            uf[b] -= uf_cols
-    sums = (ksum,) if feats is None else (ksum, uf[..., 0], uf[..., 1:])
+    stack = refs.reshape(1 if refs.ndim == 1 else len(refs), 1, refs.shape[-1])
+    sums = _kernel_sums(stack, queries if shared else np.reshape(queries, (1, 1, -1)), h, feats, work)
     if refs.ndim == 1:
         sums = tuple(s[0] for s in sums)
     return sums[0] if feats is None else sums
 
 
 def gaussian_density_nd(refs, queries, h: float):
-    """Joint Gaussian-kernel density; refs is M x N, queries M x K or a length-M vector."""
+    """Joint Gaussian-kernel density of M x N references at M x K queries."""
     refs = np.asarray(refs, dtype=float)
     if refs.ndim != 2:
         raise InvalidInput("reference block must be channels x T")
     m, n = refs.shape
     q = np.asarray(queries, dtype=float)
-    scalar = q.ndim == 1
-    if scalar:
-        q = q[:, None]
-    if q.shape[0] != m:
-        raise InvalidInput(f"query channel count {q.shape[0]} does not match references ({m})")
-    k = q.shape[1]
+    if q.ndim != 2 or q.shape[0] != m:
+        raise InvalidInput(f"queries must be {m} channels x K, got shape {q.shape}")
     h = float(h)
     if not 0.0 < h < np.inf:
         raise InvalidInput(f"bandwidth must be positive and finite, got {h!r}")
@@ -201,24 +208,4 @@ def gaussian_density_nd(refs, queries, h: float):
         norm = (2.0 * np.pi) ** (-m / 2.0) / (n * h**m)
     except (OverflowError, ZeroDivisionError):
         raise InvalidInput(f"bandwidth {h!r} puts h^{m} outside the float range") from None
-    # the exponent -|q - r|^2 / 2 of a block, q and r divided by h, is the
-    # product [-|q|^2/2 | q^T | 1] @ [1 ; r ; -|r|^2/2], as in the 1-D sum
-    ref_op = np.ones((m + 2, n))
-    np.divide(refs, h, out=ref_op[1 : m + 1])
-    np.einsum("ij,ij->j", ref_op[1 : m + 1], ref_op[1 : m + 1], out=ref_op[m + 1])
-    ref_op[m + 1] *= -0.5
-    q = q / h
-    q_half_sq = np.einsum("ij,ij->j", q, q)
-    q_half_sq *= -0.5
-    out = np.empty(k)
-    rows = _block_rows(k, n)
-    q_op, block = np.ones((rows, m + 2)), _aligned_empty(rows * n)
-    for lo in range(0, k, rows):
-        hi = min(lo + rows, k)
-        q_op[: hi - lo, 0] = q_half_sq[lo:hi]
-        q_op[: hi - lo, 1 : m + 1] = q[:, lo:hi].T
-        e = _strip_product(q_op, hi - lo, ref_op, block)
-        np.exp(e, out=e)
-        e.sum(axis=1, out=out[lo:hi])
-    out *= norm
-    return float(out[0]) if scalar else out
+    return _kernel_sums(refs[None], q[None], h)[0][0] * norm

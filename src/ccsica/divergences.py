@@ -145,28 +145,26 @@ def convex_f_prime(t, alpha: float):
 # divergence evaluators
 
 
+def log_ratio(v_joint, v_marg, v_cross):
+    """log v_joint + log v_marg - 2 log v_cross, the Cauchy-Schwarz log ratio,
+    elementwise; DegenerateDivergence unless every sum is positive."""
+    if np.any(v_joint <= 0.0) or np.any(v_marg <= 0.0) or np.any(v_cross <= 0.0):
+        raise DegenerateDivergence("a sum of the log ratio vanished, the ratio is undefined")
+    return np.log(v_joint) + np.log(v_marg) - 2.0 * np.log(v_cross)
+
+
 def ccs_div(d: DiscreteBivariate, alpha: float) -> float:
     """Convex Cauchy-Schwarz divergence of the table against independence."""
     j, p = _cells(d)
     fj = convex_f(j, alpha)
     fp = convex_f(p, alpha)
-    vjj = float(fj @ fj)
-    vmm = float(fp @ fp)
-    vcc = float(fj @ fp)
-    if vjj <= 0.0 or vmm <= 0.0 or vcc <= 0.0:
-        raise DegenerateDivergence("convex-function values vanished on every cell")
-    return float(np.log(vjj) + np.log(vmm) - 2.0 * np.log(vcc))
+    return float(log_ratio(float(fj @ fj), float(fp @ fp), float(fj @ fp)))
 
 
 def cs_div(d: DiscreteBivariate) -> float:
     """Cauchy-Schwarz divergence on the raw cells (no convex reshaping)."""
     j, p = _cells(d)
-    vj = float(j @ j)
-    vm = float(p @ p)
-    vc = float(j @ p)
-    if vj <= 0.0 or vm <= 0.0 or vc <= 0.0:
-        raise DegenerateDivergence("cells vanished, Cauchy-Schwarz ratio undefined")
-    return float(np.log(vj) + np.log(vm) - 2.0 * np.log(vc))
+    return float(log_ratio(float(j @ j), float(p @ p), float(j @ p)))
 
 
 def kl_div(d: DiscreteBivariate) -> float:

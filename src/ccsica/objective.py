@@ -43,8 +43,8 @@ import numpy as np
 from . import density
 from .density import (_SQRT_2PI, default_bandwidth, gaussian_density_nd, gaussian_sums_1d,
                       kernel_scratch)
-from .divergences import EPS_FLOOR, convex_f, convex_f_prime
-from .errors import DegenerateDivergence, InvalidInput, NonFinite, SingularDemixer
+from .divergences import EPS_FLOOR, convex_f, convex_f_prime, log_ratio
+from .errors import InvalidInput, NonFinite, SingularDemixer
 from .preprocess import validate_signal
 
 DET_FLOOR = 1e-12
@@ -170,9 +170,7 @@ class CcsObjective:
         v_joint = _row_dots(fj, fj)
         v_marg = _row_dots(fm, fm)
         v_cross = _row_dots(fj, fm)
-        if np.any(v_joint <= 0.0) or np.any(v_marg <= 0.0) or np.any(v_cross <= 0.0):
-            raise DegenerateDivergence("contrast sums vanished, log ratio undefined")
-        values = np.log(v_joint) + np.log(v_marg) - 2.0 * np.log(v_cross)
+        values = log_ratio(v_joint, v_marg, v_cross)
         if not np.all(np.isfinite(values)):
             raise NonFinite("contrast value is non-finite")
         if not need_grad:

@@ -35,15 +35,20 @@ def draw_source(kind: str, n: int, rng: np.random.Generator,
         raise InvalidInput(f"unknown source kind {kind!r}, expected one of {SOURCE_KINDS}")
     if int(n) < 2:
         raise InvalidInput("need at least 2 samples")
-    if not (tau1 > 0.0 and tau2 > 0.0):
-        raise InvalidInput("scale parameters must be positive")
+    # the uniform kind draws on a width of 2 tau1, which must stay a float too
+    if not (0.0 < 2.0 * tau1 < np.inf and 0.0 < tau2 < np.inf):
+        raise InvalidInput(f"scale parameters must be positive and finite, got tau1={tau1!r}, tau2={tau2!r}")
     if kind == "uniform":
-        return rng.uniform(-tau1, tau1, n)
-    if kind == "rayleigh":
-        return rng.rayleigh(1.0, n)
-    if kind == "laplacian":
-        return rng.laplace(0.0, tau2, n)
-    return rng.lognormal(0.0, 1.0, n)
+        x = rng.uniform(-tau1, tau1, n)
+    elif kind == "rayleigh":
+        x = rng.rayleigh(1.0, n)
+    elif kind == "laplacian":
+        x = rng.laplace(0.0, tau2, n)
+    else:
+        x = rng.lognormal(0.0, 1.0, n)
+    if not np.all(np.isfinite(x)):
+        raise InvalidInput(f"{kind} draws at tau1={tau1!r}, tau2={tau2!r} leave the float range")
+    return x
 
 
 def source_bank(kinds, t_count: int, seed: int = 0, tau1: float = 3.0, tau2: float = 1.0) -> np.ndarray:
@@ -82,8 +87,8 @@ class MixingModel:
             raise InvalidInput("mixing matrix contains non-finite entries")
         if abs(np.linalg.det(a)) <= 0.0:
             raise InvalidInput("mixing matrix is rank deficient")
-        if self.noise_sigma < 0.0:
-            raise InvalidInput("noise sigma must be nonnegative")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise InvalidInput(f"noise sigma must be nonnegative and finite, got {self.noise_sigma!r}")
         object.__setattr__(self, "matrix", a)
 
 
@@ -105,4 +110,10 @@ def noise_sigma_for_snr(clean, snr_db: float) -> float:
     power = float(np.mean(clean**2))
     if power <= 0.0:
         raise InvalidInput("clean signal has zero power")
-    return float(np.sqrt(power * 10.0 ** (-float(snr_db) / 10.0)))
+    snr_db = float(snr_db)
+    if not np.isfinite(snr_db):
+        raise InvalidInput(f"SNR must be finite, got {snr_db!r} dB")
+    try:
+        return float(np.sqrt(power * 10.0 ** (-snr_db / 10.0)))
+    except OverflowError:
+        raise InvalidInput(f"SNR {snr_db!r} dB puts the noise scale outside the float range") from None

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import ccsica
 from ccsica import bench
 from ccsica.sources import source_bank
 
@@ -27,3 +33,11 @@ def test_three_source_stride_follows_source_length(monkeypatch):
     _, rows = bench.run_bench("fig6", scale=0.1, wav_sources=wav)
     assert strides == [(2000, 10), (800, 4)]
     assert len(rows) == 3 and all(np.isfinite(r[2]) for r in rows)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the pool, and multiprocessing with it, loads only for a run with jobs > 1
+    env = dict(os.environ, PYTHONPATH=str(Path(ccsica.__file__).parents[1]))
+    code = "import sys, ccsica; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -125,6 +125,27 @@ class TestExitCodes:
         assert main(["separate", "--input", str(mixture), "--algorithm", "gd", "--gamma", "inf",
                      "--ts", "4", "--out", str(tmp_path / "sep")]) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--tau1", "inf"), ("--tau1", "1e308"),
+                                             ("--tau2", "inf"), ("--tau2", "1e308")])
+    def test_scale_beyond_float_range_exits_two(self, tmp_path, flag, value):
+        # 2 tau1 is the uniform draw's width; tau2 1e308 draws inf samples
+        out = tmp_path / "gen"
+        assert main(["gen", "--kinds", "uniform,laplacian", flag, value, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("snr", ["-inf", "nan"])
+    def test_non_finite_snr_exits_two(self, tmp_path, snr):
+        sources, _, _ = _gen_and_mix(tmp_path, t=50)
+        assert main(["mix", "--inputs", ",".join(sources), f"--snr-db={snr}",
+                     "--out", str(tmp_path / "noisy")]) == 2
+        assert main(["bench", "fig7", "--scale", "0.1", f"--snr-db={snr}",
+                     "--out", str(tmp_path / "bench")]) == 2
+
+    @pytest.mark.parametrize("frac", ["0", "nan", "-0.5", "1.5"])
+    def test_eval_fraction_outside_unit_interval_exits_two(self, tmp_path, frac):
+        assert main(["bench", "t5", "--scale", "0.1", f"--eval-fracs={frac}",
+                     "--out", str(tmp_path)]) == 2
+
     def test_missing_files_exit_four(self, tmp_path):
         missing = str(tmp_path / "nope.csv")
         assert main(["separate", "--input", missing, "--out", str(tmp_path)]) == 4

@@ -319,13 +319,23 @@ class TestMultivariate:
         monkeypatch.setattr(density, "_CHUNK", chunk)
         assert np.array_equal(gaussian_density_nd(refs, queries, 0.6), whole)
 
-    def test_vector_query_is_scalar(self, rng):
-        v = gaussian_density_nd(rng.normal(size=(2, 20)), np.zeros(2), 0.5)
-        assert isinstance(v, float) and v > 0.0
+    @pytest.mark.parametrize("chunk", [1 << 16, 5, 150])
+    def test_one_channel_is_the_1d_sum(self, rng, monkeypatch, chunk):
+        # both sums run the same strip loop; 5 gives one-row strips, 150
+        # three-row strips and a ragged last strip of two
+        refs = rng.normal(size=50)
+        queries = rng.normal(size=23)
+        h = 0.4
+        monkeypatch.setattr(density, "_CHUNK", chunk)
+        joint = gaussian_density_nd(refs[None], queries[None], h)
+        norm = (2.0 * np.pi) ** -0.5 / (refs.size * h)
+        assert np.array_equal(joint, gaussian_sums_1d(refs, queries, h) * norm)
 
     def test_channel_mismatch_rejected(self, rng):
         with pytest.raises(InvalidInput):
             gaussian_density_nd(rng.normal(size=(2, 20)), np.zeros((3, 4)), 0.5)
+        with pytest.raises(InvalidInput):
+            gaussian_density_nd(rng.normal(size=(2, 20)), np.zeros(2), 0.5)
 
     def test_grad_worker_sign(self):
         # density falls to the right of a lone mass point, rises to the left

@@ -140,6 +140,16 @@ class TestMixing:
         with pytest.raises(InvalidInput):
             noise_sigma_for_snr(np.zeros((2, 10)), 20.0)
 
+    @pytest.mark.parametrize("snr_db", [-np.inf, np.nan, -4000.0])
+    def test_snr_without_float_noise_scale_rejected(self, snr_db):
+        with pytest.raises(InvalidInput):
+            noise_sigma_for_snr(np.ones((2, 10)), snr_db)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])
+    def test_noise_sigma_must_be_finite_and_nonnegative(self, sigma):
+        with pytest.raises(InvalidInput):
+            MixingModel(np.eye(2), noise_sigma=sigma)
+
 
 class TestAmariIndex:
     def test_exact_inverse_is_zero(self, rng):
