@@ -5,9 +5,9 @@ from .errors import (CcsIcaError, DegenerateDivergence, InvalidInput, IoFailure,
 from .preprocess import (WhiteningTransform, center_and_whiten, remove_mean,
                          validate_signal, whiten)
 from .divergences import (DIVERGENCE_IDS, DiscreteBivariate, alpha_div, beta_div,
-                          c_div, ccs_angle, ccs_div, convex_f, convex_f_prime,
-                          cs_angle, cs_div, divergence_slice, divergence_surface,
-                          e_div, f_div, js_div, kl_div, make_divergence)
+                          c_div, ccs_div, convex_f, convex_f_prime, cs_div,
+                          divergence_slice, divergence_surface, e_div, js_div,
+                          kl_div, make_divergence)
 from .density import default_bandwidth
 from .objective import CcsObjective
 from .optimizers import (ALGORITHMS, GdConfig, JacobiConfig, SeparationResult,
@@ -27,8 +27,8 @@ __all__ = [
     "NonFinite", "RankDeficient", "SingularDemixer",
     "WhiteningTransform", "center_and_whiten", "remove_mean", "validate_signal", "whiten",
     "DIVERGENCE_IDS", "DiscreteBivariate", "alpha_div", "beta_div", "c_div",
-    "ccs_angle", "ccs_div", "convex_f", "convex_f_prime", "cs_angle", "cs_div",
-    "divergence_slice", "divergence_surface", "e_div", "f_div", "js_div",
+    "ccs_div", "convex_f", "convex_f_prime", "cs_div",
+    "divergence_slice", "divergence_surface", "e_div", "js_div",
     "kl_div", "make_divergence",
     "default_bandwidth",
     "CcsObjective",

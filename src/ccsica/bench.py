@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .metrics import amari_index, sir_db
-from .optimizers import GdConfig, JacobiConfig, ica_gradient_descent, separate
+from .optimizers import GdConfig, JacobiConfig, separate
 from .sources import MixingModel, mix, noise_sigma_for_snr, random_mixing_matrix, rng_for, draw_source
 
 TABLE_IDS = ("t1", "t4", "t5", "fig4", "fig5", "fig6", "fig7")
@@ -48,28 +48,27 @@ _T4_DIMS = (2, 4, 8, 16, 20)
 _T4_SAMPLES = (1000, 2000, 4000, 8000)
 _T4_BASE_TRIALS = {2: 100, 4: 50, 8: 20, 16: 10, 20: 5}
 _T5_FRACS = (0.1, 0.01, 0.001, 1.0)
+# (alpha, step size) of the two fig4/fig5 descents
+_FIG4_BRANCHES = ((-0.99999, 0.3), (1.0, 0.7))
 # cycled to fill an m-row bank; the m=2 prefix is the canonical sub+super pair
 _KIND_CYCLE = ("uniform", "laplacian", "rayleigh", "lognormal")
 
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One separation trial: error metrics plus bookkeeping."""
+    """One separation trial: error metrics, the solver's trace, and bookkeeping;
+    baseline_sir_db is the whitening-only SIR, set when the task asks for it."""
 
-    trial_index: int
-    seed: int
     amari_times_100: float
     sir_db: tuple
     iterations: int
     runtime_seconds: float
+    trace: np.ndarray
+    baseline_sir_db: tuple | None = None
 
 
 def _scaled_trials(base: int, scale: float) -> int:
     return max(1, round(base * scale))
-
-
-def _stride_for_eval(t_count: int, eval_frac: float) -> int:
-    return max(1, round(1.0 / eval_frac))
 
 
 def _sources_for(kinds, t_count, rng) -> np.ndarray:
@@ -78,22 +77,14 @@ def _sources_for(kinds, t_count, rng) -> np.ndarray:
     return s - s.mean(axis=1, keepdims=True)
 
 
-def _solve(x, algorithm, alpha, stride, max_iter, step_size, epsilon):
-    gd_cfg = GdConfig(step_size=step_size, max_iter=max_iter, alpha=alpha,
-                      stride=stride, epsilon=epsilon)
-    jac_cfg = JacobiConfig(alpha=alpha, stride=stride)
-    return separate(x, algorithm, gd_cfg=gd_cfg, jacobi_cfg=jac_cfg)
-
-
 def _run_table_trial(task: dict) -> ExperimentRecord:
-    """Worker for the t1/t4/t5/fig6/fig7 style trials (picklable).
+    """Worker for every table's trials (picklable).
 
     Source rows are drawn from task["kinds"], or, when task["sources"] holds
     an array, are those rows centred; the trial generator then draws only
     what the task leaves open (mixing matrix, noise seed).
     """
-    seed = task["seed"]
-    rng = rng_for(seed, *task["key"])
+    rng = rng_for(task["seed"], *task["key"])
     if task.get("sources") is not None:
         sources = task["sources"] - task["sources"].mean(axis=1, keepdims=True)
     else:
@@ -106,24 +97,22 @@ def _run_table_trial(task: dict) -> ExperimentRecord:
     if task.get("snr_db") is not None:
         sigma = noise_sigma_for_snr(a @ sources, task["snr_db"])
     x = mix(sources, MixingModel(a, noise_sigma=sigma), seed=int(rng.integers(1 << 31)))
-    start = time.perf_counter()
     # gd-family table trials converge each subproblem tightly; jacobi ignores these
-    res = _solve(x, task["algorithm"], task["alpha"], task["stride"],
-                 task.get("max_iter", 400), task.get("step_size", 0.3),
-                 task.get("epsilon", 1e-5))
+    gd_cfg = GdConfig(step_size=task.get("step_size", 0.3), max_iter=task.get("max_iter", 400),
+                      alpha=task["alpha"], stride=task["stride"], epsilon=task.get("epsilon", 1e-5))
+    jacobi_cfg = JacobiConfig(alpha=task["alpha"], stride=task["stride"])
+    start = time.perf_counter()
+    res = separate(x, task["algorithm"], gd_cfg=gd_cfg, jacobi_cfg=jacobi_cfg)
     runtime = time.perf_counter() - start
-    record = ExperimentRecord(
-        trial_index=task["trial"],
-        seed=seed,
+    baseline = tuple(sir_db(res.whitening.apply(x), sources)) if task.get("baseline") else None
+    return ExperimentRecord(
         amari_times_100=100.0 * amari_index(res.demixer, a),
         sir_db=tuple(sir_db(res.estimate(x), sources)),
         iterations=res.n_iter,
         runtime_seconds=runtime,
+        trace=res.trace,
+        baseline_sir_db=baseline,
     )
-    if task.get("baseline"):
-        base = sir_db(res.whitening.apply(x), sources)
-        return record, tuple(base)
-    return record
 
 
 def _execute(tasks: list[dict], jobs: int):
@@ -136,7 +125,11 @@ def _execute(tasks: list[dict], jobs: int):
         return list(pool.map(_run_table_trial, tasks))
 
 
-def _aggregate(records: list[ExperimentRecord]):
+def _grid_cell(seed, key, trials, jobs, **task):
+    """Median and mean Amari error x100, and mean runtime, over the trials of
+    one t1/t4/t5 cell; trial k runs under key + (k,) at alpha -0.99999."""
+    tasks = [dict(task, seed=seed, key=key + (k,), alpha=-0.99999) for k in range(trials)]
+    records = _execute(tasks, jobs)
     err = np.array([r.amari_times_100 for r in records])
     rt = np.array([r.runtime_seconds for r in records])
     return float(np.median(err)), float(np.mean(err)), float(np.mean(rt))
@@ -148,13 +141,9 @@ def bench_t1(scale=1.0, seed=0, jobs=1, algorithm="jacobi", t_count=1000):
     trials = _scaled_trials(100, scale)
     stride = max(1, t_count // 100)
     for ci, pair in enumerate(_T1_PAIRS):
-        tasks = [
-            dict(seed=seed, key=(1, ci, k), trial=k, kinds=pair, t=t_count,
-                 algorithm=algorithm, alpha=-0.99999, stride=stride)
-            for k in range(trials)
-        ]
-        med, mean, rt = _aggregate(_execute(tasks, jobs))
-        rows.append(["+".join(pair), trials, med, mean, rt])
+        stats = _grid_cell(seed, (1, ci), trials, jobs, kinds=pair, t=t_count,
+                           algorithm=algorithm, stride=stride)
+        rows.append(["+".join(pair), trials, *stats])
     return header, rows
 
 
@@ -169,14 +158,9 @@ def bench_t4(scale=1.0, seed=0, jobs=1, algorithm="jacobi", dims=None, samples=N
         trials = _scaled_trials(_T4_BASE_TRIALS[m], scale)
         kinds = tuple(_KIND_CYCLE[i % 4] for i in range(m))
         for t_count in t_list:
-            stride = max(1, t_count // 100)
-            tasks = [
-                dict(seed=seed, key=(4, m, t_count, k), trial=k, kinds=kinds, t=t_count,
-                     algorithm=algorithm, alpha=-0.99999, stride=stride)
-                for k in range(trials)
-            ]
-            med, mean, rt = _aggregate(_execute(tasks, jobs))
-            rows.append([m, t_count, trials, med, mean, rt])
+            stats = _grid_cell(seed, (4, m, t_count), trials, jobs, kinds=kinds, t=t_count,
+                               algorithm=algorithm, stride=max(1, t_count // 100))
+            rows.append([m, t_count, trials, *stats])
     return header, rows
 
 
@@ -194,49 +178,42 @@ def bench_t5(scale=1.0, seed=0, jobs=1, algorithm="jacobi", dims=None, samples=N
         kinds = tuple(_KIND_CYCLE[i % 4] for i in range(m))
         for t_count in t_list:
             for frac in fracs:
-                stride = _stride_for_eval(t_count, frac)
+                stride = max(1, round(1.0 / frac))
                 eval_points = int(np.ceil(t_count / stride))
                 if eval_points < 2:
                     continue
                 # data key omits the frac so every column sees the same mixtures
-                tasks = [
-                    dict(seed=seed, key=(5, m, t_count, k), trial=k, kinds=kinds, t=t_count,
-                         algorithm=algorithm, alpha=-0.99999, stride=stride)
-                    for k in range(trials)
-                ]
-                med, mean, rt = _aggregate(_execute(tasks, jobs))
-                rows.append([m, t_count, frac, eval_points, trials, med, mean, rt])
+                stats = _grid_cell(seed, (5, m, t_count), trials, jobs, kinds=kinds, t=t_count,
+                                   algorithm=algorithm, stride=stride)
+                rows.append([m, t_count, frac, eval_points, trials, *stats])
     return header, rows
 
 
-def _fig4_run(seed, alpha, step_size, max_iter=250, t_count=1000):
-    rng = rng_for(seed, 44)
-    sources = _sources_for(("uniform", "laplacian"), t_count, rng)
-    x = mix(sources, MixingModel(DEMO_MATRIX_2), seed=seed)
-    # fixed-iteration protocol: the change-based stop is disabled here
-    start = time.perf_counter()
-    cfg = GdConfig(step_size=step_size, max_iter=max_iter, alpha=alpha, epsilon=0.0)
-    res = ica_gradient_descent(x, cfg)
-    runtime = time.perf_counter() - start
-    return res, sir_db(res.estimate(x), sources), runtime
+def _fig4_records(seed, jobs, max_iter=250) -> list[ExperimentRecord]:
+    """The two-source demo's fixed-iteration descents, one per _FIG4_BRANCHES entry."""
+    tasks = [
+        dict(seed=seed, key=(44,), kinds=("uniform", "laplacian"), t=1000,
+             matrix=DEMO_MATRIX_2, algorithm="gd", alpha=alpha, step_size=gamma, stride=1,
+             max_iter=max_iter, epsilon=0.0)
+        for alpha, gamma in _FIG4_BRANCHES
+    ]
+    return _execute(tasks, jobs)
 
 
 def bench_fig4(scale=1.0, seed=0, jobs=1, max_iter=250):
     header = ["alpha", "source", "sir_db", "iterations", "runtime_s"]
     rows = []
-    for alpha, gamma in ((-0.99999, 0.3), (1.0, 0.7)):
-        res, sirs, runtime = _fig4_run(seed, alpha, gamma, max_iter=max_iter)
-        for k, s in enumerate(sirs):
-            rows.append([alpha, k, float(s), res.n_iter, runtime])
+    for (alpha, _), rec in zip(_FIG4_BRANCHES, _fig4_records(seed, jobs, max_iter)):
+        for k, s in enumerate(rec.sir_db):
+            rows.append([alpha, k, float(s), rec.iterations, rec.runtime_seconds])
     return header, rows
 
 
 def bench_fig5(scale=1.0, seed=0, jobs=1, max_iter=250):
     header = ["alpha", "iteration", "contrast"]
     rows = []
-    for alpha, gamma in ((-0.99999, 0.3), (1.0, 0.7)):
-        res, _, _ = _fig4_run(seed, alpha, gamma, max_iter=max_iter)
-        for k, v in enumerate(res.trace):
+    for (alpha, _), rec in zip(_FIG4_BRANCHES, _fig4_records(seed, jobs, max_iter)):
+        for k, v in enumerate(rec.trace):
             rows.append([alpha, k, float(v)])
     return header, rows
 
@@ -250,14 +227,14 @@ def _bench_three_source(table_key, scale, seed, jobs, algorithm, snr_db, wav_sou
         wav_sources = np.asarray(wav_sources, dtype=float)
         t_count = wav_sources.shape[1]
     tasks = [
-        dict(seed=seed, key=(table_key, k), trial=k, kinds=("uniform", "rayleigh", "laplacian"),
+        dict(seed=seed, key=(table_key, k), kinds=("uniform", "rayleigh", "laplacian"),
              t=t_count, sources=wav_sources, algorithm=algorithm, alpha=-0.99999,
              stride=max(1, t_count // 200), matrix=a.tolist(), snr_db=snr_db, baseline=True)
         for k in range(trials)
     ]
     rows = []
-    for k, (record, baseline) in enumerate(_execute(tasks, jobs)):
-        for src, (s_val, b_val) in enumerate(zip(record.sir_db, baseline)):
+    for k, record in enumerate(_execute(tasks, jobs)):
+        for src, (s_val, b_val) in enumerate(zip(record.sir_db, record.baseline_sir_db)):
             rows.append([k, src, float(s_val), float(b_val), record.amari_times_100])
     return header, rows
 

@@ -3,7 +3,7 @@
 The star of the module is ccs_div: a Cauchy-Schwarz style log ratio computed
 after pushing both distributions through a curvature-controlled convex
 function.  The remaining measures (KL, Euclidean, plain Cauchy-Schwarz,
-alpha, f, Jensen-Shannon, convex-Jensen, beta) are the classical comparators
+alpha, Jensen-Shannon, convex-Jensen, beta) are the classical comparators
 used in the surface studies.
 
 One numeric convention is shared everywhere: any probability that enters a
@@ -194,16 +194,6 @@ def alpha_div(d: DiscreteBivariate, alpha: float) -> float:
     return float(4.0 / (1.0 - a * a) * np.sum(inner))
 
 
-def f_div(d: DiscreteBivariate, f) -> float:
-    """Csiszar-style divergence sum(joint * f(product / joint)) for convex f.
-
-    With f = convex_f at curvature alpha this reduces exactly to alpha_div.
-    """
-    j, p = _cells(d)
-    ratio = _floor(p) / _floor(j)
-    return float(np.sum(j * np.asarray(f(ratio), dtype=float)))
-
-
 def _entropy(v) -> float:
     return float(-np.sum(v * np.log(_floor(v))))
 
@@ -248,30 +238,6 @@ def beta_div(d: DiscreteBivariate, beta: float) -> float:
     jc, pc = _floor(j), _floor(p)
     inner = jc ** (b + 1.0) + b * pc ** (b + 1.0) - (b + 1.0) * jc * pc**b
     return float(np.sum(inner) / (b * (b + 1.0)))
-
-
-# ---------------------------------------------------------------------------
-# information angles
-
-
-def cs_angle(d: DiscreteBivariate) -> float:
-    """Angle in [0, pi/2] between the joint and marginal-product cell vectors."""
-    j, p = _cells(d)
-    den = float(np.sqrt((j @ j) * (p @ p)))
-    if den <= 0.0:
-        raise DegenerateDivergence("zero-norm cell vector, angle undefined")
-    return float(np.arccos(np.clip(float(j @ p) / den, -1.0, 1.0)))
-
-
-def ccs_angle(d: DiscreteBivariate, alpha: float) -> float:
-    """Same angle after pushing both cell vectors through convex_f."""
-    j, p = _cells(d)
-    fj = convex_f(j, alpha)
-    fp = convex_f(p, alpha)
-    den = float(np.sqrt((fj @ fj) * (fp @ fp)))
-    if den <= 0.0:
-        raise DegenerateDivergence("convex-function values vanished, angle undefined")
-    return float(np.arccos(np.clip(float(fj @ fp) / den, -1.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------

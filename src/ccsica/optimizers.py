@@ -190,11 +190,14 @@ def ica_pairwise_gd(x, cfg: GdConfig | None = None, sweeps: int = 3) -> Separati
 
 
 def _angle_grid(step: float) -> np.ndarray:
-    """Multiples of step in [-pi/4, pi/4], to within the rotation guard's 1e-12."""
+    """Multiples of step in [-pi/4, pi/4], to within the rotation guard's 1e-12,
+    less +pi/4 when step divides pi/4: that rotation is -pi/4 with its rows
+    swapped and one negated, and _best_angle resolves their tie to -pi/4."""
     half = int((QUARTER_PI + 1e-12) // step)
     if half < 1:
         raise InvalidInput("angle_step leaves no usable grid")
-    return np.arange(-half, half + 1) * step
+    full_period = abs(half * step - QUARTER_PI) <= 1e-12
+    return np.arange(-half, half if full_period else half + 1) * step
 
 
 def _best_angle(values: np.ndarray, thetas: np.ndarray) -> int:
@@ -223,7 +226,7 @@ def ica_pairwise_jacobi(x, cfg: JacobiConfig | None = None) -> SeparationResult:
     repeat until the end), or once max_sweeps is hit.
 
     A pair whose plane has not moved is settled without a visit: when the
-    grid spans exactly one period, [-pi/4, pi/4], and no other pair has
+    grid spans exactly one period, [-pi/4, pi/4), and no other pair has
     rotated row i or row j since pair (i, j) last applied a nonzero angle,
     cm[i, j] is set to 0 and no objective is built.  That visit would pick
     angle 0 in exact arithmetic: the contrast of a pair is pi/2-periodic in
@@ -239,7 +242,7 @@ def ica_pairwise_jacobi(x, cfg: JacobiConfig | None = None) -> SeparationResult:
     m = z.shape[0]
     thetas = _angle_grid(cfg.angle_step)
     rotations = np.array([rotation(th) for th in thetas])
-    full_period = abs(thetas[-1] - QUARTER_PI) <= 1e-12
+    full_period = abs(thetas[0] + QUARTER_PI) <= 1e-12
     w_algo = np.eye(m)
     demixed = z.copy()
     cm = np.full((m, m), 90.0)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from ccsica.bench import _fig4_run, bench_fig7, bench_t1, bench_t4, bench_t5
+from ccsica.bench import _fig4_records, bench_fig7, bench_t1, bench_t4, bench_t5
 from ccsica.divergences import (
     DiscreteBivariate,
     ccs_div,
@@ -43,10 +43,7 @@ def _random_table(g: np.random.Generator) -> DiscreteBivariate:
 @pytest.fixture(scope="module")
 def fig4_runs():
     # both learning-curve branches, shared by the SIR and trace criteria
-    return {
-        "alpha_neg": _fig4_run(0, -0.99999, 0.3),
-        "alpha_pos": _fig4_run(0, 1.0, 0.7),
-    }
+    return dict(zip(("alpha_neg", "alpha_pos"), _fig4_records(0, jobs=1)))
 
 
 def test_c1_gradient_matches_finite_differences():
@@ -121,9 +118,10 @@ def test_c4_two_source_table():
 def test_c5_parametric_gd_sir(fig4_runs):
     details = []
     ok = True
-    for label, (res, sirs, _) in fig4_runs.items():
-        ok = ok and bool(np.all(sirs >= 20.0))
-        details.append(f"{label}: {sirs[0]:.1f}/{sirs[1]:.1f} dB in {res.n_iter} iters")
+    for label, rec in fig4_runs.items():
+        sirs = rec.sir_db
+        ok = ok and bool(np.all(np.asarray(sirs) >= 20.0))
+        details.append(f"{label}: {sirs[0]:.1f}/{sirs[1]:.1f} dB in {rec.iterations} iters")
     _report("C5", "gd-sir", ok, "; ".join(details))
 
 
@@ -171,8 +169,8 @@ def test_c8_noisy_three_source():
 def test_c9_learning_curve(fig4_runs):
     ok = True
     details = []
-    for label, (res, _, _) in fig4_runs.items():
-        trace = np.asarray(res.trace)
+    for label, rec in fig4_runs.items():
+        trace = np.asarray(rec.trace)
         finite = bool(np.all(np.isfinite(trace)))
         ok = ok and finite and trace[-1] < trace[0]
         details.append(f"{label}: {trace[0]:.4f} -> {trace[-1]:.5f}, len {len(trace)}")

@@ -219,8 +219,15 @@ class TestJacobi:
         x = DEMO_MATRIX_2 @ _pair(400, 3)
         ica_pairwise_jacobi(x, JacobiConfig(stride=4, max_sweeps=1))
         assert len(stacks) == 1
-        grid = np.arange(-16, 17) * (np.pi / 64.0)
+        grid = np.arange(-16, 16) * (np.pi / 64.0)
         assert np.array_equal(stacks[0], np.array([rotation(th) for th in grid]))
+
+    def test_angle_grid_drops_plus_quarter_pi_on_a_full_period(self):
+        # a step dividing pi/4 gives one period, [-pi/4, pi/4): +pi/4 repeats -pi/4
+        grid = _angle_grid(np.pi / 64.0)
+        assert len(grid) == 32 and grid[0] == -np.pi / 4 and grid[-1] < np.pi / 4
+        # any other step keeps both ends of its grid
+        assert np.allclose(_angle_grid(0.1)[[0, -1]], [-0.7, 0.7], rtol=0, atol=1e-15)
 
     @staticmethod
     def _record_picks(monkeypatch, step=np.pi / 64.0):
@@ -252,7 +259,7 @@ class TestJacobi:
         # rows rotated by the last pick picks angle 0
         x = random_mixing_matrix(2, rng_for(seed, 1)) @ source_bank(kinds, 1000, seed)
         z, _ = center_and_whiten(x)
-        thetas = np.arange(-16, 17) * (np.pi / 64.0)
+        thetas = _angle_grid(np.pi / 64.0)
         rotations = np.array([rotation(th) for th in thetas])
         k = _best_angle(CcsObjective(z, -0.99999, stride=10).value(rotations), thetas)
         assert thetas[k] != 0.0
