@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .metrics import amari_index, sir_db
+from .objective import whole_number
 from .optimizers import GdConfig, JacobiConfig, separate
 from .sources import MixingModel, mix, noise_sigma_for_snr, random_mixing_matrix, rng_for, draw_source
 
@@ -168,6 +169,8 @@ def bench_t5(scale=1.0, seed=0, jobs=1, algorithm="jacobi", dims=None, samples=N
     header = ["m", "t", "eval_frac", "eval_points", "trials",
               "median_amari_x100", "mean_amari_x100", "mean_runtime_s"]
     dim_list = dims or [m for m in (2, 4) if m <= max(2, int(np.ceil(4 * scale)))]
+    if min(dim_list) < 2:
+        raise InvalidInput(f"t5 dimensions must be at least 2, got {list(dim_list)}")
     t_list = samples or [t for t in _T4_SAMPLES if t <= max(1000, int(np.ceil(8000 * scale)))]
     fracs = eval_fracs or _T5_FRACS
     if not all(0.0 < frac <= 1.0 for frac in fracs):
@@ -190,7 +193,9 @@ def bench_t5(scale=1.0, seed=0, jobs=1, algorithm="jacobi", dims=None, samples=N
 
 
 def _fig4_records(seed, jobs, max_iter=250) -> list[ExperimentRecord]:
-    """The two-source demo's fixed-iteration descents, one per _FIG4_BRANCHES entry."""
+    """The two-source demo's descents, one per _FIG4_BRANCHES entry: epsilon 0
+    runs each to max_iter unless a step leaves the contrast bit-equal to the
+    step before, which stops it early (at 247 for alpha -0.99999, seed 0)."""
     tasks = [
         dict(seed=seed, key=(44,), kinds=("uniform", "laplacian"), t=1000,
              matrix=DEMO_MATRIX_2, algorithm="gd", alpha=alpha, step_size=gamma, stride=1,
@@ -239,15 +244,6 @@ def _bench_three_source(table_key, scale, seed, jobs, algorithm, snr_db, wav_sou
     return header, rows
 
 
-def bench_fig6(scale=1.0, seed=0, jobs=1, algorithm="jacobi", wav_sources=None, matrix=None):
-    return _bench_three_source(6, scale, seed, jobs, algorithm, None, wav_sources, matrix=matrix)
-
-
-def bench_fig7(scale=1.0, seed=0, jobs=1, algorithm="jacobi", snr_db=20.0, wav_sources=None,
-               matrix=None):
-    return _bench_three_source(7, scale, seed, jobs, algorithm, snr_db, wav_sources, matrix=matrix)
-
-
 def run_bench(table: str, scale: float = 1.0, seed: int = 0, jobs: int = 1,
               algorithm: str | None = None, wav_sources=None,
               dims=None, samples=None, eval_fracs=None, snr_db: float | None = None,
@@ -256,6 +252,7 @@ def run_bench(table: str, scale: float = 1.0, seed: int = 0, jobs: int = 1,
     key = str(table).strip().lower()
     if not 0.0 < scale <= 1.0:
         raise InvalidInput("scale must lie in (0, 1]")
+    jobs = whole_number(jobs, "jobs")
     if key == "t1":
         return bench_t1(scale, seed, jobs, algorithm or "jacobi")
     if key == "t4":
@@ -268,10 +265,9 @@ def run_bench(table: str, scale: float = 1.0, seed: int = 0, jobs: int = 1,
     if key == "fig5":
         return bench_fig5(scale, seed, jobs)
     if key == "fig6":
-        return bench_fig6(scale, seed, jobs, algorithm or "jacobi", wav_sources=wav_sources,
-                          matrix=matrix)
+        return _bench_three_source(6, scale, seed, jobs, algorithm or "jacobi", None, wav_sources,
+                                   matrix=matrix)
     if key == "fig7":
-        return bench_fig7(scale, seed, jobs, algorithm or "jacobi",
-                          snr_db=20.0 if snr_db is None else snr_db, wav_sources=wav_sources,
-                          matrix=matrix)
+        return _bench_three_source(7, scale, seed, jobs, algorithm or "jacobi",
+                                   20.0 if snr_db is None else snr_db, wav_sources, matrix=matrix)
     raise InvalidInput(f"unknown bench table {table!r}, expected one of {TABLE_IDS}")

@@ -3,10 +3,10 @@
 ica_gradient_descent updates the full demixing matrix by explicit gradient
 steps with row renormalization.  ica_pairwise_gd runs the same core on every
 row pair of the running demixed data and accumulates the patches.
-ica_pairwise_jacobi replaces the pair subproblem by a plane-rotation grid
-search, tracking progress in a matrix of last-applied angles; on a grid
-spanning one full period it settles, without a visit, a pair whose plane no
-other pair has moved since its last nonzero rotation.
+ica_pairwise_jacobi replaces the pair subproblem by a search over one
+period of rotation angles, tracking progress in a matrix of last-applied
+angles; it settles, without a visit, a pair whose plane no other pair has
+moved since its last nonzero rotation.
 
 All three whiten exactly once up front and report both the algorithm matrix
 (acting on whitened data) and the composed demixer (acting on centered raw
@@ -29,7 +29,12 @@ QUARTER_PI = np.pi / 4.0
 
 @dataclass(frozen=True)
 class GdConfig:
-    """Knobs for the gradient solver (and the pair subproblems built on it)."""
+    """Knobs for the gradient solver (and the pair subproblems built on it).
+
+    Descent stops once the contrast moves by at most epsilon.  epsilon = 0
+    still stops at the first step that leaves the contrast bit-equal to the
+    step before, so a "fixed-iteration" run can end before max_iter.
+    """
 
     step_size: float = 0.3
     max_iter: int = 250
@@ -52,15 +57,9 @@ class JacobiConfig:
 
     alpha: float = -0.99999
     stride: int = 1
-    angle_step: float = np.pi / 64.0
-    cm_stop_deg: float = 1.0
     max_sweeps: int = 30
 
     def __post_init__(self):
-        if not 0.0 < self.angle_step <= QUARTER_PI:
-            raise InvalidInput("angle_step must lie in (0, pi/4]")
-        if not self.cm_stop_deg >= 0.0:
-            raise InvalidInput("cm_stop_deg must be nonnegative")
         object.__setattr__(self, "max_sweeps", whole_number(self.max_sweeps, "max_sweeps"))
         object.__setattr__(self, "stride", whole_number(self.stride, "stride"))
 
@@ -120,7 +119,8 @@ def _gd_core(data: np.ndarray, cfg: GdConfig) -> tuple[np.ndarray, np.ndarray]:
 
     Each step subtracts step_size times the gradient and renormalizes every
     row to unit length; iteration stops when the contrast moves by at most
-    epsilon or max_iter is reached.  Returns (w, trace).
+    epsilon or max_iter is reached.  With epsilon = 0 that is a step whose
+    contrast is bit-equal to the last one's.  Returns (w, trace).
     """
     obj = CcsObjective(data, cfg.alpha, stride=cfg.stride)
     w = np.eye(data.shape[0])
@@ -189,26 +189,24 @@ def ica_pairwise_gd(x, cfg: GdConfig | None = None, sweeps: int = 3) -> Separati
     )
 
 
-def _angle_grid(step: float) -> np.ndarray:
-    """Multiples of step in [-pi/4, pi/4], to within the rotation guard's 1e-12,
-    less +pi/4 when step divides pi/4: that rotation is -pi/4 with its rows
-    swapped and one negated, and _best_angle resolves their tie to -pi/4."""
-    half = int((QUARTER_PI + 1e-12) // step)
-    if half < 1:
-        raise InvalidInput("angle_step leaves no usable grid")
-    full_period = abs(half * step - QUARTER_PI) <= 1e-12
-    return np.arange(-half, half if full_period else half + 1) * step
+# The Jacobi angle grid: one period, [-pi/4, pi/4), at pi/64.  +pi/4 is left
+# out: that rotation is -pi/4 with its rows swapped and one negated.
+JACOBI_THETAS = np.arange(-16, 16) * (np.pi / 64.0)
+JACOBI_ROTATIONS = np.array([rotation(th) for th in JACOBI_THETAS])
+JACOBI_THETAS.setflags(write=False)
+JACOBI_ROTATIONS.setflags(write=False)
+# grid indices by magnitude, the negative angle first: the order ties go in
+_TIE_ORDER = sorted(range(len(JACOBI_THETAS)),
+                    key=lambda k: (abs(JACOBI_THETAS[k]), JACOBI_THETAS[k] > 0.0))
+# sweeping stops once a sweep's total absolute angle is at most this
+CM_STOP_DEG = 1.0
 
 
-def _best_angle(values: np.ndarray, thetas: np.ndarray) -> int:
-    """Index of the minimizing angle; exact ties go to the smallest magnitude,
-    then to the negative angle."""
+def _best_angle(values: np.ndarray) -> int:
+    """Grid index of the minimizing angle; exact ties go to the smallest
+    magnitude, then to the negative angle."""
     v_min = values.min()
-    order = sorted(range(len(thetas)), key=lambda k: (abs(thetas[k]), thetas[k] > 0.0))
-    for k in order:
-        if values[k] == v_min:
-            return k
-    return int(np.argmin(values))
+    return next(k for k in _TIE_ORDER if values[k] == v_min)
 
 
 def ica_pairwise_jacobi(x, cfg: JacobiConfig | None = None) -> SeparationResult:
@@ -221,28 +219,23 @@ def ica_pairwise_jacobi(x, cfg: JacobiConfig | None = None) -> SeparationResult:
     The angle matrix cm starts at a 90 degree sentinel so every pair is
     visited at least once; a pair whose last selected angle was exactly zero
     is skipped on later sweeps.  Sweeping stops once the total absolute angle
-    mass drops to cm_stop_deg, once a sweep leaves cm as the sweep before
+    mass drops to CM_STOP_DEG, once a sweep leaves cm as the sweep before
     last did (pairs undoing each other's rotations, which would otherwise
     repeat until the end), or once max_sweeps is hit.
 
-    A pair whose plane has not moved is settled without a visit: when the
-    grid spans exactly one period, [-pi/4, pi/4), and no other pair has
-    rotated row i or row j since pair (i, j) last applied a nonzero angle,
-    cm[i, j] is set to 0 and no objective is built.  That visit would pick
-    angle 0 in exact arithmetic: the contrast of a pair is pi/2-periodic in
-    the angle (the marginal product ignores the order and the signs of the
-    two rows, the joint density is rotation-invariant), so its grid is the
-    last one shifted to put the minimum at index 0, where ties also go.  At
-    m = 2 this settles every second visit; at m >= 3 it applies in late
-    sweeps.  A grid that is not a full period, such as a step of 0.1, is
-    always visited.
+    A pair whose plane has not moved is settled without a visit: when no
+    other pair has rotated row i or row j since pair (i, j) last applied a
+    nonzero angle, cm[i, j] is set to 0 and no objective is built.  That
+    visit would pick angle 0 in exact arithmetic: the contrast of a pair is
+    pi/2-periodic in the angle (the marginal product ignores the order and
+    the signs of the two rows, the joint density is rotation-invariant), and
+    JACOBI_THETAS spans one period, so its grid is the last one shifted to
+    put the minimum at index 0, where ties also go.  At m = 2 this settles
+    every second visit; at m >= 3 it applies in late sweeps.
     """
     cfg = cfg or JacobiConfig()
     z, wt = center_and_whiten(x)
     m = z.shape[0]
-    thetas = _angle_grid(cfg.angle_step)
-    rotations = np.array([rotation(th) for th in thetas])
-    full_period = abs(thetas[0] + QUARTER_PI) <= 1e-12
     w_algo = np.eye(m)
     demixed = z.copy()
     cm = np.full((m, m), 90.0)
@@ -259,21 +252,20 @@ def ica_pairwise_jacobi(x, cfg: JacobiConfig | None = None) -> SeparationResult:
                 cm[i, j] = cm[j, i] = 0.0
                 continue
             obj = CcsObjective(demixed[[i, j], :], cfg.alpha, stride=cfg.stride)
-            k = _best_angle(obj.value(rotations), thetas)
-            theta = float(thetas[k])
+            k = _best_angle(obj.value(JACOBI_ROTATIONS))
+            theta = float(JACOBI_THETAS[k])
             cm[i, j] = cm[j, i] = np.degrees(theta)
             if theta != 0.0:
                 patch = np.eye(m)
-                patch[np.ix_([i, j], [i, j])] = rotations[k]
+                patch[np.ix_([i, j], [i, j])] = JACOBI_ROTATIONS[k]
                 w_algo = patch @ w_algo
-                demixed[[i, j], :] = rotations[k] @ demixed[[i, j], :]
+                demixed[[i, j], :] = JACOBI_ROTATIONS[k] @ demixed[[i, j], :]
                 settled = {p for p in settled if i not in p and j not in p}
-                if full_period:
-                    settled.add((i, j))
+                settled.add((i, j))
         sweeps_done += 1
         total = float(sum(abs(cm[i, j]) for i, j in itertools.combinations(range(m), 2)))
         sweep_totals.append(total)
-        if total <= cfg.cm_stop_deg or len(recent) == 2 and np.array_equal(cm, recent[0]):
+        if total <= CM_STOP_DEG or len(recent) == 2 and np.array_equal(cm, recent[0]):
             break
         recent = (recent + [cm.copy()])[-2:]
     return SeparationResult(

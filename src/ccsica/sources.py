@@ -14,6 +14,9 @@ from .errors import InvalidInput
 from .preprocess import validate_signal
 
 SOURCE_KINDS = ("uniform", "rayleigh", "laplacian", "lognormal")
+# random_mixing_matrix's invertibility floor and its cap on redraws
+MIN_ABS_DET = 0.01
+MAX_MIXING_DRAWS = 10_000
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -60,14 +63,13 @@ def source_bank(kinds, t_count: int, seed: int = 0, tau1: float = 3.0, tau2: flo
     return np.vstack(rows)
 
 
-def random_mixing_matrix(m: int, rng: np.random.Generator, min_abs_det: float = 0.01,
-                         max_tries: int = 10_000) -> np.ndarray:
-    """Entries i.i.d. uniform on (-1, 1), redrawn until comfortably invertible."""
+def random_mixing_matrix(m: int, rng: np.random.Generator) -> np.ndarray:
+    """Entries i.i.d. uniform on (-1, 1), redrawn until |det| >= MIN_ABS_DET."""
     if int(m) < 2:
         raise InvalidInput("mixing matrix needs at least 2 channels")
-    for _ in range(max_tries):
+    for _ in range(MAX_MIXING_DRAWS):
         a = rng.uniform(-1.0, 1.0, (m, m))
-        if abs(np.linalg.det(a)) >= min_abs_det:
+        if abs(np.linalg.det(a)) >= MIN_ABS_DET:
             return a
     raise InvalidInput("could not draw an invertible mixing matrix")
 

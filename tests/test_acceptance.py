@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from ccsica.bench import _fig4_records, bench_fig7, bench_t1, bench_t4, bench_t5
+from ccsica.bench import _fig4_records, bench_t1, bench_t4, bench_t5, run_bench
 from ccsica.divergences import (
     DiscreteBivariate,
     ccs_div,
@@ -152,7 +152,7 @@ def test_c7_eval_size_tradeoff():
 
 
 def test_c8_noisy_three_source():
-    header, rows = bench_fig7(scale=1.0, seed=0, jobs=1)
+    header, rows = run_bench("fig7", scale=1.0, seed=0, jobs=1)
     sir_ix = header.index("sir_db")
     base_ix = header.index("baseline_sir_db")
     wins = 0

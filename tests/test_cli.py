@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import yaml
 
+from ccsica import bench
 from ccsica.cli import main
 from ccsica.fileio import read_matrix_csv, read_signal_csv, read_wav, write_matrix_csv
 from ccsica.metrics import kurtosis
@@ -145,6 +146,17 @@ class TestExitCodes:
     def test_eval_fraction_outside_unit_interval_exits_two(self, tmp_path, frac):
         assert main(["bench", "t5", "--scale", "0.1", f"--eval-fracs={frac}",
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["t5", "--dims", "0", "--samples", "1000", "--eval-fracs", "1", "--scale", "0.01"],
+        ["fig4", "--jobs", "-2"],
+        ["fig4", "--jobs", "0"],
+    ])
+    def test_bad_bench_inputs_exit_two_before_any_trial(self, tmp_path, monkeypatch, argv):
+        started = []
+        monkeypatch.setattr(bench, "_execute", lambda tasks, jobs: started.append(jobs))
+        assert main(["bench", *argv, "--out", str(tmp_path)]) == 2
+        assert started == []
 
     def test_missing_files_exit_four(self, tmp_path):
         missing = str(tmp_path / "nope.csv")

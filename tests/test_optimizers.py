@@ -7,9 +7,11 @@ from ccsica.metrics import amari_index
 from ccsica.objective import CcsObjective
 from ccsica.optimizers import (
     ALGORITHMS,
+    CM_STOP_DEG,
     GdConfig,
+    JACOBI_ROTATIONS,
+    JACOBI_THETAS,
     JacobiConfig,
-    _angle_grid,
     _best_angle,
     compose_demixer,
     ica_gradient_descent,
@@ -62,12 +64,6 @@ class TestConfigs:
         GdConfig(max_iter=0)
 
     def test_jacobi_rejections(self):
-        with pytest.raises(InvalidInput):
-            JacobiConfig(angle_step=0.0)
-        with pytest.raises(InvalidInput):
-            JacobiConfig(angle_step=np.pi / 4 + 0.01)
-        with pytest.raises(InvalidInput):
-            JacobiConfig(cm_stop_deg=-1.0)
         with pytest.raises(InvalidInput):
             JacobiConfig(max_sweeps=0)
 
@@ -223,20 +219,18 @@ class TestJacobi:
         assert np.array_equal(stacks[0], np.array([rotation(th) for th in grid]))
 
     def test_angle_grid_drops_plus_quarter_pi_on_a_full_period(self):
-        # a step dividing pi/4 gives one period, [-pi/4, pi/4): +pi/4 repeats -pi/4
-        grid = _angle_grid(np.pi / 64.0)
-        assert len(grid) == 32 and grid[0] == -np.pi / 4 and grid[-1] < np.pi / 4
-        # any other step keeps both ends of its grid
-        assert np.allclose(_angle_grid(0.1)[[0, -1]], [-0.7, 0.7], rtol=0, atol=1e-15)
+        # the grid is one period, [-pi/4, pi/4): +pi/4 repeats -pi/4
+        assert len(JACOBI_THETAS) == 32 and JACOBI_THETAS[0] == -np.pi / 4
+        assert JACOBI_THETAS[-1] < np.pi / 4
 
     @staticmethod
-    def _record_picks(monkeypatch, step=np.pi / 64.0):
-        """Record the angle each `value` call on the grid of `step` picks."""
-        real_value, picks, thetas = CcsObjective.value, [], _angle_grid(step)
+    def _record_picks(monkeypatch):
+        """Record the angle each `value` call on the grid picks."""
+        real_value, picks = CcsObjective.value, []
 
         def recording_value(obj, w):
             values = real_value(obj, w)
-            picks.append(float(thetas[_best_angle(values, thetas)]))
+            picks.append(float(JACOBI_THETAS[_best_angle(values)]))
             return values
 
         monkeypatch.setattr(CcsObjective, "value", recording_value)
@@ -259,20 +253,10 @@ class TestJacobi:
         # rows rotated by the last pick picks angle 0
         x = random_mixing_matrix(2, rng_for(seed, 1)) @ source_bank(kinds, 1000, seed)
         z, _ = center_and_whiten(x)
-        thetas = _angle_grid(np.pi / 64.0)
-        rotations = np.array([rotation(th) for th in thetas])
-        k = _best_angle(CcsObjective(z, -0.99999, stride=10).value(rotations), thetas)
-        assert thetas[k] != 0.0
-        confirm = CcsObjective(rotations[k] @ z, -0.99999, stride=10)
-        assert thetas[_best_angle(confirm.value(rotations), thetas)] == 0.0
-
-    def test_partial_period_grid_keeps_the_confirmation_visit(self, monkeypatch):
-        # a step of 0.1 gives a grid of +-0.7, not a full period, so nothing
-        # forces the second visit's pick and it is made
-        picks = self._record_picks(monkeypatch, 0.1)
-        res = ica_pairwise_jacobi(DEMO_MATRIX_2 @ _pair(400, 3), JacobiConfig(stride=4, angle_step=0.1))
-        assert len(picks) == 2 and picks[0] != 0.0
-        assert res.cm_sweep_totals == [abs(np.degrees(picks[0])), abs(np.degrees(picks[1]))]
+        k = _best_angle(CcsObjective(z, -0.99999, stride=10).value(JACOBI_ROTATIONS))
+        assert JACOBI_THETAS[k] != 0.0
+        confirm = CcsObjective(JACOBI_ROTATIONS[k] @ z, -0.99999, stride=10)
+        assert JACOBI_THETAS[_best_angle(confirm.value(JACOBI_ROTATIONS))] == 0.0
 
     def test_pair_whose_row_moved_is_visited_again(self, monkeypatch):
         # sweep 1 rotates every pair, so pair (0, 1) has had row 0 rotated by
@@ -295,24 +279,23 @@ class TestJacobi:
         cfg = JacobiConfig(stride=10)
         res = ica_pairwise_jacobi(x, cfg)
         assert res.n_iter < cfg.max_sweeps
-        assert res.cm_sweep_totals[-1] > cfg.cm_stop_deg
+        assert res.cm_sweep_totals[-1] > CM_STOP_DEG
 
 
 class TestBestAngle:
+    # index 16 of the grid is angle 0; indices 15 and 17 are -pi/64 and +pi/64
     def test_picks_minimum(self):
-        thetas = np.array([-0.2, -0.1, 0.0, 0.1, 0.2])
-        values = np.array([3.0, 1.0, 2.0, 5.0, 4.0])
-        assert thetas[_best_angle(values, thetas)] == -0.1
+        values = np.full(32, 3.0)
+        values[[15, 16, 17]] = [1.0, 2.0, 5.0]
+        assert JACOBI_THETAS[_best_angle(values)] == -np.pi / 64
 
     def test_all_equal_prefers_zero(self):
-        thetas = np.array([-0.2, -0.1, 0.0, 0.1, 0.2])
-        values = np.ones(5)
-        assert thetas[_best_angle(values, thetas)] == 0.0
+        assert JACOBI_THETAS[_best_angle(np.ones(32))] == 0.0
 
     def test_symmetric_tie_prefers_negative(self):
-        thetas = np.array([-0.2, -0.1, 0.0, 0.1, 0.2])
-        values = np.array([3.0, 1.0, 2.0, 1.0, 4.0])
-        assert thetas[_best_angle(values, thetas)] == -0.1
+        values = np.full(32, 3.0)
+        values[[15, 16, 17]] = [1.0, 2.0, 1.0]
+        assert JACOBI_THETAS[_best_angle(values)] == -np.pi / 64
 
 
 class TestDispatcher:

@@ -1,20 +1,25 @@
-"""The benchmark's tracer wraps package entry points by name; pin them here so
-a rename fails the suite rather than only the traced benchmark run."""
+"""The benchmark's tracer wraps package entry points by name, and its
+workloads build solver configs by field name; pin both here so a rename fails
+the suite rather than only a benchmark run."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ccsica import objective, optimizers, sources
 from ccsica.optimizers import GdConfig, JacobiConfig
 
-_TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while they are built
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -22,7 +27,7 @@ def _load_tracer():
 def test_tracer_counts_one_jacobi_and_one_gd_run():
     s = sources.source_bank(("uniform", "laplacian"), 300, 0, tau1=3.0, tau2=1.0)
     x = np.array([[1.0, 0.6], [0.4, 1.0]]) @ s
-    tracer = _load_tracer().Tracer(1024, (sources, objective, optimizers))
+    tracer = _load("tracer").Tracer(1024, (sources, objective, optimizers))
     tracer.install()
     try:
         optimizers.separate(x, "jacobi", jacobi_cfg=JacobiConfig(stride=3, max_sweeps=1))
@@ -40,3 +45,13 @@ def test_tracer_counts_one_jacobi_and_one_gd_run():
     assert counts["preprocess.center_and_whiten.calls"] == 2
     # uninstall put the originals back
     assert not hasattr(objective.CcsObjective.value, "__wrapped__")
+
+
+@pytest.mark.parametrize("workload", ["jacobi-grid", "gd-fig4", "noisy-long"])
+def test_workload_round_builds_its_solver_configs(workload):
+    # builds the inputs of round 0 only; no separation runs
+    trials = _load("workloads").WORKLOADS[workload].make_round(0, 0)
+    assert trials
+    for trial in trials:
+        (cfg,) = trial.config.values()
+        assert isinstance(cfg, JacobiConfig if trial.algorithm == "jacobi" else GdConfig)
