@@ -45,6 +45,9 @@ _T1_PAIRS = (
     ("lognormal", "lognormal"),
     ("uniform", "laplacian"),
 )
+# samples per source of every t1 trial, and of fig6/fig7 without --wav
+_T1_SAMPLES = 1000
+_THREE_SOURCE_SAMPLES = 2000
 _T4_DIMS = (2, 4, 8, 16, 20)
 _T4_SAMPLES = (1000, 2000, 4000, 8000)
 _T4_BASE_TRIALS = {2: 100, 4: 50, 8: 20, 16: 10, 20: 5}
@@ -126,43 +129,46 @@ def _execute(tasks: list[dict], jobs: int):
         return list(pool.map(_run_table_trial, tasks))
 
 
-def _grid_cell(seed, key, trials, jobs, **task):
-    """Median and mean Amari error x100, and mean runtime, over the trials of
-    one t1/t4/t5 cell; trial k runs under key + (k,) at alpha -0.99999."""
-    tasks = [dict(task, seed=seed, key=key + (k,), alpha=-0.99999) for k in range(trials)]
-    records = _execute(tasks, jobs)
-    err = np.array([r.amari_times_100 for r in records])
-    rt = np.array([r.runtime_seconds for r in records])
-    return float(np.median(err)), float(np.mean(err)), float(np.mean(rt))
-
-
-def bench_t1(scale=1.0, seed=0, jobs=1, algorithm="jacobi", t_count=1000):
-    header = ["pair", "trials", "median_amari_x100", "mean_amari_x100", "mean_runtime_s"]
+def _grid_rows(seed, jobs, cells):
+    """One row per t1/t4/t5 cell (lead, key, trials, task): the lead columns, the
+    trial count, then the median and mean Amari error x100 and the mean runtime.
+    Trial k of a cell runs under key + (k,) at alpha -0.99999; every trial of
+    the grid goes through one _execute call."""
+    tasks = [dict(task, seed=seed, key=key + (k,), alpha=-0.99999)
+             for _, key, trials, task in cells for k in range(trials)]
+    records = iter(_execute(tasks, jobs))
     rows = []
+    for lead, _, trials, _ in cells:
+        cell = [next(records) for _ in range(trials)]
+        err = np.array([r.amari_times_100 for r in cell])
+        rt = np.array([r.runtime_seconds for r in cell])
+        rows.append([*lead, trials, float(np.median(err)), float(np.mean(err)), float(np.mean(rt))])
+    return rows
+
+
+def bench_t1(scale=1.0, seed=0, jobs=1, algorithm="jacobi"):
+    header = ["pair", "trials", "median_amari_x100", "mean_amari_x100", "mean_runtime_s"]
     trials = _scaled_trials(100, scale)
-    stride = max(1, t_count // 100)
-    for ci, pair in enumerate(_T1_PAIRS):
-        stats = _grid_cell(seed, (1, ci), trials, jobs, kinds=pair, t=t_count,
-                           algorithm=algorithm, stride=stride)
-        rows.append(["+".join(pair), trials, *stats])
-    return header, rows
+    task = dict(t=_T1_SAMPLES, algorithm=algorithm, stride=_T1_SAMPLES // 100)
+    cells = [(["+".join(pair)], (1, ci), trials, dict(task, kinds=pair))
+             for ci, pair in enumerate(_T1_PAIRS)]
+    return header, _grid_rows(seed, jobs, cells)
 
 
 def bench_t4(scale=1.0, seed=0, jobs=1, algorithm="jacobi", dims=None, samples=None):
     header = ["m", "t", "trials", "median_amari_x100", "mean_amari_x100", "mean_runtime_s"]
     dim_list = dims or [m for m in _T4_DIMS if m <= max(2, int(np.ceil(20 * scale)))]
+    if not set(dim_list) <= _T4_BASE_TRIALS.keys():
+        raise InvalidInput(f"t4 dimensions must be among {sorted(_T4_BASE_TRIALS)}, got {list(dim_list)}")
     t_list = samples or [t for t in _T4_SAMPLES if t <= max(1000, int(np.ceil(8000 * scale)))]
-    rows = []
+    cells = []
     for m in dim_list:
-        if m not in _T4_BASE_TRIALS:
-            raise InvalidInput(f"unsupported dimension {m} for t4, expected one of {sorted(_T4_BASE_TRIALS)}")
         trials = _scaled_trials(_T4_BASE_TRIALS[m], scale)
         kinds = tuple(_KIND_CYCLE[i % 4] for i in range(m))
-        for t_count in t_list:
-            stats = _grid_cell(seed, (4, m, t_count), trials, jobs, kinds=kinds, t=t_count,
-                               algorithm=algorithm, stride=max(1, t_count // 100))
-            rows.append([m, t_count, trials, *stats])
-    return header, rows
+        cells += [([m, t_count], (4, m, t_count), trials,
+                   dict(kinds=kinds, t=t_count, algorithm=algorithm, stride=max(1, t_count // 100)))
+                  for t_count in t_list]
+    return header, _grid_rows(seed, jobs, cells)
 
 
 def bench_t5(scale=1.0, seed=0, jobs=1, algorithm="jacobi", dims=None, samples=None, eval_fracs=None):
@@ -175,7 +181,7 @@ def bench_t5(scale=1.0, seed=0, jobs=1, algorithm="jacobi", dims=None, samples=N
     fracs = eval_fracs or _T5_FRACS
     if not all(0.0 < frac <= 1.0 for frac in fracs):
         raise InvalidInput(f"evaluation fractions must lie in (0, 1], got {list(fracs)}")
-    rows = []
+    cells = []
     for m in dim_list:
         trials = _scaled_trials(_T4_BASE_TRIALS.get(m, 20), scale)
         kinds = tuple(_KIND_CYCLE[i % 4] for i in range(m))
@@ -183,13 +189,15 @@ def bench_t5(scale=1.0, seed=0, jobs=1, algorithm="jacobi", dims=None, samples=N
             for frac in fracs:
                 stride = max(1, round(1.0 / frac))
                 eval_points = int(np.ceil(t_count / stride))
-                if eval_points < 2:
-                    continue
-                # data key omits the frac so every column sees the same mixtures
-                stats = _grid_cell(seed, (5, m, t_count), trials, jobs, kinds=kinds, t=t_count,
-                                   algorithm=algorithm, stride=stride)
-                rows.append([m, t_count, frac, eval_points, trials, *stats])
-    return header, rows
+                # a one-point cell is skipped; the data key omits the frac so
+                # every column sees the same mixtures
+                if eval_points >= 2:
+                    cells.append(([m, t_count, frac, eval_points], (5, m, t_count), trials,
+                                  dict(kinds=kinds, t=t_count, algorithm=algorithm, stride=stride)))
+    if not cells:
+        raise InvalidInput(f"no t5 cell has 2 evaluation points: samples {list(t_list)}, "
+                           f"fractions {list(fracs)}")
+    return header, _grid_rows(seed, jobs, cells)
 
 
 def _fig4_records(seed, jobs, max_iter=250) -> list[ExperimentRecord]:
@@ -223,11 +231,11 @@ def bench_fig5(scale=1.0, seed=0, jobs=1, max_iter=250):
     return header, rows
 
 
-def _bench_three_source(table_key, scale, seed, jobs, algorithm, snr_db, wav_sources=None,
-                        t_count=2000, matrix=None):
+def _bench_three_source(table_key, scale, seed, jobs, algorithm, snr_db, wav_sources=None, matrix=None):
     header = ["trial", "source", "sir_db", "baseline_sir_db", "amari_x100"]
     trials = _scaled_trials(10, scale)
     a = DEMO_MATRIX_3 if matrix is None else np.asarray(matrix, dtype=float)
+    t_count = _THREE_SOURCE_SAMPLES
     if wav_sources is not None:
         wav_sources = np.asarray(wav_sources, dtype=float)
         t_count = wav_sources.shape[1]
@@ -253,6 +261,8 @@ def run_bench(table: str, scale: float = 1.0, seed: int = 0, jobs: int = 1,
     if not 0.0 < scale <= 1.0:
         raise InvalidInput("scale must lie in (0, 1]")
     jobs = whole_number(jobs, "jobs")
+    if key in ("t4", "t5") and samples and min(samples) < 2:
+        raise InvalidInput(f"sample counts must be at least 2, got {list(samples)}")
     if key == "t1":
         return bench_t1(scale, seed, jobs, algorithm or "jacobi")
     if key == "t4":

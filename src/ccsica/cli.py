@@ -17,8 +17,7 @@ import yaml
 
 from . import bench as bench_mod
 from .divergences import DIVERGENCE_IDS, divergence_slice, divergence_surface
-from .errors import (CcsIcaError, DegenerateDivergence, InvalidInput, IoFailure,
-                     NonFinite, RankDeficient, SingularDemixer)
+from .errors import CcsIcaError, InvalidInput, IoFailure
 from .fileio import (read_matrix_csv, read_signal_csv, read_wav, write_csv,
                      write_matrix_csv, write_signal_csv, write_wav)
 from .metrics import amari_index, sir_db
@@ -207,23 +206,26 @@ def cmd_surface(args) -> int:
 # parser assembly and config-file merging
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser, and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(prog="ccsica", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None, help="base RNG seed (default 0)")
+        p.add_argument("--seed", type=int, default=0, help="base RNG seed (default %(default)s)")
         p.add_argument("--config", type=str, default=None, help="YAML file preloading any long flag")
-        p.add_argument("--out", type=str, default=None, help="output file or directory")
+        p.add_argument("--out", type=str, default="out",
+                       help="output file or directory (default %(default)s)")
 
     g = sub.add_parser("gen", help="generate synthetic source files")
     common(g)
-    g.add_argument("--kinds", type=str, default=None,
-                   help=f"comma list from {SOURCE_KINDS} (default uniform,laplacian)")
-    g.add_argument("--t", type=int, default=None, help="samples per source (default 1000)")
-    g.add_argument("--tau1", type=float, default=None, help="uniform half width (default 3)")
-    g.add_argument("--tau2", type=float, default=None, help="laplacian scale (default 1)")
-    g.add_argument("--format", choices=("csv", "wav"), default=None, help="default csv")
+    g.add_argument("--kinds", type=str, default="uniform,laplacian",
+                   help=f"comma list from {SOURCE_KINDS} (default %(default)s)")
+    g.add_argument("--t", type=int, default=1000, help="samples per source (default %(default)s)")
+    g.add_argument("--tau1", type=float, default=3.0, help="uniform half width (default %(default)s)")
+    g.add_argument("--tau2", type=float, default=1.0, help="laplacian scale (default %(default)s)")
+    g.add_argument("--format", choices=("csv", "wav"), default="csv",
+                   help="source file format (default %(default)s)")
     g.set_defaults(func=cmd_gen)
 
     mx = sub.add_parser("mix", help="mix source files through a matrix")
@@ -238,17 +240,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sep = sub.add_parser("separate", help="estimate a demixing matrix")
     common(sep)
     sep.add_argument("--input", type=str, required=True, help="mixture CSV or comma list of WAVs")
-    sep.add_argument("--algorithm", choices=ALGORITHMS, default=None, help="default jacobi")
-    sep.add_argument("--divergence", type=str, default=None, help="contrast id (ccs)")
-    sep.add_argument("--alpha", type=float, default=None, help="curvature (default -0.99999)")
-    sep.add_argument("--gamma", type=float, default=None, help="gradient step size (default 0.3)")
-    sep.add_argument("--ts", type=int, default=None, help="evaluation stride (default 1)")
-    sep.add_argument("--max-iter", dest="max_iter", type=int, default=None,
-                     help="gradient iteration cap (default 250)")
-    sep.add_argument("--epsilon", type=float, default=None, help="contrast-change stop (default 1e-4)")
-    sep.add_argument("--sweeps", type=int, default=None, help="pairwise-gd sweep count (default 3)")
-    sep.add_argument("--format", choices=("csv", "wav"), default=None,
-                     help="estimate output format (default csv)")
+    sep.add_argument("--algorithm", choices=ALGORITHMS, default="jacobi", help="solver (default %(default)s)")
+    sep.add_argument("--divergence", type=str, default="ccs", help="contrast id (default %(default)s)")
+    sep.add_argument("--alpha", type=float, default=-0.99999, help="curvature (default %(default)s)")
+    sep.add_argument("--gamma", type=float, default=0.3, help="gradient step size (default %(default)s)")
+    sep.add_argument("--ts", type=int, default=1, help="evaluation stride (default %(default)s)")
+    sep.add_argument("--max-iter", dest="max_iter", type=int, default=250,
+                     help="gradient iteration cap (default %(default)s)")
+    sep.add_argument("--epsilon", type=float, default=1e-4, help="contrast-change stop (default %(default)s)")
+    sep.add_argument("--sweeps", type=int, default=3, help="pairwise-gd sweep count (default %(default)s)")
+    sep.add_argument("--format", choices=("csv", "wav"), default="csv",
+                     help="estimate output format (default %(default)s)")
     sep.set_defaults(func=cmd_separate)
 
     ev = sub.add_parser("eval", help="score estimates against ground truth")
@@ -262,9 +264,11 @@ def _build_parser() -> argparse.ArgumentParser:
     be = sub.add_parser("bench", help="run a canned experiment grid")
     common(be)
     be.add_argument("table", type=str, help=f"one of {bench_mod.TABLE_IDS}")
-    be.add_argument("--scale", type=float, default=None, help="trial/grid shrink factor in (0,1]")
-    be.add_argument("--jobs", type=int, default=None, help="concurrent trial workers (default 1)")
-    be.add_argument("--algorithm", choices=ALGORITHMS, default=None)
+    be.add_argument("--scale", type=float, default=1.0,
+                    help="trial/grid shrink factor in (0,1] (default %(default)s)")
+    be.add_argument("--jobs", type=int, default=1, help="concurrent trial workers (default %(default)s)")
+    be.add_argument("--algorithm", choices=ALGORITHMS, default="jacobi",
+                    help="solver for t1/t4/t5/fig6/fig7 (default %(default)s)")
     be.add_argument("--dims", type=str, default=None, help="override dimension list, e.g. 2,4")
     be.add_argument("--samples", type=str, default=None, help="override sample-count list")
     be.add_argument("--eval-fracs", dest="eval_fracs", type=str, default=None,
@@ -277,31 +281,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     su = sub.add_parser("surface", help="tabulate a divergence over a 2x2 table family")
     common(su)
-    su.add_argument("--divergence", type=str, default=None, help=f"one of {DIVERGENCE_IDS}")
-    su.add_argument("--marg1", type=str, default=None, help="first marginal, e.g. 0.6,0.4")
+    su.add_argument("--divergence", type=str, default="ccs",
+                    help=f"one of {DIVERGENCE_IDS} (default %(default)s)")
+    su.add_argument("--marg1", type=str, default="0.6,0.4", help="first marginal (default %(default)s)")
     su.add_argument("--marg2", type=str, default=None,
                     help="second marginal; fixes the slice instead of the surface")
-    su.add_argument("--grid", type=int, default=None, help="nodes per free cell (default 64)")
-    su.add_argument("--alpha", type=float, default=None, help="curvature for ccs/alpha/c")
-    su.add_argument("--weight", type=float, default=None, help="mixture weight for js/c")
-    su.add_argument("--beta", type=float, default=None, help="exponent for the beta divergence")
+    su.add_argument("--grid", type=int, default=64, help="nodes per free cell (default %(default)s)")
+    su.add_argument("--alpha", type=float, default=-1.0,
+                    help="curvature for ccs/alpha/c (default %(default)s)")
+    su.add_argument("--weight", type=float, default=0.5,
+                    help="mixture weight for js/c (default %(default)s)")
+    su.add_argument("--beta", type=float, default=2.0,
+                    help="exponent for the beta divergence (default %(default)s)")
     su.set_defaults(func=cmd_surface)
-
-    for p in sub.choices.values():
-        # config-file values are checked against the subcommand's own flags
-        flags = {a.dest: a for a in p._actions if a.option_strings and a.dest != "help"}
-        p.set_defaults(flags=flags)
-    return parser
-
-
-_DEFAULTS = {
-    "seed": 0, "out": "out", "kinds": "uniform,laplacian", "format": "csv",
-    "t": 1000, "tau1": 3.0, "tau2": 1.0,
-    "algorithm": "jacobi", "divergence": "ccs", "alpha": -0.99999, "gamma": 0.3,
-    "ts": 1, "max_iter": 250, "epsilon": 1e-4, "sweeps": 3,
-    "scale": 1.0, "jobs": 1, "grid": 64, "marg1": "0.6,0.4", "weight": 0.5, "beta": 2.0,
-}
-_SURFACE_DEFAULTS = {"alpha": -1.0}
+    return parser, sub.choices
 
 
 def _config_value(action: argparse.Action, key: str, value):
@@ -315,55 +308,42 @@ def _config_value(action: argparse.Action, key: str, value):
     return value
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from the YAML config, then from built-in defaults.
-
-    A file value goes through its flag's type and choices; None leaves the
-    flag unset.
-    """
-    file_values = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                loaded = yaml.safe_load(fh) or {}
-        except OSError as exc:
-            raise IoFailure(f"cannot read config {args.config}: {exc}") from exc
-        except yaml.YAMLError as exc:
-            raise InvalidInput(f"config {args.config} is not valid YAML: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise InvalidInput("config file must hold a key/value mapping")
-        file_values = {str(k).replace("-", "_"): v for k, v in loaded.items()}
-    for key, value in file_values.items():
-        action = args.flags.get(key)
-        if action is None or value is None:
-            continue
-        value = _config_value(action, key, value)
-        if getattr(args, key) is None:
-            setattr(args, key, value)
-    for key, value in _DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            if args.command == "surface" and key in _SURFACE_DEFAULTS:
-                value = _SURFACE_DEFAULTS[key]
-            setattr(args, key, value)
+def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
+    """The YAML config's values for `parser`'s long flags, each checked as the
+    flag would check it; null values and keys that name no flag are ignored."""
+    try:
+        with open(path) as fh:
+            loaded = yaml.safe_load(fh) or {}
+    except OSError as exc:
+        raise IoFailure(f"cannot read config {path}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise InvalidInput(f"config {path} is not valid YAML: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise InvalidInput("config file must hold a key/value mapping")
+    flags = {a.dest: a for a in parser._actions if a.option_strings and a.dest != "help"}
+    values = {str(k).replace("-", "_"): v for k, v in loaded.items()}
+    return {key: _config_value(flags[key], key, value)
+            for key, value in values.items() if key in flags and value is not None}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args)
+        if args.config:
+            # file values become the subcommand's defaults, so explicit flags still win
+            command = commands[args.command]
+            command.set_defaults(**_config_defaults(args.config, command))
+            args = parser.parse_args(argv)
         return args.func(args)
     except InvalidInput as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (RankDeficient, SingularDemixer, DegenerateDivergence, NonFinite) as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except IoFailure as exc:
         print(f"error: i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
     except CcsIcaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

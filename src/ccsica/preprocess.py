@@ -10,16 +10,18 @@ from .errors import InvalidInput, RankDeficient
 
 # eigenvalues at or below RANK_EPS times the largest one are treated as zero
 RANK_EPS = 1e-12
+# ICA needs at least two channels (rows) to separate
+MIN_CHANNELS = 2
 
 
-def validate_signal(x, min_channels: int = 2) -> np.ndarray:
+def validate_signal(x) -> np.ndarray:
     """Coerce to a float channels-by-samples matrix, rejecting malformed input."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise InvalidInput(f"expected a channels-by-samples matrix, got shape {x.shape}")
     m, t = x.shape
-    if m < min_channels:
-        raise InvalidInput(f"need at least {min_channels} channels, got {m}")
+    if m < MIN_CHANNELS:
+        raise InvalidInput(f"need at least {MIN_CHANNELS} channels, got {m}")
     if t < m:
         raise InvalidInput(f"need at least as many samples as channels, got {m}x{t}")
     if not np.all(np.isfinite(x)):

@@ -45,6 +45,34 @@ def test_three_source_stride_follows_source_length(monkeypatch):
     assert len(rows) == 3 and all(np.isfinite(r[2]) for r in rows)
 
 
+def _fake_trial(task):
+    return bench.ExperimentRecord(amari_times_100=float(task["t"]), sir_db=(), iterations=0,
+                                  runtime_seconds=0.0, trace=np.zeros(0))
+
+
+@pytest.mark.parametrize("table, kwargs, n_tasks, n_rows", [
+    ("t1", dict(scale=0.02), 10, 5),
+    ("t4", dict(scale=0.02, dims=[2, 4], samples=[1000, 2000]), 6, 4),
+    ("t5", dict(scale=0.01, dims=[2], samples=[1000], eval_fracs=[0.001, 0.5, 1.0]), 2, 2),
+])
+def test_grid_tables_run_every_trial_through_one_execute(monkeypatch, table, kwargs, n_tasks, n_rows):
+    # t5's T=1000 cell at fraction 0.001 has one evaluation point and is skipped
+    calls = []
+    real_execute = bench._execute
+
+    def counting_execute(tasks, jobs):
+        calls.append(len(tasks))
+        return real_execute(tasks, jobs)
+
+    monkeypatch.setattr(bench, "_run_table_trial", _fake_trial)
+    monkeypatch.setattr(bench, "_execute", counting_execute)
+    _, rows = bench.run_bench(table, **kwargs)
+    assert calls == [n_tasks]
+    assert len(rows) == n_rows
+    if table == "t5":
+        assert [row[2] for row in rows] == [0.5, 1.0]
+
+
 def test_import_leaves_the_process_pool_unloaded():
     # the pool, and multiprocessing with it, loads only for a run with jobs > 1
     env = dict(os.environ, PYTHONPATH=str(Path(ccsica.__file__).parents[1]))

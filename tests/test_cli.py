@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 import yaml
 
-from ccsica import bench
+from ccsica import bench, cli
 from ccsica.cli import main
 from ccsica.fileio import read_matrix_csv, read_signal_csv, read_wav, write_matrix_csv
 from ccsica.metrics import kurtosis
@@ -158,6 +160,23 @@ class TestExitCodes:
         assert main(["bench", *argv, "--out", str(tmp_path)]) == 2
         assert started == []
 
+    @pytest.mark.parametrize("argv", [
+        ["t4", "--dims", "2,3", "--samples", "1000", "--scale", "0.1"],
+        ["t4", "--dims", "2", "--samples", "1", "--scale", "0.01"],
+        ["t5", "--dims", "2", "--samples", "0", "--scale", "0.01"],
+        ["t5", "--dims", "2", "--samples", "1000,1", "--scale", "0.01"],
+        ["t5", "--dims", "2", "--samples", "5", "--eval-fracs", "0.1,0.2", "--scale", "0.01"],
+    ])
+    def test_bad_grids_exit_two_before_any_trial(self, tmp_path, monkeypatch, argv):
+        # an unsupported t4 dimension, a sample count below 2, or a t5 grid
+        # without a cell of 2 evaluation points is refused, with no CSV written
+        trials = []
+        monkeypatch.setattr(bench, "_run_table_trial", trials.append)
+        out = tmp_path / "bench"
+        assert main(["bench", *argv, "--out", str(out)]) == 2
+        assert trials == []
+        assert not out.exists()
+
     def test_missing_files_exit_four(self, tmp_path):
         missing = str(tmp_path / "nope.csv")
         assert main(["separate", "--input", missing, "--out", str(tmp_path)]) == 4
@@ -222,6 +241,49 @@ class TestConfigFile:
         assert main(["mix", "--inputs", ",".join(sources), "--config", str(cfg),
                      "--out", str(out)]) == 0
         assert np.array_equal(read_matrix_csv(out / "mixing_matrix.csv"), np.eye(2))
+
+
+# per subcommand: an argv with its required arguments, and every flag's built-in default
+_BUILT_IN_DEFAULTS = {
+    "gen": (["gen"], dict(seed=0, config=None, out="out", kinds="uniform,laplacian", t=1000,
+                          tau1=3.0, tau2=1.0, format="csv")),
+    "mix": (["mix", "--inputs", "s.csv"], dict(seed=0, config=None, out="out", matrix=None, snr_db=None)),
+    "separate": (["separate", "--input", "x.csv"],
+                 dict(seed=0, config=None, out="out", algorithm="jacobi", divergence="ccs",
+                      alpha=-0.99999, gamma=0.3, ts=1, max_iter=250, epsilon=1e-4, sweeps=3,
+                      format="csv")),
+    "eval": (["eval", "--estimates", "y.csv", "--truth", "s.csv"],
+             dict(seed=0, config=None, out="out", demixer=None, mixing=None)),
+    "bench": (["bench", "t1"], dict(seed=0, config=None, out="out", scale=1.0, jobs=1,
+                                    algorithm="jacobi", dims=None, samples=None, eval_fracs=None,
+                                    snr_db=None, wav=None, matrix=None)),
+    "surface": (["surface"], dict(seed=0, config=None, out="out", divergence="ccs", marg1="0.6,0.4",
+                                  marg2=None, grid=64, alpha=-1.0, weight=0.5, beta=2.0)),
+}
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("command", sorted(_BUILT_IN_DEFAULTS))
+    def test_built_in_defaults(self, monkeypatch, command):
+        argv, expected = _BUILT_IN_DEFAULTS[command]
+        seen = {}
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.update(vars(args)) or 0)
+        assert main(argv) == 0
+        got = {key: seen[key] for key in expected}
+        assert got == expected
+        assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in expected.items()}
+
+    @pytest.mark.parametrize("command", sorted(_BUILT_IN_DEFAULTS))
+    def test_help_shows_each_default(self, capsys, command):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        options = text[text.index("options:"):]
+        entries = {seg.split()[0]: seg for seg in re.split(r" (?=--[a-z])", options)}
+        for key, value in _BUILT_IN_DEFAULTS[command][1].items():
+            if value is not None:
+                assert f"(default {value})" in entries["--" + key.replace("_", "-")]
 
 
 class TestSurface:
