@@ -161,6 +161,8 @@ def bench_t4(scale=1.0, seed=0, jobs=1, algorithm="jacobi", dims=None, samples=N
     if not set(dim_list) <= _T4_BASE_TRIALS.keys():
         raise InvalidInput(f"t4 dimensions must be among {sorted(_T4_BASE_TRIALS)}, got {list(dim_list)}")
     t_list = samples or [t for t in _T4_SAMPLES if t <= max(1000, int(np.ceil(8000 * scale)))]
+    if min(t_list) < max(dim_list):
+        raise InvalidInput(f"sample counts {list(t_list)} must reach the largest dimension {max(dim_list)}")
     cells = []
     for m in dim_list:
         trials = _scaled_trials(_T4_BASE_TRIALS[m], scale)
@@ -178,6 +180,8 @@ def bench_t5(scale=1.0, seed=0, jobs=1, algorithm="jacobi", dims=None, samples=N
     if min(dim_list) < 2:
         raise InvalidInput(f"t5 dimensions must be at least 2, got {list(dim_list)}")
     t_list = samples or [t for t in _T4_SAMPLES if t <= max(1000, int(np.ceil(8000 * scale)))]
+    if min(t_list) < max(dim_list):
+        raise InvalidInput(f"sample counts {list(t_list)} must reach the largest dimension {max(dim_list)}")
     fracs = eval_fracs or _T5_FRACS
     if not all(0.0 < frac <= 1.0 for frac in fracs):
         raise InvalidInput(f"evaluation fractions must lie in (0, 1], got {list(fracs)}")
@@ -261,8 +265,6 @@ def run_bench(table: str, scale: float = 1.0, seed: int = 0, jobs: int = 1,
     if not 0.0 < scale <= 1.0:
         raise InvalidInput("scale must lie in (0, 1]")
     jobs = whole_number(jobs, "jobs")
-    if key in ("t4", "t5") and samples and min(samples) < 2:
-        raise InvalidInput(f"sample counts must be at least 2, got {list(samples)}")
     if key == "t1":
         return bench_t1(scale, seed, jobs, algorithm or "jacobi")
     if key == "t4":

@@ -9,6 +9,7 @@ win over the file.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .errors import CcsIcaError, InvalidInput, IoFailure
 from .fileio import (read_matrix_csv, read_signal_csv, read_wav, write_csv,
                      write_matrix_csv, write_signal_csv, write_wav)
 from .metrics import amari_index, sir_db
+from .objective import whole_number
 from .optimizers import ALGORITHMS, GdConfig, JacobiConfig, separate
 from .sources import (SOURCE_KINDS, MixingModel, draw_source, mix,
                       noise_sigma_for_snr, random_mixing_matrix, rng_for)
@@ -31,20 +33,27 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_list(text: str, element: type = float) -> list:
+    """A comma list of floats, or with element=int of whole numbers >= 1."""
     try:
-        return [float(v) for v in str(text).split(",") if v != ""]
+        values = [float(v) for v in str(text).split(",") if v != ""]
     except ValueError as exc:
-        raise InvalidInput(f"cannot parse float list {text!r}") from exc
+        raise InvalidInput(f"cannot parse number list {text!r}") from exc
+    return values if element is float else [whole_number(v, f"each entry of {text!r}") for v in values]
 
 
-def _out_dir(path) -> Path:
-    out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create output directory {out}: {exc}") from exc
-    return out
+def _out_path(out: str, name: str | None = None) -> Path:
+    """A command's output directory, or given a default name, its output file:
+    `out` if it names a .csv file, else out/name. IoFailure unless the nearest
+    existing ancestor is a writable directory; the writers make the missing ones."""
+    path = Path(out)
+    if name is not None and path.suffix != ".csv":
+        path = path / name
+    start = path if name is None else path.parent
+    existing = next(p for p in (start, *start.parents) if p.exists())
+    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+        raise IoFailure(f"cannot write to {path}: {existing} is not a writable directory")
+    return path
 
 
 def _read_any_signal(path: str) -> np.ndarray:
@@ -80,10 +89,10 @@ def cmd_gen(args) -> int:
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     if not kinds:
         raise InvalidInput("gen needs at least one source kind")
+    out = _out_path(args.out)
     # draw every row before writing, so a bad kind or shape leaves no files
     rows = [draw_source(k, args.t, rng_for(args.seed, i), args.tau1, args.tau2)
             for i, k in enumerate(kinds)]
-    out = _out_dir(args.out)
     for i, (kind, data) in enumerate(zip(kinds, rows)):
         name = f"source_{i:02d}_{kind}"
         if args.format == "wav":
@@ -96,16 +105,15 @@ def cmd_gen(args) -> int:
 
 def cmd_mix(args) -> int:
     sources = _read_any_signal(args.inputs)
-    m = sources.shape[0]
     if args.matrix in (None, "random"):
-        a = random_mixing_matrix(m, rng_for(args.seed, 0x31))
+        a = random_mixing_matrix(sources.shape[0], rng_for(args.seed, 0x31))
     else:
         a = read_matrix_csv(args.matrix)
+    out = _out_path(args.out)
     sigma = 0.0
     if args.snr_db is not None:
         sigma = noise_sigma_for_snr(a @ sources, args.snr_db)
     x = mix(sources, MixingModel(a, noise_sigma=sigma), seed=args.seed)
-    out = _out_dir(args.out)
     write_signal_csv(out / "mixture.csv", x)
     write_matrix_csv(out / "mixing_matrix.csv", a)
     print(f"wrote mixture.csv and mixing_matrix.csv to {out}")
@@ -119,8 +127,8 @@ def cmd_separate(args) -> int:
     jac_cfg = JacobiConfig(alpha=args.alpha, stride=args.ts)
     if args.divergence != "ccs":
         raise InvalidInput("only the ccs contrast drives separation; other ids serve the surface command")
+    out = _out_path(args.out)
     res = separate(x, args.algorithm, gd_cfg=gd_cfg, jacobi_cfg=jac_cfg, sweeps=args.sweeps)
-    out = _out_dir(args.out)
     y = res.estimate(x)
     if args.format == "wav":
         for k, row in enumerate(y):
@@ -130,13 +138,10 @@ def cmd_separate(args) -> int:
         write_signal_csv(out / "estimates.csv", y)
         estimate_note = "estimates.csv"
     write_matrix_csv(out / "demixer.csv", res.demixer)
+    trace = res.trace if res.cm is None else res.cm_sweep_totals
+    write_csv(out / "trace.csv", ["iteration", "value"], [(i, float(v)) for i, v in enumerate(trace)])
     if res.cm is not None:
-        trace_rows = [(i, v) for i, v in enumerate(res.cm_sweep_totals)]
-        write_csv(out / "trace.csv", ["iteration", "value"], trace_rows)
         write_matrix_csv(out / "cm.csv", res.cm)
-    else:
-        trace_rows = [(i, float(v)) for i, v in enumerate(res.trace)]
-        write_csv(out / "trace.csv", ["iteration", "value"], trace_rows)
     print(f"wrote {estimate_note}, demixer.csv and trace.csv to {out}")
     return EXIT_OK
 
@@ -144,6 +149,7 @@ def cmd_separate(args) -> int:
 def cmd_eval(args) -> int:
     estimates = _read_any_signal(args.estimates)
     truth = _read_any_signal(args.truth)
+    out_path = _out_path(args.out, "metrics.csv")
     rows = []
     sirs = sir_db(estimates, truth)
     for k, v in enumerate(sirs):
@@ -152,9 +158,6 @@ def cmd_eval(args) -> int:
         w = read_matrix_csv(args.demixer)
         a = read_matrix_csv(args.mixing)
         rows.append(["amari_x100", "", 100.0 * amari_index(w, a)])
-    out_path = Path(args.out)
-    if out_path.suffix != ".csv":
-        out_path = _out_dir(args.out) / "metrics.csv"
     write_csv(out_path, ["metric", "source", "value"], rows)
     print(f"wrote {out_path}")
     return EXIT_OK
@@ -169,34 +172,30 @@ def cmd_bench(args) -> int:
         rows = [read_wav(p)[1] for p in paths[:3]]
         n = min(len(r) for r in rows)
         wav_sources = np.vstack([r[:n] for r in rows])
-    dims = [int(v) for v in _parse_floats(args.dims)] if args.dims else None
-    samples = [int(v) for v in _parse_floats(args.samples)] if args.samples else None
-    fracs = _parse_floats(args.eval_fracs) if args.eval_fracs else None
+    dims = _parse_list(args.dims, int) if args.dims else None
+    samples = _parse_list(args.samples, int) if args.samples else None
+    fracs = _parse_list(args.eval_fracs) if args.eval_fracs else None
     matrix = read_matrix_csv(args.matrix) if args.matrix else None
+    out_path = _out_path(args.out, f"bench_{args.table.lower()}.csv")
     header, rows = bench_mod.run_bench(
         args.table, scale=args.scale, seed=args.seed, jobs=args.jobs,
         algorithm=args.algorithm, wav_sources=wav_sources,
         dims=dims, samples=samples, eval_fracs=fracs, snr_db=args.snr_db,
         matrix=matrix,
     )
-    out_path = Path(args.out)
-    if out_path.suffix != ".csv":
-        out_path = _out_dir(args.out) / f"bench_{args.table.lower()}.csv"
     write_csv(out_path, header, rows)
     print(f"wrote {out_path}")
     return EXIT_OK
 
 
 def cmd_surface(args) -> int:
-    marg1 = _parse_floats(args.marg1)
+    marg1 = _parse_list(args.marg1)
+    out_path = _out_path(args.out, f"surface_{args.divergence}.csv")
     kwargs = dict(alpha=args.alpha, weight=args.weight, beta=args.beta)
     if args.marg2 is not None:
-        rows = divergence_slice(marg1, _parse_floats(args.marg2), args.grid, args.divergence, **kwargs)
+        rows = divergence_slice(marg1, _parse_list(args.marg2), args.grid, args.divergence, **kwargs)
     else:
         rows = divergence_surface(marg1, args.grid, args.divergence, **kwargs)
-    out_path = Path(args.out)
-    if out_path.suffix != ".csv":
-        out_path = _out_dir(args.out) / f"surface_{args.divergence}.csv"
     write_csv(out_path, ["pAA", "pBA", "value"], [tuple(float(v) for v in r) for r in rows])
     print(f"wrote {out_path} ({len(rows)} nodes)")
     return EXIT_OK

@@ -28,6 +28,7 @@ def format_float(x: float) -> str:
 def write_csv(path, header, rows) -> None:
     path = Path(path)
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
@@ -97,6 +98,7 @@ def write_wav(path, samples, rate: int = WAV_RATE) -> None:
         warnings.warn(f"samples outside [-1, 1) clipped while writing {path}", stacklevel=2)
     ints = np.round(np.clip(x, -1.0, limit) * _WAV_SCALE).astype("<i2")
     try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         with wave.open(str(path), "wb") as wf:
             wf.setnchannels(1)
             wf.setsampwidth(2)

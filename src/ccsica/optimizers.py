@@ -288,7 +288,7 @@ def separate(x, algorithm: str = "jacobi", gd_cfg: GdConfig | None = None,
     key = str(algorithm).strip().lower()
     if key == "gd":
         return ica_gradient_descent(x, gd_cfg)
-    if key in ("pairwise-gd", "pairwise_gd"):
+    if key == "pairwise-gd":
         return ica_pairwise_gd(x, gd_cfg, sweeps=sweeps)
     if key == "jacobi":
         return ica_pairwise_jacobi(x, jacobi_cfg)

@@ -6,7 +6,8 @@ import yaml
 
 from ccsica import bench, cli
 from ccsica.cli import main
-from ccsica.fileio import read_matrix_csv, read_signal_csv, read_wav, write_matrix_csv
+from ccsica.fileio import (read_matrix_csv, read_signal_csv, read_wav, write_matrix_csv,
+                           write_signal_csv)
 from ccsica.metrics import kurtosis
 from ccsica.preprocess import remove_mean, whiten
 
@@ -321,6 +322,46 @@ class TestBench:
         assert lines[0].startswith("pair,trials,")
         for line in lines[1:]:
             assert int(line.split(",")[1]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["t4", "--dims", "2.7", "--samples", "1000", "--scale", "0.01"],
+        ["t4", "--dims", "2", "--samples", "1000.9", "--scale", "0.01"],
+        ["t4", "--dims", "2,4", "--samples", "3", "--scale", "0.02"],
+        ["t4", "--samples", "10", "--scale", "1"],
+        ["t5", "--dims", "2,4", "--samples", "3", "--eval-fracs", "1", "--scale", "0.01"],
+    ])
+    def test_non_integer_or_short_grid_exits_two_before_any_trial(self, tmp_path, monkeypatch, argv):
+        # not truncated to m = 2, T = 1000; t4's default grid at scale 1 reaches m = 20
+        trials = []
+        monkeypatch.setattr(bench, "_run_table_trial", trials.append)
+        out = tmp_path / "bench.csv"
+        assert main(["bench", *argv, "--out", str(out)]) == 2
+        assert trials == []
+        assert not out.exists()
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("argv, module, name", [
+        (["gen"], cli, "draw_source"),
+        (["mix", "--inputs", "SIGNAL"], cli, "mix"),
+        (["separate", "--input", "SIGNAL"], cli, "separate"),
+        (["eval", "--estimates", "SIGNAL", "--truth", "SIGNAL"], cli, "sir_db"),
+        (["bench", "t1"], bench, "_run_table_trial"),
+        (["surface"], cli, "divergence_surface"),
+    ])
+    def test_out_under_a_file_exits_four_before_any_work(self, tmp_path, monkeypatch, argv, module, name):
+        signal = tmp_path / "signal.csv"
+        write_signal_csv(signal, np.random.default_rng(0).laplace(size=(2, 200)))
+        calls = []
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a))
+        argv = [str(signal) if a == "SIGNAL" else a for a in argv]
+        assert main([*argv, "--out", str(signal / "sub")]) == 4
+        assert calls == []
+
+    def test_csv_out_in_a_missing_directory_is_written(self, tmp_path):
+        out = tmp_path / "missing" / "t1.csv"
+        assert main(["bench", "t1", "--scale", "0.01", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 6
 
 
 class TestWavPipeline:

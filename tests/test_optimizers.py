@@ -307,8 +307,11 @@ class TestDispatcher:
             separate(_pair(300, 1), "fastica")
 
     def test_alias_accepted(self):
+        # the CLI's spelling dispatches to ica_pairwise_gd; the underscore one is gone
         x = _pair(300, 1)
         cfg = GdConfig(stride=3, max_iter=5)
-        lhs = separate(x, "pairwise_gd", gd_cfg=cfg, sweeps=1)
-        rhs = separate(x, "pairwise-gd", gd_cfg=cfg, sweeps=1)
+        lhs = separate(x, "pairwise-gd", gd_cfg=cfg, sweeps=1)
+        rhs = ica_pairwise_gd(x, cfg, sweeps=1)
         assert np.array_equal(lhs.demixer, rhs.demixer)
+        with pytest.raises(InvalidInput):
+            separate(x, "pairwise_gd", gd_cfg=cfg, sweeps=1)
