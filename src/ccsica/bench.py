@@ -217,7 +217,7 @@ def _fig4_records(seed, jobs, max_iter=250) -> list[ExperimentRecord]:
     return _execute(tasks, jobs)
 
 
-def bench_fig4(scale=1.0, seed=0, jobs=1, max_iter=250):
+def bench_fig4(seed=0, jobs=1, max_iter=250):
     header = ["alpha", "source", "sir_db", "iterations", "runtime_s"]
     rows = []
     for (alpha, _), rec in zip(_FIG4_BRANCHES, _fig4_records(seed, jobs, max_iter)):
@@ -226,7 +226,7 @@ def bench_fig4(scale=1.0, seed=0, jobs=1, max_iter=250):
     return header, rows
 
 
-def bench_fig5(scale=1.0, seed=0, jobs=1, max_iter=250):
+def bench_fig5(seed=0, jobs=1, max_iter=250):
     header = ["alpha", "iteration", "contrast"]
     rows = []
     for (alpha, _), rec in zip(_FIG4_BRANCHES, _fig4_records(seed, jobs, max_iter)):
@@ -257,7 +257,7 @@ def _bench_three_source(table_key, scale, seed, jobs, algorithm, snr_db, wav_sou
 
 
 def run_bench(table: str, scale: float = 1.0, seed: int = 0, jobs: int = 1,
-              algorithm: str | None = None, wav_sources=None,
+              algorithm: str = "jacobi", wav_sources=None,
               dims=None, samples=None, eval_fracs=None, snr_db: float | None = None,
               matrix=None):
     """Dispatch a table id to its scenario. Returns (header, rows)."""
@@ -266,20 +266,18 @@ def run_bench(table: str, scale: float = 1.0, seed: int = 0, jobs: int = 1,
         raise InvalidInput("scale must lie in (0, 1]")
     jobs = whole_number(jobs, "jobs")
     if key == "t1":
-        return bench_t1(scale, seed, jobs, algorithm or "jacobi")
+        return bench_t1(scale, seed, jobs, algorithm)
     if key == "t4":
-        return bench_t4(scale, seed, jobs, algorithm or "jacobi", dims=dims, samples=samples)
+        return bench_t4(scale, seed, jobs, algorithm, dims=dims, samples=samples)
     if key == "t5":
-        return bench_t5(scale, seed, jobs, algorithm or "jacobi", dims=dims, samples=samples,
-                        eval_fracs=eval_fracs)
+        return bench_t5(scale, seed, jobs, algorithm, dims=dims, samples=samples, eval_fracs=eval_fracs)
     if key == "fig4":
-        return bench_fig4(scale, seed, jobs)
+        return bench_fig4(seed, jobs)
     if key == "fig5":
-        return bench_fig5(scale, seed, jobs)
+        return bench_fig5(seed, jobs)
     if key == "fig6":
-        return _bench_three_source(6, scale, seed, jobs, algorithm or "jacobi", None, wav_sources,
-                                   matrix=matrix)
+        return _bench_three_source(6, scale, seed, jobs, algorithm, None, wav_sources, matrix=matrix)
     if key == "fig7":
-        return _bench_three_source(7, scale, seed, jobs, algorithm or "jacobi",
+        return _bench_three_source(7, scale, seed, jobs, algorithm,
                                    20.0 if snr_db is None else snr_db, wav_sources, matrix=matrix)
     raise InvalidInput(f"unknown bench table {table!r}, expected one of {TABLE_IDS}")

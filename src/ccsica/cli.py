@@ -211,13 +211,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="base RNG seed (default %(default)s)")
         p.add_argument("--config", type=str, default=None, help="YAML file preloading any long flag")
         p.add_argument("--out", type=str, default="out",
                        help="output file or directory (default %(default)s)")
 
+    def seeded(p):
+        p.add_argument("--seed", type=int, default=0, help="base RNG seed (default %(default)s)")
+        common(p)
+
     g = sub.add_parser("gen", help="generate synthetic source files")
-    common(g)
+    seeded(g)
     g.add_argument("--kinds", type=str, default="uniform,laplacian",
                    help=f"comma list from {SOURCE_KINDS} (default %(default)s)")
     g.add_argument("--t", type=int, default=1000, help="samples per source (default %(default)s)")
@@ -228,7 +231,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     g.set_defaults(func=cmd_gen)
 
     mx = sub.add_parser("mix", help="mix source files through a matrix")
-    common(mx)
+    seeded(mx)
     mx.add_argument("--inputs", type=str, required=True, help="comma list of source files")
     mx.add_argument("--matrix", type=str, default=None,
                     help="matrix CSV path or 'random' (default: random)")
@@ -261,7 +264,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     ev.set_defaults(func=cmd_eval)
 
     be = sub.add_parser("bench", help="run a canned experiment grid")
-    common(be)
+    seeded(be)
     be.add_argument("table", type=str, help=f"one of {bench_mod.TABLE_IDS}")
     be.add_argument("--scale", type=float, default=1.0,
                     help="trial/grid shrink factor in (0,1] (default %(default)s)")

@@ -79,18 +79,6 @@ class DiscreteBivariate:
         joint = np.array([[p_aa, m1[0] - p_aa], [p_ba, m1[1] - p_ba]], dtype=float)
         return cls.from_joint(joint)
 
-    @classmethod
-    def from_slice_point(cls, marg1, marg2, p_aa) -> "DiscreteBivariate":
-        """Build a table on the sweep line through the independence point.
-
-        The sweep holds the (B,A) cell at its independence value
-        marg1[1]*marg2[0] and lets p_aa vary; the table touches
-        outer(marg1, marg2) exactly when p_aa = marg1[0]*marg2[0].
-        """
-        m1 = _as_marginal(marg1)
-        m2 = _as_marginal(marg2)
-        return cls.from_free_cells(m1, p_aa, m1[1] * m2[0])
-
     def product_cells(self) -> np.ndarray:
         return np.outer(self.marg1, self.marg2)
 
@@ -256,7 +244,7 @@ def make_divergence(which: str, alpha: float = -1.0, weight: float = 0.5, beta: 
         return cs_div
     if key == "kl":
         return kl_div
-    if key in ("e", "euclidean"):
+    if key == "e":
         return e_div
     if key == "alpha":
         return lambda d: alpha_div(d, alpha)
@@ -312,16 +300,17 @@ def divergence_slice(marg1, marg2, grid: int, which: str, *, alpha: float = -1.0
     grid = int(grid)
     if grid < 8:
         raise InvalidInput("slice grid resolution must be at least 8")
-    if not 0.0 < m1[1] * m2[0] < m1[1]:
+    p_ba = m1[1] * m2[0]
+    if not 0.0 < p_ba < m1[1]:
         raise InvalidInput("marginal pair admits no interior sweep line")
     fn = make_divergence(which, alpha=alpha, weight=weight, beta=beta)
     rows = []
     for p_aa in _centers(0.0, m1[0], grid):
         try:
-            d = DiscreteBivariate.from_slice_point(m1, m2, p_aa)
+            d = DiscreteBivariate.from_free_cells(m1, p_aa, p_ba)
         except InvalidInput:
             continue
-        rows.append((p_aa, m1[1] * m2[0], fn(d)))
+        rows.append((p_aa, p_ba, fn(d)))
     return np.asarray(rows, dtype=float)
 
 

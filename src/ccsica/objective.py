@@ -70,13 +70,13 @@ class CcsObjective:
     The kernel reference set is every column of the data; the evaluation sum
     runs over every stride-th column starting at the first.  `data` holds
     those evaluation columns first, then the others in their order.  The
-    bandwidth follows the reference count unless given explicitly.
+    bandwidth follows the reference count.
 
     An objective owns the scratch blocks its kernel sums work in, so one
     instance must not be evaluated from two threads at once.
     """
 
-    def __init__(self, data, alpha: float, stride: int = 1, bandwidth: float | None = None):
+    def __init__(self, data, alpha: float, stride: int = 1):
         data = np.ascontiguousarray(validate_signal(data))
         stride = whole_number(stride, "stride")
         queries = np.ascontiguousarray(data[:, ::stride])
@@ -86,15 +86,9 @@ class CcsObjective:
         if not np.isfinite(self.alpha):
             raise InvalidInput("alpha must be finite")
         self.stride = stride
-        self.h = float(bandwidth) if bandwidth is not None else default_bandwidth(data.shape[1])
-        # input joint density at the evaluation points; W enters only via det.
-        # It refuses a bandwidth that is not positive and finite, or whose
-        # h^m leaves the float range
+        self.h = default_bandwidth(data.shape[1])
+        # input joint density at the evaluation points; W enters only via det
         self.base_density = gaussian_density_nd(data, queries, self.h)
-        # no density, joint or marginal product, can exceed (2 pi)^(-m/2) h^-m;
-        # below the floor every point is clamped and the contrast reads 0
-        if data.shape[0] * np.log(_SQRT_2PI * self.h) > -np.log(EPS_FLOOR):
-            raise InvalidInput(f"bandwidth {self.h!r} puts every density below the floor {EPS_FLOOR}")
         # evaluation points first, so that the marginal sums share their pairs
         rest = np.ones(data.shape[1], dtype=bool)
         rest[::stride] = False

@@ -1,3 +1,4 @@
+import inspect
 import re
 
 import numpy as np
@@ -250,15 +251,15 @@ _BUILT_IN_DEFAULTS = {
                           tau1=3.0, tau2=1.0, format="csv")),
     "mix": (["mix", "--inputs", "s.csv"], dict(seed=0, config=None, out="out", matrix=None, snr_db=None)),
     "separate": (["separate", "--input", "x.csv"],
-                 dict(seed=0, config=None, out="out", algorithm="jacobi", divergence="ccs",
+                 dict(config=None, out="out", algorithm="jacobi", divergence="ccs",
                       alpha=-0.99999, gamma=0.3, ts=1, max_iter=250, epsilon=1e-4, sweeps=3,
                       format="csv")),
     "eval": (["eval", "--estimates", "y.csv", "--truth", "s.csv"],
-             dict(seed=0, config=None, out="out", demixer=None, mixing=None)),
+             dict(config=None, out="out", demixer=None, mixing=None)),
     "bench": (["bench", "t1"], dict(seed=0, config=None, out="out", scale=1.0, jobs=1,
                                     algorithm="jacobi", dims=None, samples=None, eval_fracs=None,
                                     snr_db=None, wav=None, matrix=None)),
-    "surface": (["surface"], dict(seed=0, config=None, out="out", divergence="ccs", marg1="0.6,0.4",
+    "surface": (["surface"], dict(config=None, out="out", divergence="ccs", marg1="0.6,0.4",
                                   marg2=None, grid=64, alpha=-1.0, weight=0.5, beta=2.0)),
 }
 
@@ -285,6 +286,21 @@ class TestDefaults:
         for key, value in _BUILT_IN_DEFAULTS[command][1].items():
             if value is not None:
                 assert f"(default {value})" in entries["--" + key.replace("_", "-")]
+
+    @pytest.mark.parametrize("command", ["separate", "eval", "surface"])
+    def test_seed_refused_where_nothing_draws(self, command):
+        with pytest.raises(SystemExit) as stop:
+            main(_BUILT_IN_DEFAULTS[command][0] + ["--seed", "0"])
+        assert stop.value.code == 2
+
+    @pytest.mark.parametrize("command", sorted(_BUILT_IN_DEFAULTS))
+    def test_every_flag_is_read(self, command):
+        # main reads --config before the command runs
+        parser = cli._build_parser()[1][command]
+        source = inspect.getsource(parser.get_default("func"))
+        unread = [a.dest for a in parser._actions if a.option_strings and a.dest not in ("help", "config")
+                  and not re.search(rf"\bargs\.{a.dest}\b", source)]
+        assert unread == []
 
 
 class TestSurface:

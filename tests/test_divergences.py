@@ -109,7 +109,7 @@ class TestDiscreteBivariate:
 
     def test_slice_point_passes_through_independence(self):
         m1, m2 = [0.7, 0.3], [0.5, 0.5]
-        d = DiscreteBivariate.from_slice_point(m1, m2, 0.35)
+        d = DiscreteBivariate.from_free_cells(m1, 0.35, m1[1] * m2[0])
         assert np.allclose(d.joint, np.outer(m1, m2), atol=1e-15)
 
 
@@ -218,8 +218,9 @@ class TestRegistry:
             assert np.isfinite(fn(d))
 
     def test_unknown_id_rejected(self):
-        with pytest.raises(InvalidInput):
-            make_divergence("renyi")
+        for which in ("renyi", "euclidean"):
+            with pytest.raises(InvalidInput):
+                make_divergence(which)
 
 
 class TestSurfaces:
