@@ -56,21 +56,21 @@ def _out_path(out: str, name: str | None = None) -> Path:
     return path
 
 
-def _read_any_signal(path: str) -> np.ndarray:
-    """One file or a comma list; each entry a signal CSV or a mono WAV."""
-    rows = []
-    for part in (p.strip() for p in path.split(",")):
-        if not part:
-            continue
-        if part.endswith(".wav"):
-            _, data = read_wav(part)
-            rows.append(np.atleast_2d(data))
-        else:
-            rows.append(np.atleast_2d(read_signal_csv(part)))
-    if not rows:
-        raise InvalidInput(f"no readable signal in {path!r}")
+def _read_signals(paths) -> np.ndarray:
+    """The signals of a list of paths, each a signal CSV or a mono WAV,
+    trimmed to the shortest and stacked."""
+    rows = [np.atleast_2d(read_wav(p)[1] if str(p).endswith(".wav") else read_signal_csv(p))
+            for p in paths]
     n = min(b.shape[1] for b in rows)
     return np.vstack([b[:, :n] for b in rows])
+
+
+def _read_any_signal(path: str) -> np.ndarray:
+    """One file or a comma list; each entry a signal CSV or a mono WAV."""
+    parts = [p.strip() for p in path.split(",") if p.strip()]
+    if not parts:
+        raise InvalidInput(f"no readable signal in {path!r}")
+    return _read_signals(parts)
 
 
 def _wav_safe(row: np.ndarray) -> np.ndarray:
@@ -169,9 +169,7 @@ def cmd_bench(args) -> int:
         paths = sorted(Path(args.wav).glob("*.wav"))
         if len(paths) < 3:
             raise InvalidInput(f"bench fig6/fig7 needs 3 WAV files in {args.wav}")
-        rows = [read_wav(p)[1] for p in paths[:3]]
-        n = min(len(r) for r in rows)
-        wav_sources = np.vstack([r[:n] for r in rows])
+        wav_sources = _read_signals(paths[:3])
     dims = _parse_list(args.dims, int) if args.dims else None
     samples = _parse_list(args.samples, int) if args.samples else None
     fracs = _parse_list(args.eval_fracs) if args.eval_fracs else None
@@ -290,7 +288,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                     help="second marginal; fixes the slice instead of the surface")
     su.add_argument("--grid", type=int, default=64, help="nodes per free cell (default %(default)s)")
     su.add_argument("--alpha", type=float, default=-1.0,
-                    help="curvature for ccs/alpha/c (default %(default)s)")
+                    help="curvature for ccs/alpha/c; alpha needs a value other than +1/-1 "
+                         "(default %(default)s)")
     su.add_argument("--weight", type=float, default=0.5,
                     help="mixture weight for js/c (default %(default)s)")
     su.add_argument("--beta", type=float, default=2.0,

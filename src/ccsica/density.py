@@ -2,10 +2,10 @@
 
 `_kernel_sums` is the only code that does kernel work.  It runs over a
 B x m x T stack of reference sets, with direct sums over each full set (no
-tree or FFT shortcuts, no leave-one-out).  `gaussian_sums_1d` is its m = 1
-face, which adds the derivative sums the contrast gradient needs and
-queries shared with the references; `gaussian_density_nd` is its B = 1
-face, the normalised joint density.
+tree or FFT shortcuts, no leave-one-out), at the first n points of each set
+as queries.  `gaussian_sums_1d` is its m = 1 face, which adds the
+derivative sums the contrast gradient needs; `gaussian_density_nd` is its
+B = 1 face, the normalised joint density.
 
 The loop splits the queries into strips of at most `_CHUNK` kernel terms
 (query rows x references), each worked in place in a block that starts on a
@@ -18,15 +18,12 @@ term to within about eps * max|q|^2 (a subtraction first would give
 eps * |u| * max|q|, but costs two more passes).  Every product has at least
 two query rows, so a row's exponent does not depend on how its strip falls.
 
-For arbitrary queries a row's kernel sum is a pairwise sum that does not
-depend on the strips either; only the feature product, which BLAS blocks
-itself, can move by an ulp.  When the queries are the first n of T
-references, each pair of queries is computed once, about n*T - n^2/2 terms
-in all: a query gathers its pairs with earlier queries strip by strip, and
-each block is reduced by matrix products (a BLAS row sum is two to three
-times as fast as numpy's pairwise one, but rounds by the rows of its block),
-so these sums can move by an ulp with the budget.  Each set of a stack runs
-its strips exactly as it would alone.
+Each pair of queries is computed once, about n*T - n^2/2 terms in all: a
+query gathers its pairs with earlier queries strip by strip, and each block
+is reduced by matrix products (a BLAS row sum is two to three times as fast
+as numpy's pairwise one, but rounds by the rows of its block), so the sums
+can move by an ulp with the budget.  Each set of a stack runs its strips
+exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -92,34 +89,32 @@ def _strip_product(q_op: np.ndarray, r: int, ref_op: np.ndarray, block: np.ndarr
     return out[:r]
 
 
-def _kernel_sums(refs: np.ndarray, queries, h: float, feats=None, work=None):
-    """Unnormalised kernel sums against each set of a B x m x T stack, as a
-    tuple of arrays with a leading axis of B.
+def _kernel_sums(refs: np.ndarray, n, h: float, feats=None, work=None):
+    """Unnormalised kernel sums against each set of a B x m x T stack at its
+    first n points, as a tuple of arrays with a leading axis of B.
 
-    `queries` is a count n, meaning the first n points of each set, or a
-    B x m x n stack.  With k = exp(-|q/h - r/h|^2 / 2) the tuple is
-    (sum_r k,); with per-reference features (T x d) at m = 1 it is
+    With k = exp(-|q/h - r/h|^2 / 2) the tuple is (sum_r k,); with
+    per-reference features (T x d) at m = 1 it is
     (sum_r k, sum_r u*k, sum_r u*k*feats[r]), where u = q/h - r/h comes from
     query rows [q | -1] and operand rows [1 ; r], two exact products, so u is
     q - r rounded once.  `work` is as for `gaussian_sums_1d`.
     """
     n_sets, _, n_refs = refs.shape
-    shared = isinstance(queries, (int, np.integer))
-    n = queries if shared else queries.shape[2]
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= n_refs:
+        raise InvalidInput(f"query count must be an integer in [1, {n_refs}], got {n!r:.40}")
     rows = _block_rows(n, n_refs)
     work = [] if work is None else work
     work += kernel_scratch(n, n_refs, (1 if feats is None else 2) - len(work))
     ref_op = _operand(refs, h)
-    q_op = ref_op if shared else _operand(queries, h)
     # query rows [-|q|^2/2 | q | 1], built once; row n repeats row n-1 for
     # `_strip_product`, since only the last strip can have one row
-    q_rows = np.ones((n_sets, n + 1, q_op.shape[1]))
-    q_rows[:, :n, 0] = q_op[:, -1, :n]
-    q_rows[:, :n, 1:-1] = q_op[:, 1:-1, :n].transpose(0, 2, 1)
+    q_rows = np.ones((n_sets, n + 1, ref_op.shape[1]))
+    q_rows[:, :n, 0] = ref_op[:, -1, :n]
+    q_rows[:, :n, 1:-1] = ref_op[:, 1:-1, :n].transpose(0, 2, 1)
     q_rows[:, n] = q_rows[:, n - 1]
-    # a strip of query rows [lo, hi) runs over the references from `start`;
-    # shared, its part against the later queries hi:n is also their part
-    # against the strip, so it is added to those queries by column (*_cols)
+    # a strip of query rows [lo, hi) runs over the references from lo; its
+    # part against the later queries hi:n is also their part against the
+    # strip, so it is added to those queries by column (*_cols)
     ksum, k_cols, part, ones = np.empty((n_sets, n)), np.empty(n), np.empty(n), np.ones(n_refs)
     if feats is not None:
         # [1 | feats]: one product gives sum_r u*k and sum_r u*k*feats[r]
@@ -134,25 +129,17 @@ def _kernel_sums(refs: np.ndarray, queries, h: float, feats=None, work=None):
             uf_cols.fill(0.0)
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
-            start, cols = (lo, n - hi) if shared else (0, 0)
-            r, width, ref = hi - lo, n_refs - start, ref_op[b, :, start:]
+            r, cols, ref = hi - lo, n - hi, ref_op[b, :, lo:]
             k = _strip_product(q_rows[b, lo:], r, ref, work[0])
             np.exp(k, out=k)
-            # a BLAS row sum rounds by the rows of its block; shared sums
-            # already follow the budget by column, arbitrary ones do not
-            if shared:
-                np.matmul(k, ones[:width], out=ksum[b, lo:hi])
-            else:
-                k.sum(axis=1, out=ksum[b, lo:hi])
+            np.matmul(k, ones[: n_refs - lo], out=ksum[b, lo:hi])
             if cols:
                 k_cols[hi:] += np.matmul(ones[:r], k[:, r : r + cols], out=part[:cols])
             if feats is not None:
                 u_op[: max(r, 2), 0] = q_rows[b, lo : lo + max(r, 2), 1]
                 u = _strip_product(u_op, r, ref[:2], work[1])
                 u *= k
-                np.matmul(u, f1[start:], out=uf[b, lo:hi])
-                if not shared:  # usum as a pairwise sum too, like ksum
-                    u.sum(axis=1, out=uf[b, lo:hi, 0])
+                np.matmul(u, f1[lo:], out=uf[b, lo:hi])
                 if cols:
                     uf_cols[hi:] += np.matmul(u[:, r : r + cols].T, f1[lo:hi], out=uf_part[:cols])
         ksum[b] += k_cols
@@ -161,19 +148,18 @@ def _kernel_sums(refs: np.ndarray, queries, h: float, feats=None, work=None):
     return (ksum,) if feats is None else (ksum, uf[..., 0], uf[..., 1:])
 
 
-def gaussian_sums_1d(refs, queries, h: float, feats=None, work=None):
-    """Unnormalised Gaussian kernel sums of 1-D queries against 1-D references.
+def gaussian_sums_1d(refs, n, h: float, feats=None, work=None):
+    """Unnormalised Gaussian kernel sums of 1-D references at the first n of them.
 
     With u = q/h - r/h and k = exp(-u^2 / 2), returns sum_r k per query.
     Given per-reference features (T x d), returns (sum_r k, sum_r u*k,
     sum_r u*k*feats[r]) instead; the last two carry the derivative of the
     sum in the query point (-usum / h) or through features that move it.
-    `queries` is an array of points, or a count n meaning the first n
-    references themselves; then k(q, r) = k(r, q) and u(q, r) = -u(r, q)
-    exactly, so each pair of queries is computed once.  With a count, `refs`
-    may also be a B x T stack of rows, each with its own queries; the sums
-    then gain a leading axis of B, and row b of the result equals the call
-    on refs[b] alone bit for bit.
+    The queries are references too, so k(q, r) = k(r, q) and
+    u(q, r) = -u(r, q) exactly, and each pair of queries is computed once.
+    `refs` may also be a B x T stack of rows, each with its own queries; the
+    sums then gain a leading axis of B, and row b of the result equals the
+    call on refs[b] alone bit for bit.
 
     Each term rounds as the module docstring says; after whitening a solver
     row has |q/h| <= T^0.7 / 1.06 at the default bandwidth, and typical ones
@@ -182,30 +168,26 @@ def gaussian_sums_1d(refs, queries, h: float, feats=None, work=None):
     the list lacks.
     """
     refs = np.asarray(refs, dtype=float)
-    shared = isinstance(queries, (int, np.integer))
-    if refs.ndim != 1 and not (shared and refs.ndim == 2):
-        raise InvalidInput("references must be one row, or a stack of rows with shared queries")
+    if refs.ndim not in (1, 2):
+        raise InvalidInput("references must be one row, or a stack of rows")
     stack = refs.reshape(1 if refs.ndim == 1 else len(refs), 1, refs.shape[-1])
-    sums = _kernel_sums(stack, queries if shared else np.reshape(queries, (1, 1, -1)), h, feats, work)
+    sums = _kernel_sums(stack, n, h, feats, work)
     if refs.ndim == 1:
         sums = tuple(s[0] for s in sums)
     return sums[0] if feats is None else sums
 
 
-def gaussian_density_nd(refs, queries, h: float):
-    """Joint Gaussian-kernel density of M x N references at M x K queries."""
+def gaussian_density_nd(refs, n, h: float):
+    """Joint Gaussian-kernel density of M x T references at the first n of them."""
     refs = np.asarray(refs, dtype=float)
     if refs.ndim != 2:
         raise InvalidInput("reference block must be channels x T")
-    m, n = refs.shape
-    q = np.asarray(queries, dtype=float)
-    if q.ndim != 2 or q.shape[0] != m:
-        raise InvalidInput(f"queries must be {m} channels x K, got shape {q.shape}")
+    m, t_count = refs.shape
     h = float(h)
     if not 0.0 < h < np.inf:
         raise InvalidInput(f"bandwidth must be positive and finite, got {h!r}")
     try:
-        norm = (2.0 * np.pi) ** (-m / 2.0) / (n * h**m)
+        norm = (2.0 * np.pi) ** (-m / 2.0) / (t_count * h**m)
     except (OverflowError, ZeroDivisionError):
         raise InvalidInput(f"bandwidth {h!r} puts h^{m} outside the float range") from None
-    return _kernel_sums(refs[None], q[None], h)[0][0] * norm
+    return _kernel_sums(refs[None], n, h)[0][0] * norm

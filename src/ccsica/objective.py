@@ -79,22 +79,22 @@ class CcsObjective:
     def __init__(self, data, alpha: float, stride: int = 1):
         data = np.ascontiguousarray(validate_signal(data))
         stride = whole_number(stride, "stride")
-        queries = np.ascontiguousarray(data[:, ::stride])
-        if queries.shape[1] < 2:
+        n_points = len(range(0, data.shape[1], stride))
+        if n_points < 2:
             raise InvalidInput("need at least 2 evaluation points after striding")
         self.alpha = float(alpha)
         if not np.isfinite(self.alpha):
             raise InvalidInput("alpha must be finite")
         self.stride = stride
         self.h = default_bandwidth(data.shape[1])
-        # input joint density at the evaluation points; W enters only via det
-        self.base_density = gaussian_density_nd(data, queries, self.h)
-        # evaluation points first, so that the marginal sums share their pairs
+        # evaluation points first, so that the kernel sums share their pairs
         rest = np.ones(data.shape[1], dtype=bool)
         rest[::stride] = False
-        self.data = np.concatenate([queries, data[:, rest]], axis=1)
+        self.data = np.concatenate([data[:, ::stride], data[:, rest]], axis=1)
         self.data_t = np.ascontiguousarray(self.data.T)
-        self.queries_t = self.data_t[: queries.shape[1]]
+        self.queries_t = self.data_t[:n_points]
+        # input joint density at the evaluation points; W enters only via det
+        self.base_density = gaussian_density_nd(self.data, n_points, self.h)
         # one kernel work block serves values; the first gradient adds a second
         self._work = kernel_scratch(self.n_points, self.n_refs)
 

@@ -318,6 +318,16 @@ class TestSurface:
         rows = np.loadtxt(out / "surface_e.csv", delimiter=",", skiprows=1)
         assert rows.shape == (64, 3)
 
+    def test_alpha_divergence_needs_alpha_other_than_one(self, tmp_path):
+        # --alpha defaults to -1, where the alpha divergence is undefined
+        out = tmp_path / "surf"
+        assert main(["surface", "--divergence", "alpha", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert main(["surface", "--divergence", "alpha", "--alpha", "0.5", "--grid", "8",
+                     "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "surface_alpha.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (64, 3)
+
 
 class TestEval:
     def test_truth_against_itself_hits_cap(self, tmp_path):

@@ -12,16 +12,35 @@ from ccsica.optimizers import rotation
 SQRT2PI = np.sqrt(2.0 * np.pi)
 
 
-def _parzen(refs, queries, h):
+def _sums_at(refs, points, h, feats=None):
+    """Kernel sums of 1-D `refs` at points outside them: the sums over
+    [points; refs] at the first len(points) queries, less the sums over the
+    points alone (whose features are zero)."""
+    points = np.atleast_1d(np.asarray(points, dtype=float))
+    n, both = points.size, np.concatenate([points, refs])
+    if feats is None:
+        return gaussian_sums_1d(both, n, h) - gaussian_sums_1d(points, n, h)
+    pad = np.zeros((n, feats.shape[1]))
+    outer = gaussian_sums_1d(both, n, h, np.vstack([pad, feats]))
+    return tuple(a - b for a, b in zip(outer, gaussian_sums_1d(points, n, h, pad)))
+
+
+def _density_at(refs, points, h):
+    """Joint density of M x T `refs` at M x K points outside them, the same way."""
+    k, t = points.shape[1], refs.shape[1]
+    both = gaussian_density_nd(np.hstack([points, refs]), k, h) * (k + t)
+    return (both - gaussian_density_nd(points, k, h) * k) / t
+
+
+def _parzen(refs, points, h):
     """Normalised 1-D Parzen density from the kernel sums."""
-    return gaussian_sums_1d(refs, queries, h) / (np.size(refs) * h * SQRT2PI)
+    return _sums_at(refs, points, h) / (np.size(refs) * h * SQRT2PI)
 
 
-def _parzen_grad(refs, queries, h):
+def _parzen_grad(refs, points, h):
     """Derivative of the 1-D Parzen density in the query point."""
-    refs = np.asarray(refs, dtype=float)
-    _, usum, _ = gaussian_sums_1d(refs, queries, h, np.empty((refs.size, 0)))
-    return -usum / (refs.size * h * h * SQRT2PI)
+    _, usum, _ = _sums_at(refs, points, h, np.empty((np.size(refs), 0)))
+    return -usum / (np.size(refs) * h * h * SQRT2PI)
 
 
 class TestBandwidth:
@@ -66,12 +85,22 @@ class TestUnivariate:
         assert np.allclose(_parzen_grad(refs, queries, h), want, rtol=1e-12)
 
     def test_grad_matches_finite_differences(self, rng):
+        # the 9 queries lead the set; moving one moves a reference too, but
+        # its own term stays exp(0) = 1, so the finite difference of its
+        # density is the derivative in the query
         refs = rng.normal(size=200)
         h = default_bandwidth(refs.size)
-        queries = np.linspace(-2.0, 2.0, 9)
+        pts = np.concatenate([np.linspace(-2.0, 2.0, 9), refs])
+        norm = pts.size * h * SQRT2PI
         eps = 1e-6
-        fd = (_parzen(refs, queries + eps, h) - _parzen(refs, queries - eps, h)) / (2 * eps)
-        assert np.allclose(_parzen_grad(refs, queries, h), fd, rtol=1e-6, atol=1e-9)
+        fd = np.empty(9)
+        for i in range(9):
+            up, down = pts.copy(), pts.copy()
+            up[i] += eps
+            down[i] -= eps
+            fd[i] = (gaussian_sums_1d(up, 9, h)[i] - gaussian_sums_1d(down, 9, h)[i]) / (2 * eps * norm)
+        _, usum, _ = gaussian_sums_1d(pts, 9, h, np.empty((pts.size, 0)))
+        assert np.allclose(-usum / (norm * h), fd, rtol=1e-6, atol=1e-9)
 
     def test_integrates_to_one(self, rng):
         refs = rng.normal(size=4000)
@@ -104,27 +133,13 @@ class TestUnivariate:
         queries = rng.normal(size=4)
         feats = rng.normal(size=(7, 3))
         h = 0.6
-        ksum, usum, ufsum = gaussian_sums_1d(refs, queries, h, feats)
+        ksum, usum, ufsum = _sums_at(refs, queries, h, feats)
         u = (queries[:, None] - refs[None, :]) / h
         k = np.exp(-0.5 * u * u)
-        assert np.array_equal(ksum, gaussian_sums_1d(refs, queries, h))
+        assert np.array_equal(ksum, _sums_at(refs, queries, h))
         assert np.allclose(ksum, k.sum(axis=1), rtol=1e-13)
         assert np.allclose(usum, (u * k).sum(axis=1), rtol=1e-13)
         assert np.allclose(ufsum, (u * k) @ feats, rtol=1e-12, atol=1e-15)
-
-    def test_chunking_does_not_change_sums(self, rng, monkeypatch):
-        refs = rng.normal(size=50)
-        queries = rng.normal(size=23)
-        feats = rng.normal(size=(50, 2))
-        ksum, usum, ufsum = gaussian_sums_1d(refs, queries, 0.4, feats)
-        # 5 elements: one row per block; 150: three rows and a short last block
-        for chunk in (5, 150):
-            monkeypatch.setattr(density, "_CHUNK", chunk)
-            k_chunked, u_chunked, uf_chunked = gaussian_sums_1d(refs, queries, 0.4, feats)
-            assert np.array_equal(ksum, k_chunked)
-            assert np.array_equal(usum, u_chunked)
-            # the matrix product is blocked by BLAS, so it may move by an ulp
-            assert np.allclose(ufsum, uf_chunked, rtol=1e-13, atol=1e-15)
 
     def test_chunking_does_not_change_contrast_value(self, monkeypatch):
         # Jacobi's angle choice breaks ties by exact equality
@@ -190,15 +205,6 @@ class TestSharedQueries:
         assert np.allclose(ufsum, want_uf, rtol=1e-12, atol=1e-13)
         assert np.array_equal(ksum, gaussian_sums_1d(refs, n, 0.5))
 
-    def test_matches_same_points_as_queries(self, rng):
-        # 300 of 1000 references: five strips of 65 rows, the last one short
-        refs = rng.normal(size=1000)
-        feats = rng.normal(size=(1000, 2))
-        shared = gaussian_sums_1d(refs, 300, 0.3, feats)
-        plain = gaussian_sums_1d(refs, refs[:300].copy(), 0.3, feats)
-        for a, b in zip(shared, plain):
-            assert np.allclose(a, b, rtol=1e-13, atol=1e-13)
-
     @pytest.mark.parametrize("n", [50, 23])
     def test_budget_does_not_change_sums(self, rng, monkeypatch, n):
         refs = rng.normal(size=50)
@@ -216,7 +222,8 @@ class TestSharedQueries:
     @pytest.mark.parametrize("stride, bound", [(1, 0.55 * 1000**2), (10, 100 * 1000)])
     def test_exponentiates_each_shared_pair_once(self, monkeypatch, stride, bound):
         # ts 1 takes about T^2/2 terms, plus half of each strip's diagonal
-        # block; ts 10 no more than the 100 x 1000 of every query-reference pair
+        # block; ts 10 no more than the 100 x 1000 of every query-reference
+        # pair; the joint density of the build as well as the 1-D sums
         real_exp, terms = np.exp, []
 
         def counting_exp(x, *args, **kwargs):
@@ -224,9 +231,11 @@ class TestSharedQueries:
             return real_exp(x, *args, **kwargs)
 
         z = np.random.default_rng(2).laplace(size=(2, 1000))
-        obj = CcsObjective(z, alpha=-0.99999, stride=stride)
-        rows = np.array([[0.6, 0.8], [0.8, -0.6], [1.0, 0.0]]) @ obj.data
         monkeypatch.setattr(density.np, "exp", counting_exp)
+        obj = CcsObjective(z, alpha=-0.99999, stride=stride)
+        assert 0 < sum(terms) <= bound
+        terms.clear()
+        rows = np.array([[0.6, 0.8], [0.8, -0.6], [1.0, 0.0]]) @ obj.data
         gaussian_sums_1d(rows[0], obj.n_points, obj.h, obj.data_t, work=obj._work)
         assert 0 < sum(terms) <= bound
         # a stack of rows does each row's work once
@@ -248,8 +257,10 @@ class TestSharedQueries:
                 assert np.array_equal(ksum[b], gaussian_sums_1d(row, n, 0.4))
                 for got, alone in zip(sums, gaussian_sums_1d(row, n, 0.4, feats)):
                     assert np.array_equal(got[b], alone)
-        with pytest.raises(InvalidInput):
-            gaussian_sums_1d(stack, stack[0, :5], 0.4)
+        # the count must be an integer in [1, T]
+        for bad in (stack[0, :5], 0, 2.5, 51):
+            with pytest.raises(InvalidInput):
+                gaussian_sums_1d(stack, bad, 0.4)
 
     @pytest.mark.parametrize("stride", [1, 10])
     def test_forms_each_difference_in_one_pass(self, monkeypatch, stride):
@@ -275,7 +286,6 @@ class TestSharedQueries:
         for name in ("divide", "subtract"):
             monkeypatch.setattr(density.np, name, Counting(getattr(np, name)))
         gaussian_sums_1d(row, obj.n_points, obj.h, obj.data_t, work=obj._work)
-        gaussian_sums_1d(row, row[: obj.n_points].copy(), obj.h, obj.data_t)
         assert max(terms, default=0) <= obj.n_refs
 
 
@@ -288,7 +298,7 @@ class TestMultivariate:
         for k in range(3):
             d2 = np.sum((queries[:, k, None] - refs) ** 2, axis=0)
             want[k] = np.mean(np.exp(-0.5 * d2 / h**2)) / ((2 * np.pi) * h**2)
-        assert np.allclose(gaussian_density_nd(refs, queries, h), want, rtol=1e-12)
+        assert np.allclose(_density_at(refs, queries, h), want, rtol=1e-12)
 
     def test_product_rule_for_independent_channels(self, rng):
         # joint kernel estimate of an independent pair tracks the product of
@@ -297,7 +307,7 @@ class TestMultivariate:
         h = default_bandwidth(900)
         ticks = np.linspace(-0.8, 0.8, 9)
         queries = np.vstack([ticks, ticks])
-        joint = gaussian_density_nd(refs, queries, h)
+        joint = _density_at(refs, queries, h)
         product = _parzen(refs[0], ticks, h) * _parzen(refs[1], ticks, h)
         assert np.max(np.abs(joint - product) / product) <= 0.2
 
@@ -305,37 +315,36 @@ class TestMultivariate:
         refs = rng.normal(size=(3, 50))
         queries = rng.normal(size=(3, 4))
         h, c = 0.6, 1.7
-        base = gaussian_density_nd(refs, queries, h)
-        scaled = gaussian_density_nd(c * refs, c * queries, c * h)
+        base = _density_at(refs, queries, h)
+        scaled = _density_at(c * refs, c * queries, c * h)
         assert np.allclose(scaled, base / c**3, rtol=1e-10)
 
     @pytest.mark.parametrize("chunk", [5, 150, 550])
     def test_chunking_does_not_change_density(self, rng, monkeypatch, chunk):
         # blocks of 2, 3 and 11 rows; 23 queries leave a last block of 1, 2
-        # and 1 rows
+        # and 1 rows; shared pairs are added by column, so, like the 1-D
+        # sums, the density follows the budget only in the order of additions
         refs = rng.normal(size=(3, 50))
-        queries = rng.normal(size=(3, 23))
-        whole = gaussian_density_nd(refs, queries, 0.6)
+        whole = gaussian_density_nd(refs, 23, 0.6)
         monkeypatch.setattr(density, "_CHUNK", chunk)
-        assert np.array_equal(gaussian_density_nd(refs, queries, 0.6), whole)
+        assert np.allclose(gaussian_density_nd(refs, 23, 0.6), whole, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("chunk", [1 << 16, 5, 150])
     def test_one_channel_is_the_1d_sum(self, rng, monkeypatch, chunk):
         # both sums run the same strip loop; 5 gives one-row strips, 150
         # three-row strips and a ragged last strip of two
         refs = rng.normal(size=50)
-        queries = rng.normal(size=23)
         h = 0.4
         monkeypatch.setattr(density, "_CHUNK", chunk)
-        joint = gaussian_density_nd(refs[None], queries[None], h)
+        joint = gaussian_density_nd(refs[None], 23, h)
         norm = (2.0 * np.pi) ** -0.5 / (refs.size * h)
-        assert np.array_equal(joint, gaussian_sums_1d(refs, queries, h) * norm)
+        assert np.array_equal(joint, gaussian_sums_1d(refs, 23, h) * norm)
 
-    def test_channel_mismatch_rejected(self, rng):
-        with pytest.raises(InvalidInput):
-            gaussian_density_nd(rng.normal(size=(2, 20)), np.zeros((3, 4)), 0.5)
-        with pytest.raises(InvalidInput):
-            gaussian_density_nd(rng.normal(size=(2, 20)), np.zeros(2), 0.5)
+    def test_query_count_rejected(self, rng):
+        # the count must be an integer in [1, T]
+        for bad in (np.zeros((2, 4)), 0, 2.5, 21):
+            with pytest.raises(InvalidInput):
+                gaussian_density_nd(rng.normal(size=(2, 20)), bad, 0.5)
 
     def test_grad_worker_sign(self):
         # density falls to the right of a lone mass point, rises to the left
@@ -363,27 +372,26 @@ class TestAccuracy:
         feats = rng.normal(size=(400, 2))
         bound = self.EPS * self.Q_MAX**2
         r = refs.astype(np.longdouble)
-        # queries within the data, where no kernel term is subnormal
-        for queries in (400, np.linspace(refs.min(), refs.max(), 51)):
-            q = r[:queries] if isinstance(queries, int) else queries.astype(np.longdouble)
-            u = (q[:, None] - r[None, :]) / np.longdouble(h)
-            k = np.exp(-u * u / 2)
-            uk = u * k
-            ksum, usum, ufsum = gaussian_sums_1d(refs, queries, h, feats)
-            assert np.all(np.abs(ksum - k.sum(axis=1)) <= bound * k.sum(axis=1))
-            assert np.all(np.abs(usum - uk.sum(axis=1)) <= bound * np.abs(uk).sum(axis=1))
-            want_uf = uk @ feats.astype(np.longdouble)
-            assert np.all(np.abs(ufsum - want_uf) <= bound * (np.abs(uk) @ np.abs(feats)))
+        # every reference a query, where no kernel term is subnormal
+        u = (r[:, None] - r[None, :]) / np.longdouble(h)
+        k = np.exp(-u * u / 2)
+        uk = u * k
+        ksum, usum, ufsum = gaussian_sums_1d(refs, 400, h, feats)
+        assert np.all(np.abs(ksum - k.sum(axis=1)) <= bound * k.sum(axis=1))
+        assert np.all(np.abs(usum - uk.sum(axis=1)) <= bound * np.abs(uk).sum(axis=1))
+        want_uf = uk @ feats.astype(np.longdouble)
+        assert np.all(np.abs(ufsum - want_uf) <= bound * (np.abs(uk) @ np.abs(feats)))
 
     def test_density_nd(self, rng):
         h = 0.3
         refs = self._spread(rng, (2, 400), h)
-        queries = refs[:, ::3]
-        r, q = refs.astype(np.longdouble), queries.astype(np.longdouble)
+        n = 134
+        r = refs.astype(np.longdouble)
+        q = r[:, :n]
         d2 = ((q[:, :, None] - r[:, None, :]) ** 2).sum(axis=0) / np.longdouble(h) ** 2
         want = np.exp(-d2 / 2).mean(axis=1) / (2 * np.pi * np.longdouble(h) ** 2)
         q_max = np.max(np.linalg.norm(refs, axis=0)) / h
-        got = gaussian_density_nd(refs, queries, h)
+        got = gaussian_density_nd(refs, n, h)
         assert np.all(np.abs(got - want) <= self.EPS * q_max**2 * want)
 
 
@@ -406,12 +414,12 @@ class TestMemory:
         refs = rng.normal(size=self.T)
         feats = rng.normal(size=(self.T, 2))
         h = default_bandwidth(self.T)
-        assert self._peak(lambda: gaussian_sums_1d(refs, refs[::10], h, feats)) < self.BOUND
+        assert self._peak(lambda: gaussian_sums_1d(refs, self.T // 10, h, feats)) < self.BOUND
 
     def test_density_nd(self, rng):
         refs = rng.normal(size=(2, self.T))
         h = default_bandwidth(self.T)
-        assert self._peak(lambda: gaussian_density_nd(refs, refs[:, ::10], h)) < self.BOUND
+        assert self._peak(lambda: gaussian_density_nd(refs, self.T // 10, h)) < self.BOUND
 
     def test_objective_value_and_gradient(self, rng):
         z = rng.laplace(size=(2, self.T))

@@ -29,9 +29,9 @@ class TestCcsObjective:
         w = np.array([[0.9, 0.3], [-0.2, 1.1]])
         # the three sums rebuilt by hand from the cached joint density and the
         # per-row 1-D kernel sums
-        y = w @ z
+        y = w @ obj.data
         norm = 1.0 / (obj.n_refs * obj.h * np.sqrt(2.0 * np.pi))
-        q = np.prod([gaussian_sums_1d(row, row[::4], obj.h) * norm for row in y], axis=0)
+        q = np.prod([gaussian_sums_1d(row, obj.n_points, obj.h) * norm for row in y], axis=0)
         py = obj.base_density / abs(np.linalg.det(w))
         fj = convex_f(np.maximum(py, EPS_FLOOR), obj.alpha)
         fm = convex_f(np.maximum(q, EPS_FLOOR), obj.alpha)
@@ -139,7 +139,7 @@ class TestCcsObjective:
         # or whose h^m leaves the float range (1e300 overflows, 1e-200 underflows)
         for h in (0.0, -0.3, np.nan, np.inf, 1e300, 1e-200):
             with pytest.raises(InvalidInput):
-                gaussian_density_nd(z, z, h)
+                gaussian_density_nd(z, z.shape[1], h)
 
     def test_rejects_non_finite_alpha(self):
         z = _standardized_pair(t=50, seed=7)
