@@ -10,9 +10,8 @@ from .divergences import (DIVERGENCE_IDS, DiscreteBivariate, alpha_div, beta_div
                           kl_div, make_divergence)
 from .density import default_bandwidth
 from .objective import CcsObjective
-from .optimizers import (ALGORITHMS, GdConfig, JacobiConfig, SeparationResult,
-                         compose_demixer, ica_gradient_descent, ica_pairwise_gd,
-                         ica_pairwise_jacobi, rotation, separate)
+from .optimizers import (ALGORITHMS, GdConfig, JacobiConfig, SeparationResult, rotation,
+                         separate)
 from .sources import (SOURCE_KINDS, MixingModel, draw_source, mix,
                       noise_sigma_for_snr, random_mixing_matrix, rng_for, source_bank)
 from .metrics import align_sources, amari_index, kurtosis, sir_db
@@ -32,9 +31,7 @@ __all__ = [
     "kl_div", "make_divergence",
     "default_bandwidth",
     "CcsObjective",
-    "ALGORITHMS", "GdConfig", "JacobiConfig", "SeparationResult", "compose_demixer",
-    "ica_gradient_descent", "ica_pairwise_gd", "ica_pairwise_jacobi", "rotation",
-    "separate",
+    "ALGORITHMS", "GdConfig", "JacobiConfig", "SeparationResult", "rotation", "separate",
     "SOURCE_KINDS", "MixingModel", "draw_source", "mix",
     "noise_sigma_for_snr", "random_mixing_matrix", "rng_for", "source_bank",
     "align_sources", "amari_index", "kurtosis", "sir_db",

@@ -31,7 +31,11 @@ from .objective import whole_number
 from .optimizers import GdConfig, JacobiConfig, separate
 from .sources import MixingModel, mix, noise_sigma_for_snr, random_mixing_matrix, rng_for, draw_source
 
-TABLE_IDS = ("t1", "t4", "t5", "fig4", "fig5", "fig6", "fig7")
+# the optional run_bench arguments each table reads; any other must be None
+_TABLE_OPTIONS = {"t1": (), "t4": ("dims", "samples"), "t5": ("dims", "samples", "eval_fracs"),
+                  "fig4": (), "fig5": (), "fig6": ("wav_sources", "matrix"),
+                  "fig7": ("wav_sources", "matrix", "snr_db")}
+TABLE_IDS = tuple(_TABLE_OPTIONS)
 
 # fixed mixing matrices for the demo scenarios (columns mix the sources)
 DEMO_MATRIX_2 = np.array([[0.5, 0.6], [0.3, 0.4]]).T
@@ -262,9 +266,16 @@ def run_bench(table: str, scale: float = 1.0, seed: int = 0, jobs: int = 1,
               matrix=None):
     """Dispatch a table id to its scenario. Returns (header, rows)."""
     key = str(table).strip().lower()
+    if key not in TABLE_IDS:
+        raise InvalidInput(f"unknown bench table {table!r}, expected one of {TABLE_IDS}")
     if not 0.0 < scale <= 1.0:
         raise InvalidInput("scale must lie in (0, 1]")
     jobs = whole_number(jobs, "jobs")
+    options = dict(dims=dims, samples=samples, eval_fracs=eval_fracs, wav_sources=wav_sources,
+                   matrix=matrix, snr_db=snr_db)
+    unread = [k for k, v in options.items() if v is not None and k not in _TABLE_OPTIONS[key]]
+    if unread:
+        raise InvalidInput(f"bench {key} does not read {', '.join(unread)}")
     if key == "t1":
         return bench_t1(scale, seed, jobs, algorithm)
     if key == "t4":
@@ -277,7 +288,5 @@ def run_bench(table: str, scale: float = 1.0, seed: int = 0, jobs: int = 1,
         return bench_fig5(seed, jobs)
     if key == "fig6":
         return _bench_three_source(6, scale, seed, jobs, algorithm, None, wav_sources, matrix=matrix)
-    if key == "fig7":
-        return _bench_three_source(7, scale, seed, jobs, algorithm,
-                                   20.0 if snr_db is None else snr_db, wav_sources, matrix=matrix)
-    raise InvalidInput(f"unknown bench table {table!r}, expected one of {TABLE_IDS}")
+    return _bench_three_source(7, scale, seed, jobs, algorithm,
+                               20.0 if snr_db is None else snr_db, wav_sources, matrix=matrix)

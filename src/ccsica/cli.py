@@ -125,8 +125,6 @@ def cmd_separate(args) -> int:
     gd_cfg = GdConfig(step_size=args.gamma, max_iter=args.max_iter,
                       epsilon=args.epsilon, alpha=args.alpha, stride=args.ts)
     jac_cfg = JacobiConfig(alpha=args.alpha, stride=args.ts)
-    if args.divergence != "ccs":
-        raise InvalidInput("only the ccs contrast drives separation; other ids serve the surface command")
     out = _out_path(args.out)
     res = separate(x, args.algorithm, gd_cfg=gd_cfg, jacobi_cfg=jac_cfg, sweeps=args.sweeps)
     y = res.estimate(x)
@@ -138,8 +136,7 @@ def cmd_separate(args) -> int:
         write_signal_csv(out / "estimates.csv", y)
         estimate_note = "estimates.csv"
     write_matrix_csv(out / "demixer.csv", res.demixer)
-    trace = res.trace if res.cm is None else res.cm_sweep_totals
-    write_csv(out / "trace.csv", ["iteration", "value"], [(i, float(v)) for i, v in enumerate(trace)])
+    write_csv(out / "trace.csv", ["iteration", "value"], [(i, float(v)) for i, v in enumerate(res.trace)])
     if res.cm is not None:
         write_matrix_csv(out / "cm.csv", res.cm)
     print(f"wrote {estimate_note}, demixer.csv and trace.csv to {out}")
@@ -241,7 +238,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common(sep)
     sep.add_argument("--input", type=str, required=True, help="mixture CSV or comma list of WAVs")
     sep.add_argument("--algorithm", choices=ALGORITHMS, default="jacobi", help="solver (default %(default)s)")
-    sep.add_argument("--divergence", type=str, default="ccs", help="contrast id (default %(default)s)")
     sep.add_argument("--alpha", type=float, default=-0.99999, help="curvature (default %(default)s)")
     sep.add_argument("--gamma", type=float, default=0.3, help="gradient step size (default %(default)s)")
     sep.add_argument("--ts", type=int, default=1, help="evaluation stride (default %(default)s)")

@@ -232,34 +232,43 @@ def beta_div(d: DiscreteBivariate, beta: float) -> float:
 # surfaces over the free cells of the table
 
 
-DIVERGENCE_IDS = ("ccs", "cs", "kl", "e", "alpha", "js", "c", "beta")
+# each id's evaluator of (table, alpha, weight, beta)
+_EVALUATORS = {
+    "ccs": lambda d, alpha, weight, beta: ccs_div(d, alpha),
+    "cs": lambda d, alpha, weight, beta: cs_div(d),
+    "kl": lambda d, alpha, weight, beta: kl_div(d),
+    "e": lambda d, alpha, weight, beta: e_div(d),
+    "alpha": lambda d, alpha, weight, beta: alpha_div(d, alpha),
+    "js": lambda d, alpha, weight, beta: js_div(d, weight),
+    "c": lambda d, alpha, weight, beta: c_div(d, alpha, weight),
+    "beta": lambda d, alpha, weight, beta: beta_div(d, beta),
+}
+DIVERGENCE_IDS = tuple(_EVALUATORS)
 
 
 def make_divergence(which: str, alpha: float = -1.0, weight: float = 0.5, beta: float = 2.0):
     """Resolve a divergence id to a single-argument evaluator on tables."""
-    key = str(which).strip().lower()
-    if key == "ccs":
-        return lambda d: ccs_div(d, alpha)
-    if key == "cs":
-        return cs_div
-    if key == "kl":
-        return kl_div
-    if key == "e":
-        return e_div
-    if key == "alpha":
-        return lambda d: alpha_div(d, alpha)
-    if key == "js":
-        return lambda d: js_div(d, weight)
-    if key == "c":
-        return lambda d: c_div(d, alpha, weight)
-    if key == "beta":
-        return lambda d: beta_div(d, beta)
-    raise InvalidInput(f"unknown divergence id {which!r}, expected one of {DIVERGENCE_IDS}")
+    evaluator = _EVALUATORS.get(str(which).strip().lower())
+    if evaluator is None:
+        raise InvalidInput(f"unknown divergence id {which!r}, expected one of {DIVERGENCE_IDS}")
+    return lambda d: evaluator(d, alpha, weight, beta)
 
 
 def _centers(lo: float, hi: float, n: int) -> np.ndarray:
     w = (hi - lo) / n
     return lo + w * (np.arange(n) + 0.5)
+
+
+def _walk(m1: np.ndarray, p_ba_values, grid: int, which: str, alpha, weight, beta) -> np.ndarray:
+    """Rows (p_aa, p_ba, value) over the grid cell centers of p_aa in
+    (0, m1[0]) times p_ba_values, each p_ba in [0, m1[1]]: every table is
+    feasible, since no p_aa center reaches m1[0]."""
+    if grid < 8:
+        raise InvalidInput("grid resolution must be at least 8")
+    fn = make_divergence(which, alpha=alpha, weight=weight, beta=beta)
+    rows = [(p_aa, p_ba, fn(DiscreteBivariate.from_free_cells(m1, p_aa, p_ba)))
+            for p_aa in _centers(0.0, m1[0], grid) for p_ba in p_ba_values]
+    return np.asarray(rows, dtype=float)
 
 
 def divergence_surface(marg1, grid: int, which: str, *, alpha: float = -1.0,
@@ -272,18 +281,7 @@ def divergence_surface(marg1, grid: int, which: str, *, alpha: float = -1.0,
     """
     m1 = _as_marginal(marg1)
     grid = int(grid)
-    if grid < 8:
-        raise InvalidInput("surface grid resolution must be at least 8")
-    fn = make_divergence(which, alpha=alpha, weight=weight, beta=beta)
-    rows = []
-    for p_aa in _centers(0.0, m1[0], grid):
-        for p_ba in _centers(0.0, m1[1], grid):
-            try:
-                d = DiscreteBivariate.from_free_cells(m1, p_aa, p_ba)
-            except InvalidInput:
-                continue
-            rows.append((p_aa, p_ba, fn(d)))
-    return np.asarray(rows, dtype=float)
+    return _walk(m1, _centers(0.0, m1[1], grid), grid, which, alpha, weight, beta)
 
 
 def divergence_slice(marg1, marg2, grid: int, which: str, *, alpha: float = -1.0,
@@ -296,22 +294,10 @@ def divergence_slice(marg1, marg2, grid: int, which: str, *, alpha: float = -1.0
     sits at the node nearest marg1[0]*marg2[0].
     """
     m1 = _as_marginal(marg1)
-    m2 = _as_marginal(marg2)
-    grid = int(grid)
-    if grid < 8:
-        raise InvalidInput("slice grid resolution must be at least 8")
-    p_ba = m1[1] * m2[0]
+    p_ba = m1[1] * _as_marginal(marg2)[0]
     if not 0.0 < p_ba < m1[1]:
         raise InvalidInput("marginal pair admits no interior sweep line")
-    fn = make_divergence(which, alpha=alpha, weight=weight, beta=beta)
-    rows = []
-    for p_aa in _centers(0.0, m1[0], grid):
-        try:
-            d = DiscreteBivariate.from_free_cells(m1, p_aa, p_ba)
-        except InvalidInput:
-            continue
-        rows.append((p_aa, p_ba, fn(d)))
-    return np.asarray(rows, dtype=float)
+    return _walk(m1, [p_ba], int(grid), which, alpha, weight, beta)
 
 
 def second_differences(values) -> np.ndarray:

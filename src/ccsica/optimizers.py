@@ -1,22 +1,21 @@
-"""Three ICA solvers driven by the convex Cauchy-Schwarz contrast.
+"""ICA by the convex Cauchy-Schwarz contrast, through one entry point.
 
-ica_gradient_descent updates the full demixing matrix by explicit gradient
-steps with row renormalization.  ica_pairwise_gd runs the same core on every
-row pair of the running demixed data and accumulates the patches.
-ica_pairwise_jacobi replaces the pair subproblem by a search over one
-period of rotation angles, tracking progress in a matrix of last-applied
-angles; it settles, without a visit, a pair whose plane no other pair has
-moved since its last nonzero rotation.
-
-All three whiten exactly once up front and report both the algorithm matrix
-(acting on whitened data) and the composed demixer (acting on centered raw
-observations).
+separate(x, algorithm) checks the algorithm id, centers and whitens x once,
+runs one solver core on the whitened data and builds one SeparationResult.
+The cores: _gd_core takes explicit gradient steps on the full demixing
+matrix with row renormalization (gd); _pairwise_gd runs that core on every
+row pair of the running demixed data and accumulates the 2x2 solutions
+(pairwise-gd); _jacobi searches one period of rotation angles per pair,
+tracking progress in a matrix of last-applied angles, and settles without a
+visit a pair whose plane no other pair has moved since its last nonzero
+rotation (jacobi).  The result's demixer, the algorithm matrix times the
+whitening matrix, acts on centered raw observations.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,19 +67,22 @@ class JacobiConfig:
 class SeparationResult:
     """Everything a separation run produces.
 
-    demixer acts on centered raw observations; algo_matrix acts on the
-    whitened data.  trace is the per-iteration contrast for the gradient
-    solvers and empty for the Jacobi solver, which reports its per-sweep
-    angle mass in cm_sweep_totals instead.
+    algo_matrix acts on the whitened data and demixer, algo_matrix @
+    whitening.matrix, on centered raw observations.  trace holds the contrast
+    per gradient iteration, or the total absolute angle (degrees) per Jacobi
+    sweep; n_iter counts iterations, or sweeps (len(trace)).  cm is Jacobi's
+    last-applied angle matrix, None for the gradient solvers.
     """
 
-    demixer: np.ndarray
     algo_matrix: np.ndarray
     whitening: WhiteningTransform
     trace: np.ndarray
     n_iter: int
     cm: np.ndarray | None = None
-    cm_sweep_totals: list = field(default_factory=list)
+
+    @property
+    def demixer(self) -> np.ndarray:
+        return self.algo_matrix @ self.whitening.matrix
 
     def estimate(self, x) -> np.ndarray:
         """Apply the composed demixer to raw observations."""
@@ -95,16 +97,6 @@ def rotation(theta: float) -> np.ndarray:
         raise InvalidInput("rotation angle must lie in [-pi/4, pi/4]")
     c, s = np.cos(th), np.sin(th)
     return np.array([[c, s], [-s, c]])
-
-
-def compose_demixer(w_algo, whitening: WhiteningTransform) -> np.ndarray:
-    """Stack the algorithm matrix on the whitening matrix."""
-    w_algo = np.asarray(w_algo, dtype=float)
-    if w_algo.shape != whitening.matrix.shape:
-        raise InvalidInput(
-            f"algorithm matrix shape {w_algo.shape} does not match whitening {whitening.matrix.shape}"
-        )
-    return w_algo @ whitening.matrix
 
 
 def _normalize_rows(w: np.ndarray) -> np.ndarray:
@@ -138,51 +130,34 @@ def _gd_core(data: np.ndarray, cfg: GdConfig) -> tuple[np.ndarray, np.ndarray]:
     return w, np.asarray(trace)
 
 
-def ica_gradient_descent(x, cfg: GdConfig | None = None) -> SeparationResult:
-    """Whiten, then descend the contrast over the full demixing matrix."""
-    cfg = cfg or GdConfig()
-    z, wt = center_and_whiten(x)
-    w_algo, trace = _gd_core(z, cfg)
-    return SeparationResult(
-        demixer=compose_demixer(w_algo, wt),
-        algo_matrix=w_algo,
-        whitening=wt,
-        trace=trace,
-        n_iter=len(trace) - 1,
-    )
+def _rotate_pair(w_algo: np.ndarray, demixed: np.ndarray, i: int, j: int, r: np.ndarray) -> np.ndarray:
+    """Apply the 2x2 r to rows i and j of demixed in place; returns w_algo
+    with r patched into the identity and accumulated on the left."""
+    patch = np.eye(len(w_algo))
+    patch[np.ix_([i, j], [i, j])] = r
+    demixed[[i, j], :] = r @ demixed[[i, j], :]
+    return patch @ w_algo
 
 
-def ica_pairwise_gd(x, cfg: GdConfig | None = None, sweeps: int = 3) -> SeparationResult:
+def _pairwise_gd(z: np.ndarray, cfg: GdConfig, sweeps) -> tuple[np.ndarray, np.ndarray, int]:
     """Sweep the gradient core over all row pairs of the demixed data.
 
     Every pair (i, j) with i < j gets a 2x2 subproblem on the current demixed
     rows; its solution is patched into the identity and accumulated.  With
-    two channels and a single sweep this is exactly ica_gradient_descent.
+    two channels and a single sweep this is exactly _gd_core.  Returns
+    (w_algo, the pair traces concatenated, the iterations over all pairs).
     """
-    cfg = cfg or GdConfig()
     sweeps = whole_number(sweeps, "sweeps")
-    z, wt = center_and_whiten(x)
     m = z.shape[0]
     w_algo = np.eye(m)
     demixed = z.copy()
     trace_parts = []
-    iterations = 0
     for _ in range(sweeps):
         for i, j in itertools.combinations(range(m), 2):
             w_pair, trace = _gd_core(demixed[[i, j], :], cfg)
-            patch = np.eye(m)
-            patch[np.ix_([i, j], [i, j])] = w_pair
-            w_algo = patch @ w_algo
-            demixed[[i, j], :] = w_pair @ demixed[[i, j], :]
+            w_algo = _rotate_pair(w_algo, demixed, i, j, w_pair)
             trace_parts.append(trace)
-            iterations += len(trace) - 1
-    return SeparationResult(
-        demixer=compose_demixer(w_algo, wt),
-        algo_matrix=w_algo,
-        whitening=wt,
-        trace=np.concatenate(trace_parts) if trace_parts else np.empty(0),
-        n_iter=iterations,
-    )
+    return w_algo, np.concatenate(trace_parts), sum(len(t) - 1 for t in trace_parts)
 
 
 # The Jacobi angle grid: one period, [-pi/4, pi/4), at pi/64.  +pi/4 is left
@@ -205,7 +180,7 @@ def _best_angle(values: np.ndarray) -> int:
     return next(k for k in _TIE_ORDER if values[k] == v_min)
 
 
-def ica_pairwise_jacobi(x, cfg: JacobiConfig | None = None) -> SeparationResult:
+def _jacobi(z: np.ndarray, cfg: JacobiConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Plane-rotation solver: per pair, grid-search the 2-D contrast minimum.
 
     A pair visit builds one objective on the pair's demixed rows and hands
@@ -228,9 +203,9 @@ def ica_pairwise_jacobi(x, cfg: JacobiConfig | None = None) -> SeparationResult:
     JACOBI_THETAS spans one period, so its grid is the last one shifted to
     put the minimum at index 0, where ties also go.  At m = 2 this settles
     every second visit; at m >= 3 it applies in late sweeps.
+
+    Returns (w_algo, the total absolute angle of each sweep, cm).
     """
-    cfg = cfg or JacobiConfig()
-    z, wt = center_and_whiten(x)
     m = z.shape[0]
     w_algo = np.eye(m)
     demixed = z.copy()
@@ -239,7 +214,6 @@ def ica_pairwise_jacobi(x, cfg: JacobiConfig | None = None) -> SeparationResult:
     settled: set[tuple[int, int]] = set()
     sweep_totals: list[float] = []
     recent: list[np.ndarray] = []  # cm after the last two sweeps
-    sweeps_done = 0
     for _ in range(cfg.max_sweeps):
         for i, j in itertools.combinations(range(m), 2):
             if cm[i, j] == 0.0:
@@ -252,27 +226,15 @@ def ica_pairwise_jacobi(x, cfg: JacobiConfig | None = None) -> SeparationResult:
             theta = float(JACOBI_THETAS[k])
             cm[i, j] = cm[j, i] = np.degrees(theta)
             if theta != 0.0:
-                patch = np.eye(m)
-                patch[np.ix_([i, j], [i, j])] = JACOBI_ROTATIONS[k]
-                w_algo = patch @ w_algo
-                demixed[[i, j], :] = JACOBI_ROTATIONS[k] @ demixed[[i, j], :]
+                w_algo = _rotate_pair(w_algo, demixed, i, j, JACOBI_ROTATIONS[k])
                 settled = {p for p in settled if i not in p and j not in p}
                 settled.add((i, j))
-        sweeps_done += 1
         total = float(sum(abs(cm[i, j]) for i, j in itertools.combinations(range(m), 2)))
         sweep_totals.append(total)
         if total <= CM_STOP_DEG or len(recent) == 2 and np.array_equal(cm, recent[0]):
             break
         recent = (recent + [cm.copy()])[-2:]
-    return SeparationResult(
-        demixer=compose_demixer(w_algo, wt),
-        algo_matrix=w_algo,
-        whitening=wt,
-        trace=np.empty(0),
-        n_iter=sweeps_done,
-        cm=cm,
-        cm_sweep_totals=sweep_totals,
-    )
+    return w_algo, np.asarray(sweep_totals), cm
 
 
 ALGORITHMS = ("gd", "pairwise-gd", "jacobi")
@@ -280,12 +242,22 @@ ALGORITHMS = ("gd", "pairwise-gd", "jacobi")
 
 def separate(x, algorithm: str = "jacobi", gd_cfg: GdConfig | None = None,
              jacobi_cfg: JacobiConfig | None = None, sweeps: int = 3) -> SeparationResult:
-    """Dispatch by algorithm id; the single entry point used by the CLI."""
+    """Separate the rows of x with the solver named by algorithm.
+
+    gd_cfg drives gd and pairwise-gd, sweeps counts pairwise-gd's sweeps, and
+    jacobi_cfg drives jacobi; each config defaults to its class's defaults.
+    """
     key = str(algorithm).strip().lower()
+    if key not in ALGORITHMS:
+        raise InvalidInput(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+    z, wt = center_and_whiten(x)
+    cm = None
     if key == "gd":
-        return ica_gradient_descent(x, gd_cfg)
-    if key == "pairwise-gd":
-        return ica_pairwise_gd(x, gd_cfg, sweeps=sweeps)
-    if key == "jacobi":
-        return ica_pairwise_jacobi(x, jacobi_cfg)
-    raise InvalidInput(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+        w_algo, trace = _gd_core(z, gd_cfg or GdConfig())
+        n_iter = len(trace) - 1
+    elif key == "pairwise-gd":
+        w_algo, trace, n_iter = _pairwise_gd(z, gd_cfg or GdConfig(), sweeps)
+    else:
+        w_algo, trace, cm = _jacobi(z, jacobi_cfg or JacobiConfig())
+        n_iter = len(trace)
+    return SeparationResult(w_algo, wt, trace, n_iter, cm)

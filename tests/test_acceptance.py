@@ -22,7 +22,7 @@ from ccsica.divergences import (
 )
 from ccsica.metrics import amari_index
 from ccsica.objective import CcsObjective
-from ccsica.optimizers import JacobiConfig, ica_pairwise_jacobi, rotation
+from ccsica.optimizers import JacobiConfig, rotation, separate
 from ccsica.preprocess import remove_mean, whiten
 from ccsica.sources import random_mixing_matrix, source_bank
 
@@ -241,7 +241,7 @@ def test_c10_invariant_bundle():
 
     s = source_bank(("uniform", "laplacian"), 4000, seed=0)
     z = (s - s.mean(axis=1, keepdims=True)) / s.std(axis=1, keepdims=True)
-    res = ica_pairwise_jacobi(rotation(np.pi / 8) @ z, JacobiConfig(stride=10))
+    res = separate(rotation(np.pi / 8) @ z, "jacobi", jacobi_cfg=JacobiConfig(stride=10))
     gain = np.sort(np.abs(res.demixer @ rotation(np.pi / 8)), axis=1)
     residual = float(np.max(np.arctan(gain[:, 0] / gain[:, 1])))
     checks["jacobi-known-rotation"] = residual <= np.pi / 64

@@ -10,6 +10,7 @@ from ccsica.cli import main
 from ccsica.fileio import (read_matrix_csv, read_signal_csv, read_wav, write_matrix_csv,
                            write_signal_csv)
 from ccsica.metrics import kurtosis
+from ccsica.optimizers import JacobiConfig, separate
 from ccsica.preprocess import remove_mean, whiten
 
 
@@ -102,9 +103,24 @@ class TestSeparateEdges:
         assert len((sep / "trace.csv").read_text().splitlines()) == 2
 
     def test_non_ccs_contrast_rejected(self, tmp_path):
+        # separation always uses the ccs contrast; --divergence is a surface flag
         _, mixture, _ = _gen_and_mix(tmp_path)
-        assert main(["separate", "--input", str(mixture), "--divergence", "kl",
-                     "--out", str(tmp_path / "sep")]) == 2
+        with pytest.raises(SystemExit) as stop:
+            main(["separate", "--input", str(mixture), "--divergence", "kl",
+                  "--out", str(tmp_path / "sep")])
+        assert stop.value.code == 2
+        assert not (tmp_path / "sep").exists()
+
+    def test_jacobi_trace_csv_is_the_sweep_angle_mass(self, tmp_path):
+        _, mixture, _ = _gen_and_mix(tmp_path)
+        sep = tmp_path / "sep"
+        assert main(["separate", "--input", str(mixture), "--ts", "4", "--out", str(sep)]) == 0
+        res = separate(read_signal_csv(mixture), "jacobi", jacobi_cfg=JacobiConfig(stride=4))
+        lines = (sep / "trace.csv").read_text().splitlines()
+        assert lines[0] == "iteration,value"
+        assert [float(line.split(",")[1]) for line in lines[1:]] == res.trace.tolist()
+        assert res.n_iter == len(res.trace) == len(lines) - 1
+        assert np.array_equal(read_matrix_csv(sep / "cm.csv"), res.cm)
 
 
 class TestExitCodes:
@@ -251,8 +267,7 @@ _BUILT_IN_DEFAULTS = {
                           tau1=3.0, tau2=1.0, format="csv")),
     "mix": (["mix", "--inputs", "s.csv"], dict(seed=0, config=None, out="out", matrix=None, snr_db=None)),
     "separate": (["separate", "--input", "x.csv"],
-                 dict(config=None, out="out", algorithm="jacobi", divergence="ccs",
-                      alpha=-0.99999, gamma=0.3, ts=1, max_iter=250, epsilon=1e-4, sweeps=3,
+                 dict(config=None, out="out", algorithm="jacobi", alpha=-0.99999, gamma=0.3, ts=1, max_iter=250, epsilon=1e-4, sweeps=3,
                       format="csv")),
     "eval": (["eval", "--estimates", "y.csv", "--truth", "s.csv"],
              dict(config=None, out="out", demixer=None, mixing=None)),
@@ -362,6 +377,25 @@ class TestBench:
         monkeypatch.setattr(bench, "_run_table_trial", trials.append)
         out = tmp_path / "bench.csv"
         assert main(["bench", *argv, "--out", str(out)]) == 2
+        assert trials == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["t1", "--dims", "4", "--snr-db", "3", "--eval-fracs", "0.5"],
+        ["t4", "--eval-fracs", "0.5"], ["t4", "--matrix", "MATRIX"], ["t5", "--snr-db", "3"],
+        ["fig4", "--samples", "1000"], ["fig5", "--wav", "WAVS"], ["fig6", "--snr-db", "5"],
+        ["fig6", "--dims", "3"], ["fig7", "--samples", "1000"],
+    ])
+    def test_option_the_table_does_not_read_exits_two_before_any_trial(self, tmp_path, monkeypatch, argv):
+        write_matrix_csv(tmp_path / "a.csv", np.eye(3))
+        wavs = tmp_path / "wavs"
+        assert main(["gen", "--kinds", "uniform,laplacian,rayleigh", "--t", "64", "--format", "wav",
+                     "--out", str(wavs)]) == 0
+        trials = []
+        monkeypatch.setattr(bench, "_run_table_trial", trials.append)
+        argv = [{"MATRIX": str(tmp_path / "a.csv"), "WAVS": str(wavs)}.get(a, a) for a in argv]
+        out = tmp_path / "bench.csv"
+        assert main(["bench", *argv, "--scale", "0.01", "--out", str(out)]) == 2
         assert trials == []
         assert not out.exists()
 

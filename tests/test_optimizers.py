@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ccsica import optimizers
 from ccsica.bench import _KIND_CYCLE, _T1_PAIRS, DEMO_MATRIX_2, _sources_for
 from ccsica.errors import InvalidInput
 from ccsica.metrics import amari_index
@@ -12,11 +13,9 @@ from ccsica.optimizers import (
     JACOBI_ROTATIONS,
     JACOBI_THETAS,
     JacobiConfig,
+    SeparationResult,
     _best_angle,
-    compose_demixer,
-    ica_gradient_descent,
-    ica_pairwise_gd,
-    ica_pairwise_jacobi,
+    _pairwise_gd,
     rotation,
     separate,
 )
@@ -87,24 +86,25 @@ class TestCompose:
     def test_identity_sides(self):
         x = _pair(300, 1)
         _, tr = whiten(remove_mean(x)[0])
-        assert np.array_equal(compose_demixer(np.eye(2), tr), tr.matrix)
+        assert np.array_equal(SeparationResult(np.eye(2), tr, np.empty(0), 0).demixer, tr.matrix)
 
-    def test_shape_mismatch(self):
-        x = _pair(300, 1)
-        _, tr = whiten(remove_mean(x)[0])
-        with pytest.raises(InvalidInput):
-            compose_demixer(np.eye(3), tr)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_demixer_is_algo_matrix_times_whitening(self, algorithm):
+        x = DEMO_MATRIX_2 @ _pair(400, 2)
+        res = separate(x, algorithm, gd_cfg=GdConfig(stride=4, max_iter=20),
+                       jacobi_cfg=JacobiConfig(stride=4), sweeps=1)
+        assert np.array_equal(res.demixer, res.algo_matrix @ res.whitening.matrix)
 
 
 class TestGradientDescent:
     def test_identity_mixing_recovers_sources(self):
         x = _pair(1000, 3)
-        res = ica_gradient_descent(x, GdConfig(stride=10, max_iter=120))
+        res = separate(x, "gd", gd_cfg=GdConfig(stride=10, max_iter=120))
         assert amari_index(res.demixer, np.eye(2)) < 0.1
 
     def test_trace_descends_with_zero_epsilon(self):
         x = DEMO_MATRIX_2 @ _pair(600, 5)
-        res = ica_gradient_descent(x, GdConfig(stride=6, max_iter=60, epsilon=0.0))
+        res = separate(x, "gd", gd_cfg=GdConfig(stride=6, max_iter=60, epsilon=0.0))
         trace = np.asarray(res.trace)
         assert len(trace) == 61
         assert res.n_iter == 60
@@ -115,19 +115,19 @@ class TestGradientDescent:
 
     def test_zero_iterations_returns_whitening(self):
         x = DEMO_MATRIX_2 @ _pair(400, 2)
-        res = ica_gradient_descent(x, GdConfig(stride=4, max_iter=0))
+        res = separate(x, "gd", gd_cfg=GdConfig(stride=4, max_iter=0))
         assert np.array_equal(res.demixer, res.whitening.matrix)
         assert np.array_equal(res.algo_matrix, np.eye(2))
         assert len(res.trace) == 1
 
     def test_algo_rows_unit_norm(self):
         x = DEMO_MATRIX_2 @ _pair(600, 5)
-        res = ica_gradient_descent(x, GdConfig(stride=6, max_iter=60))
+        res = separate(x, "gd", gd_cfg=GdConfig(stride=6, max_iter=60))
         assert np.allclose(np.linalg.norm(res.algo_matrix, axis=1), 1.0, atol=1e-12)
 
     def test_estimate_applies_demixer_to_centered_data(self):
         x = DEMO_MATRIX_2 @ _pair(400, 2) + 3.0
-        res = ica_gradient_descent(x, GdConfig(stride=4, max_iter=20))
+        res = separate(x, "gd", gd_cfg=GdConfig(stride=4, max_iter=20))
         want = res.demixer @ (x - x.mean(axis=1, keepdims=True))
         assert np.allclose(res.estimate(x), want, atol=1e-12)
 
@@ -136,25 +136,25 @@ class TestPairwiseGd:
     def test_two_channel_single_sweep_matches_gd(self):
         x = DEMO_MATRIX_2 @ _pair(600, 5)
         cfg = GdConfig(stride=6, max_iter=60)
-        lhs = ica_pairwise_gd(x, cfg, sweeps=1)
-        rhs = ica_gradient_descent(x, cfg)
+        lhs = separate(x, "pairwise-gd", gd_cfg=cfg, sweeps=1)
+        rhs = separate(x, "gd", gd_cfg=cfg)
         assert np.array_equal(lhs.demixer, rhs.demixer)
         assert np.array_equal(lhs.trace, rhs.trace)
 
     def test_sweeps_validated(self):
         x = _pair(300, 1)
         with pytest.raises(InvalidInput):
-            ica_pairwise_gd(x, GdConfig(stride=3, max_iter=10), sweeps=0)
+            separate(x, "pairwise-gd", gd_cfg=GdConfig(stride=3, max_iter=10), sweeps=0)
         with pytest.raises(InvalidInput):
-            ica_pairwise_gd(x, GdConfig(stride=3, max_iter=10), sweeps=1.5)
+            separate(x, "pairwise-gd", gd_cfg=GdConfig(stride=3, max_iter=10), sweeps=1.5)
 
     def test_channel_permutation_invariance(self):
         s = source_bank(("uniform", "laplacian", "rayleigh"), 800, 13)
         a = random_mixing_matrix(3, rng_for(13, 1))
         cfg = GdConfig(stride=8, max_iter=40)
         perm = [2, 0, 1]
-        base = ica_pairwise_gd(a @ s, cfg, sweeps=2)
-        permuted = ica_pairwise_gd(a[perm] @ s, cfg, sweeps=2)
+        base = separate(a @ s, "pairwise-gd", gd_cfg=cfg, sweeps=2)
+        permuted = separate(a[perm] @ s, "pairwise-gd", gd_cfg=cfg, sweeps=2)
         err0 = amari_index(base.demixer, a)
         err1 = amari_index(permuted.demixer, a[perm])
         assert abs(err0 - err1) <= 1e-6
@@ -163,8 +163,8 @@ class TestPairwiseGd:
 class TestJacobi:
     def test_already_independent_stops_after_one_sweep(self):
         x = _pair(4000, 0, tau2=0.5)
-        res = ica_pairwise_jacobi(x, JacobiConfig(stride=10))
-        assert res.cm_sweep_totals == [0.0]
+        res = separate(x, "jacobi", jacobi_cfg=JacobiConfig(stride=10))
+        assert res.trace.tolist() == [0.0] and res.n_iter == 1
         assert np.array_equal(res.algo_matrix, np.eye(2))
         assert np.array_equal(res.demixer, res.whitening.matrix)
         assert np.array_equal(res.cm, np.zeros((2, 2)))
@@ -173,7 +173,7 @@ class TestJacobi:
         s = _pair(4000, 0)
         z = (s - s.mean(axis=1, keepdims=True)) / s.std(axis=1, keepdims=True)
         x = rotation(np.pi / 8) @ z
-        res = ica_pairwise_jacobi(x, JacobiConfig(stride=10))
+        res = separate(x, "jacobi", jacobi_cfg=JacobiConfig(stride=10))
         gain = res.demixer @ rotation(np.pi / 8)
         # a clean separation leaves one dominant entry per row; the residual
         # angle is how far the small entry tilts the row off its axis
@@ -183,13 +183,13 @@ class TestJacobi:
 
     def test_algo_matrix_orthogonal(self):
         x = DEMO_MATRIX_2 @ _pair(1500, 3)
-        res = ica_pairwise_jacobi(x, JacobiConfig(stride=5))
+        res = separate(x, "jacobi", jacobi_cfg=JacobiConfig(stride=5))
         assert np.allclose(res.algo_matrix @ res.algo_matrix.T, np.eye(2), atol=1e-8)
 
     def test_cm_bounded_and_symmetric(self):
         s = source_bank(("uniform", "laplacian", "rayleigh"), 1200, 7)
         a = random_mixing_matrix(3, rng_for(7, 1))
-        res = ica_pairwise_jacobi(a @ s, JacobiConfig(stride=6))
+        res = separate(a @ s, "jacobi", jacobi_cfg=JacobiConfig(stride=6))
         assert np.array_equal(res.cm, res.cm.T)
         assert np.all(np.diag(res.cm) == 0.0)
         assert np.all(np.abs(res.cm) <= 45.0 + 1e-9)
@@ -197,8 +197,8 @@ class TestJacobi:
     def test_sweep_totals_shrink_when_converged(self):
         s = source_bank(("uniform", "laplacian", "rayleigh"), 1200, 7)
         a = random_mixing_matrix(3, rng_for(7, 1))
-        res = ica_pairwise_jacobi(a @ s, JacobiConfig(stride=6))
-        totals = res.cm_sweep_totals
+        res = separate(a @ s, "jacobi", jacobi_cfg=JacobiConfig(stride=6))
+        totals = res.trace
         assert totals[-1] <= 1.0
         if len(totals) >= 2:
             assert totals[-1] <= totals[-2]
@@ -213,7 +213,7 @@ class TestJacobi:
 
         monkeypatch.setattr(CcsObjective, "value", recording_value)
         x = DEMO_MATRIX_2 @ _pair(400, 3)
-        ica_pairwise_jacobi(x, JacobiConfig(stride=4, max_sweeps=1))
+        separate(x, "jacobi", jacobi_cfg=JacobiConfig(stride=4, max_sweeps=1))
         assert len(stacks) == 1
         grid = np.arange(-16, 16) * (np.pi / 64.0)
         assert np.array_equal(stacks[0], np.array([rotation(th) for th in grid]))
@@ -240,10 +240,10 @@ class TestJacobi:
         # at m = 2 the one pair's plane cannot move between its visits, so the
         # confirmation visit after a nonzero pick is settled without a call
         picks = self._record_picks(monkeypatch)
-        res = ica_pairwise_jacobi(DEMO_MATRIX_2 @ _pair(400, 3), JacobiConfig(stride=4))
+        res = separate(DEMO_MATRIX_2 @ _pair(400, 3), "jacobi", jacobi_cfg=JacobiConfig(stride=4))
         assert len(picks) == 1 and picks[0] != 0.0
         assert res.n_iter == 2
-        assert res.cm_sweep_totals == [abs(np.degrees(picks[0])), 0.0]
+        assert res.trace.tolist() == [abs(np.degrees(picks[0])), 0.0]
         assert np.array_equal(res.cm, np.zeros((2, 2)))
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -263,9 +263,10 @@ class TestJacobi:
         # pair (0, 2) before its second visit, which must then be made
         picks = self._record_picks(monkeypatch)
         s = source_bank(("uniform", "laplacian", "rayleigh"), 1200, 7)
-        res = ica_pairwise_jacobi(random_mixing_matrix(3, rng_for(7, 1)) @ s, JacobiConfig(stride=6))
+        res = separate(random_mixing_matrix(3, rng_for(7, 1)) @ s, "jacobi",
+                       jacobi_cfg=JacobiConfig(stride=6))
         assert all(p != 0.0 for p in picks[:3])
-        assert len(picks) >= 4 and res.cm_sweep_totals[1] > 0.0
+        assert len(picks) >= 4 and res.trace[1] > 0.0
 
     def test_cycling_sweeps_stop(self):
         # bench t4 --scale 0.2 --seed 0, m = 4, T = 1000, trial 2: from sweep 4
@@ -277,9 +278,10 @@ class TestJacobi:
         a = random_mixing_matrix(m, rng)
         x = mix(s, MixingModel(a), seed=int(rng.integers(1 << 31)))
         cfg = JacobiConfig(stride=10)
-        res = ica_pairwise_jacobi(x, cfg)
+        res = separate(x, "jacobi", jacobi_cfg=cfg)
         assert res.n_iter < cfg.max_sweeps
-        assert res.cm_sweep_totals[-1] > CM_STOP_DEG
+        assert res.trace[-1] > CM_STOP_DEG
+        assert res.n_iter == len(res.trace)
 
 
 class TestBestAngle:
@@ -306,12 +308,26 @@ class TestDispatcher:
         with pytest.raises(InvalidInput):
             separate(_pair(300, 1), "fastica")
 
+    def test_unknown_rejected_before_whitening(self, monkeypatch):
+        calls = []
+        real = optimizers.center_and_whiten
+        monkeypatch.setattr(optimizers, "center_and_whiten", lambda x: calls.append(1) or real(x))
+        with pytest.raises(InvalidInput):
+            separate(_pair(300, 1), "fastica")
+        assert calls == []
+        for algorithm in ALGORITHMS:
+            separate(_pair(300, 1), algorithm, gd_cfg=GdConfig(stride=3, max_iter=2),
+                     jacobi_cfg=JacobiConfig(stride=3), sweeps=1)
+        assert calls == [1] * len(ALGORITHMS)
+
     def test_alias_accepted(self):
-        # the CLI's spelling dispatches to ica_pairwise_gd; the underscore one is gone
+        # the CLI's spelling dispatches to _pairwise_gd; the underscore one is gone
         x = _pair(300, 1)
         cfg = GdConfig(stride=3, max_iter=5)
         lhs = separate(x, "pairwise-gd", gd_cfg=cfg, sweeps=1)
-        rhs = ica_pairwise_gd(x, cfg, sweeps=1)
-        assert np.array_equal(lhs.demixer, rhs.demixer)
+        z, tr = center_and_whiten(x)
+        w_algo, trace, n_iter = _pairwise_gd(z, cfg, 1)
+        assert np.array_equal(lhs.demixer, w_algo @ tr.matrix)
+        assert np.array_equal(lhs.trace, trace) and lhs.n_iter == n_iter
         with pytest.raises(InvalidInput):
             separate(x, "pairwise_gd", gd_cfg=cfg, sweeps=1)
