@@ -31,10 +31,11 @@ from .objective import whole_number
 from .optimizers import GdConfig, JacobiConfig, separate
 from .sources import MixingModel, mix, noise_sigma_for_snr, random_mixing_matrix, rng_for, draw_source
 
-# the optional run_bench arguments each table reads; any other must be None
-_TABLE_OPTIONS = {"t1": (), "t4": ("dims", "samples"), "t5": ("dims", "samples", "eval_fracs"),
-                  "fig4": (), "fig5": (), "fig6": ("wav_sources", "matrix"),
-                  "fig7": ("wav_sources", "matrix", "snr_db")}
+# the optional run_bench arguments each table reads; any other must keep its default
+_TABLE_OPTIONS = {"t1": ("algorithm",), "t4": ("algorithm", "dims", "samples"),
+                  "t5": ("algorithm", "dims", "samples", "eval_fracs"), "fig4": (), "fig5": (),
+                  "fig6": ("algorithm", "wav_sources", "matrix"),
+                  "fig7": ("algorithm", "wav_sources", "matrix", "snr_db")}
 TABLE_IDS = tuple(_TABLE_OPTIONS)
 
 # fixed mixing matrices for the demo scenarios (columns mix the sources)
@@ -105,12 +106,15 @@ def _run_table_trial(task: dict) -> ExperimentRecord:
     if task.get("snr_db") is not None:
         sigma = noise_sigma_for_snr(a @ sources, task["snr_db"])
     x = mix(sources, MixingModel(a, noise_sigma=sigma), seed=int(rng.integers(1 << 31)))
-    # gd-family table trials converge each subproblem tightly; jacobi ignores these
-    gd_cfg = GdConfig(step_size=task.get("step_size", 0.3), max_iter=task.get("max_iter", 400),
-                      alpha=task["alpha"], stride=task["stride"], epsilon=task.get("epsilon", 1e-5))
-    jacobi_cfg = JacobiConfig(alpha=task["alpha"], stride=task["stride"])
+    if task["algorithm"] == "jacobi":
+        solver = {"jacobi_cfg": JacobiConfig(alpha=task["alpha"], stride=task["stride"])}
+    else:
+        # gd-family table trials converge each subproblem tightly
+        solver = {"gd_cfg": GdConfig(step_size=task.get("step_size", GdConfig.step_size),
+                                     max_iter=task.get("max_iter", 400), alpha=task["alpha"],
+                                     stride=task["stride"], epsilon=task.get("epsilon", 1e-5))}
     start = time.perf_counter()
-    res = separate(x, task["algorithm"], gd_cfg=gd_cfg, jacobi_cfg=jacobi_cfg)
+    res = separate(x, task["algorithm"], **solver)
     runtime = time.perf_counter() - start
     baseline = tuple(sir_db(res.whitening.apply(x), sources)) if task.get("baseline") else None
     return ExperimentRecord(
@@ -271,8 +275,10 @@ def run_bench(table: str, scale: float = 1.0, seed: int = 0, jobs: int = 1,
     if not 0.0 < scale <= 1.0:
         raise InvalidInput("scale must lie in (0, 1]")
     jobs = whole_number(jobs, "jobs")
-    options = dict(dims=dims, samples=samples, eval_fracs=eval_fracs, wav_sources=wav_sources,
-                   matrix=matrix, snr_db=snr_db)
+    algorithm = str(algorithm).strip().lower()
+    # the default algorithm counts as not given, like a None option
+    options = dict(algorithm=None if algorithm == "jacobi" else algorithm, dims=dims, samples=samples,
+                   eval_fracs=eval_fracs, wav_sources=wav_sources, matrix=matrix, snr_db=snr_db)
     unread = [k for k, v in options.items() if v is not None and k not in _TABLE_OPTIONS[key]]
     if unread:
         raise InvalidInput(f"bench {key} does not read {', '.join(unread)}")

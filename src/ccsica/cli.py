@@ -3,7 +3,8 @@
 Subcommands: gen, mix, separate, eval, bench, surface.  Exit codes: 0 on
 success, 2 for invalid input, 3 for numerical failure, 4 for file I/O
 failure.  A YAML config file may preload any long-form flag; explicit flags
-win over the file.
+win over the file.  Either way, separate refuses a solver flag off its default
+that its algorithm's config lacks, and eval --demixer or --mixing alone.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from .fileio import (read_matrix_csv, read_signal_csv, read_wav, write_csv,
                      write_matrix_csv, write_signal_csv, write_wav)
 from .metrics import amari_index, sir_db
 from .objective import whole_number
-from .optimizers import ALGORITHMS, GdConfig, JacobiConfig, separate
+from .optimizers import ALGORITHMS, PAIRWISE_GD_SWEEPS, GdConfig, JacobiConfig, separate
 from .sources import (SOURCE_KINDS, MixingModel, draw_source, mix,
                       noise_sigma_for_snr, random_mixing_matrix, rng_for)
 
@@ -121,12 +123,26 @@ def cmd_mix(args) -> int:
 
 
 def cmd_separate(args) -> int:
+    # each solver flag by the GdConfig/JacobiConfig field it sets; --sweeps is pairwise-gd's own
+    flags = {"--alpha": ("alpha", args.alpha), "--gamma": ("step_size", args.gamma),
+             "--ts": ("stride", args.ts), "--max-iter": ("max_iter", args.max_iter),
+             "--epsilon": ("epsilon", args.epsilon)}
+    jacobi = args.algorithm == "jacobi"
+    cfg_class = JacobiConfig if jacobi else GdConfig
+    read = {f.name for f in fields(cfg_class)}
+    # a flag at its default is accepted, given or not: argparse cannot tell the two apart
+    unread = [flag for flag, (name, value) in flags.items()
+              if name not in read and value != getattr(GdConfig, name)]
+    pairwise = args.algorithm == "pairwise-gd"
+    if not pairwise and args.sweeps != PAIRWISE_GD_SWEEPS:
+        unread.append("--sweeps")
+    if unread:
+        raise InvalidInput(f"--algorithm {args.algorithm} does not read {', '.join(unread)}")
+    cfg = cfg_class(**{name: value for name, value in flags.values() if name in read})
+    solver = {"jacobi_cfg": cfg} if jacobi else {"gd_cfg": cfg, "sweeps": args.sweeps if pairwise else None}
     x = _read_any_signal(args.input)
-    gd_cfg = GdConfig(step_size=args.gamma, max_iter=args.max_iter,
-                      epsilon=args.epsilon, alpha=args.alpha, stride=args.ts)
-    jac_cfg = JacobiConfig(alpha=args.alpha, stride=args.ts)
     out = _out_path(args.out)
-    res = separate(x, args.algorithm, gd_cfg=gd_cfg, jacobi_cfg=jac_cfg, sweeps=args.sweeps)
+    res = separate(x, args.algorithm, **solver)
     y = res.estimate(x)
     if args.format == "wav":
         for k, row in enumerate(y):
@@ -144,6 +160,8 @@ def cmd_separate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if (args.demixer is None) != (args.mixing is None):
+        raise InvalidInput("eval needs --demixer and --mixing together, for the Amari index")
     estimates = _read_any_signal(args.estimates)
     truth = _read_any_signal(args.truth)
     out_path = _out_path(args.out, "metrics.csv")
@@ -151,7 +169,7 @@ def cmd_eval(args) -> int:
     sirs = sir_db(estimates, truth)
     for k, v in enumerate(sirs):
         rows.append(["sir_db", str(k), float(v)])
-    if args.demixer is not None and args.mixing is not None:
+    if args.demixer is not None:
         w = read_matrix_csv(args.demixer)
         a = read_matrix_csv(args.mixing)
         rows.append(["amari_x100", "", 100.0 * amari_index(w, a)])
@@ -238,13 +256,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common(sep)
     sep.add_argument("--input", type=str, required=True, help="mixture CSV or comma list of WAVs")
     sep.add_argument("--algorithm", choices=ALGORITHMS, default="jacobi", help="solver (default %(default)s)")
-    sep.add_argument("--alpha", type=float, default=-0.99999, help="curvature (default %(default)s)")
-    sep.add_argument("--gamma", type=float, default=0.3, help="gradient step size (default %(default)s)")
-    sep.add_argument("--ts", type=int, default=1, help="evaluation stride (default %(default)s)")
-    sep.add_argument("--max-iter", dest="max_iter", type=int, default=250,
+    sep.add_argument("--alpha", type=float, default=GdConfig.alpha, help="curvature (default %(default)s)")
+    sep.add_argument("--gamma", type=float, default=GdConfig.step_size,
+                     help="gradient step size (default %(default)s)")
+    sep.add_argument("--ts", type=int, default=GdConfig.stride,
+                     help="evaluation stride (default %(default)s)")
+    sep.add_argument("--max-iter", dest="max_iter", type=int, default=GdConfig.max_iter,
                      help="gradient iteration cap (default %(default)s)")
-    sep.add_argument("--epsilon", type=float, default=1e-4, help="contrast-change stop (default %(default)s)")
-    sep.add_argument("--sweeps", type=int, default=3, help="pairwise-gd sweep count (default %(default)s)")
+    sep.add_argument("--epsilon", type=float, default=GdConfig.epsilon,
+                     help="contrast-change stop (default %(default)s)")
+    sep.add_argument("--sweeps", type=int, default=PAIRWISE_GD_SWEEPS,
+                     help="pairwise-gd sweep count (default %(default)s)")
     sep.add_argument("--format", choices=("csv", "wav"), default="csv",
                      help="estimate output format (default %(default)s)")
     sep.set_defaults(func=cmd_separate)

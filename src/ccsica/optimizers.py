@@ -52,10 +52,11 @@ class GdConfig:
 
 @dataclass(frozen=True)
 class JacobiConfig:
-    """Knobs for the plane-rotation solver."""
+    """Knobs for the plane-rotation solver; its contrast settings default as
+    the gradient solver's."""
 
-    alpha: float = -0.99999
-    stride: int = 1
+    alpha: float = GdConfig.alpha
+    stride: int = GdConfig.stride
     max_sweeps: int = 30
 
     def __post_init__(self):
@@ -237,26 +238,37 @@ def _jacobi(z: np.ndarray, cfg: JacobiConfig) -> tuple[np.ndarray, np.ndarray, n
     return w_algo, np.asarray(sweep_totals), cm
 
 
-ALGORITHMS = ("gd", "pairwise-gd", "jacobi")
+# pairwise-gd's sweep count when separate is given none
+PAIRWISE_GD_SWEEPS = 3
+# the optional arguments of separate that each algorithm reads; any other must be None
+_ALGORITHM_READS = {"gd": ("gd_cfg",), "pairwise-gd": ("gd_cfg", "sweeps"), "jacobi": ("jacobi_cfg",)}
+ALGORITHMS = tuple(_ALGORITHM_READS)
 
 
 def separate(x, algorithm: str = "jacobi", gd_cfg: GdConfig | None = None,
-             jacobi_cfg: JacobiConfig | None = None, sweeps: int = 3) -> SeparationResult:
+             jacobi_cfg: JacobiConfig | None = None, sweeps: int | None = None) -> SeparationResult:
     """Separate the rows of x with the solver named by algorithm.
 
-    gd_cfg drives gd and pairwise-gd, sweeps counts pairwise-gd's sweeps, and
-    jacobi_cfg drives jacobi; each config defaults to its class's defaults.
+    gd_cfg drives gd and pairwise-gd, sweeps counts pairwise-gd's sweeps
+    (PAIRWISE_GD_SWEEPS when None), and jacobi_cfg drives jacobi; each config
+    defaults to its class's defaults.  An argument that the algorithm does
+    not read is refused with InvalidInput before any work.
     """
     key = str(algorithm).strip().lower()
     if key not in ALGORITHMS:
         raise InvalidInput(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+    given = dict(gd_cfg=gd_cfg, jacobi_cfg=jacobi_cfg, sweeps=sweeps)
+    unread = [k for k, v in given.items() if v is not None and k not in _ALGORITHM_READS[key]]
+    if unread:
+        raise InvalidInput(f"{key} does not read {', '.join(unread)}")
     z, wt = center_and_whiten(x)
     cm = None
     if key == "gd":
         w_algo, trace = _gd_core(z, gd_cfg or GdConfig())
         n_iter = len(trace) - 1
     elif key == "pairwise-gd":
-        w_algo, trace, n_iter = _pairwise_gd(z, gd_cfg or GdConfig(), sweeps)
+        w_algo, trace, n_iter = _pairwise_gd(z, gd_cfg or GdConfig(),
+                                             PAIRWISE_GD_SWEEPS if sweeps is None else sweeps)
     else:
         w_algo, trace, cm = _jacobi(z, jacobi_cfg or JacobiConfig())
         n_iter = len(trace)

@@ -33,7 +33,7 @@ def test_three_source_stride_follows_source_length(monkeypatch):
     strides = []
     real_separate = bench.separate
 
-    def spy(x, algorithm, gd_cfg, jacobi_cfg):
+    def spy(x, algorithm, gd_cfg=None, jacobi_cfg=None):
         strides.append((x.shape[1], jacobi_cfg.stride))
         return real_separate(x, algorithm, gd_cfg=gd_cfg, jacobi_cfg=jacobi_cfg)
 

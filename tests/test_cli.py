@@ -10,7 +10,7 @@ from ccsica.cli import main
 from ccsica.fileio import (read_matrix_csv, read_signal_csv, read_wav, write_matrix_csv,
                            write_signal_csv)
 from ccsica.metrics import kurtosis
-from ccsica.optimizers import JacobiConfig, separate
+from ccsica.optimizers import GdConfig, JacobiConfig, separate
 from ccsica.preprocess import remove_mean, whiten
 
 
@@ -36,8 +36,10 @@ class TestRoundTrip:
     def test_exit_zero_and_artifacts(self, tmp_path, algorithm):
         sources, mixture, mixing = _gen_and_mix(tmp_path)
         sep = tmp_path / "sep"
+        # jacobi does not read --max-iter
+        cap = [] if algorithm == "jacobi" else ["--max-iter", "40"]
         assert main(["separate", "--input", str(mixture), "--algorithm", algorithm,
-                     "--ts", "4", "--max-iter", "40", "--out", str(sep)]) == 0
+                     "--ts", "4", *cap, "--out", str(sep)]) == 0
         assert (sep / "estimates.csv").is_file()
         assert (sep / "demixer.csv").is_file()
         assert (sep / "trace.csv").is_file()
@@ -199,6 +201,48 @@ class TestExitCodes:
         missing = str(tmp_path / "nope.csv")
         assert main(["separate", "--input", missing, "--out", str(tmp_path)]) == 4
         assert main(["mix", "--inputs", missing, "--out", str(tmp_path)]) == 4
+
+
+class TestSolverFlags:
+    @pytest.mark.parametrize("argv, config", [
+        (["--algorithm", "jacobi", "--gamma", "5"], None),
+        (["--algorithm", "jacobi", "--max-iter", "3"], None),
+        (["--algorithm", "jacobi", "--epsilon", "0.5"], None),
+        (["--algorithm", "jacobi", "--sweeps", "7"], None),
+        (["--algorithm", "gd", "--sweeps", "7"], None),
+        ([], {"algorithm": "jacobi", "max-iter": 400}),
+    ])
+    def test_unread_flag_exits_two_before_any_read(self, tmp_path, monkeypatch, argv, config):
+        signal = tmp_path / "signal.csv"
+        write_signal_csv(signal, np.random.default_rng(0).laplace(size=(2, 200)))
+        if config is not None:
+            (tmp_path / "run.yaml").write_text(yaml.safe_dump(config))
+            argv = argv + ["--config", str(tmp_path / "run.yaml")]
+        calls = []
+        for name in ("separate", "_read_any_signal"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a))
+        out = tmp_path / "sep"
+        assert main(["separate", "--input", str(signal), *argv, "--out", str(out)]) == 2
+        assert calls == []
+        assert not out.exists()
+
+    def test_pairwise_gd_reads_every_solver_flag(self, tmp_path):
+        _, mixture, _ = _gen_and_mix(tmp_path)
+        sep = tmp_path / "sep"
+        assert main(["separate", "--input", str(mixture), "--algorithm", "pairwise-gd",
+                     "--alpha", "0.5", "--gamma", "0.4", "--ts", "4", "--max-iter", "6",
+                     "--epsilon", "0", "--sweeps", "2", "--out", str(sep)]) == 0
+        cfg = GdConfig(alpha=0.5, step_size=0.4, stride=4, max_iter=6, epsilon=0.0)
+        res = separate(read_signal_csv(mixture), "pairwise-gd", gd_cfg=cfg, sweeps=2)
+        assert np.array_equal(read_matrix_csv(sep / "demixer.csv"), res.demixer)
+
+    def test_unread_flag_at_its_default_is_accepted(self, tmp_path):
+        _, mixture, _ = _gen_and_mix(tmp_path)
+        for d, extra in (("a", []), ("b", ["--gamma", "0.3"])):
+            assert main(["separate", "--input", str(mixture), "--algorithm", "jacobi", "--ts", "4",
+                         *extra, "--out", str(tmp_path / d)]) == 0
+        assert (tmp_path / "a" / "demixer.csv").read_bytes() == \
+               (tmp_path / "b" / "demixer.csv").read_bytes()
 
 
 class TestConfigFile:
@@ -385,6 +429,7 @@ class TestBench:
         ["t4", "--eval-fracs", "0.5"], ["t4", "--matrix", "MATRIX"], ["t5", "--snr-db", "3"],
         ["fig4", "--samples", "1000"], ["fig5", "--wav", "WAVS"], ["fig6", "--snr-db", "5"],
         ["fig6", "--dims", "3"], ["fig7", "--samples", "1000"],
+        ["fig4", "--algorithm", "gd"], ["fig5", "--algorithm", "pairwise-gd"],
     ])
     def test_option_the_table_does_not_read_exits_two_before_any_trial(self, tmp_path, monkeypatch, argv):
         write_matrix_csv(tmp_path / "a.csv", np.eye(3))
@@ -417,6 +462,21 @@ class TestOutPath:
         argv = [str(signal) if a == "SIGNAL" else a for a in argv]
         assert main([*argv, "--out", str(signal / "sub")]) == 4
         assert calls == []
+
+    @pytest.mark.parametrize("flag", ["--demixer", "--mixing"])
+    def test_eval_matrix_without_its_partner_exits_two_before_any_read(self, tmp_path, monkeypatch, flag):
+        # the Amari index needs both matrices; one alone is not dropped silently
+        signal = tmp_path / "signal.csv"
+        write_signal_csv(signal, np.random.default_rng(0).laplace(size=(2, 200)))
+        write_matrix_csv(tmp_path / "a.csv", np.eye(2))
+        calls = []
+        for name in ("sir_db", "_read_any_signal", "read_matrix_csv"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a))
+        out = tmp_path / "metrics"
+        assert main(["eval", "--estimates", str(signal), "--truth", str(signal),
+                     flag, str(tmp_path / "a.csv"), "--out", str(out)]) == 2
+        assert calls == []
+        assert not out.exists()
 
     def test_csv_out_in_a_missing_directory_is_written(self, tmp_path):
         out = tmp_path / "missing" / "t1.csv"

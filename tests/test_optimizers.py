@@ -27,6 +27,13 @@ def _pair(t, seed, tau2=1.0):
     return source_bank(("uniform", "laplacian"), t, seed, tau1=3.0, tau2=tau2)
 
 
+def _reads(algorithm, gd_cfg, jacobi_cfg, sweeps):
+    """Of one config of each kind and a sweep count, what separate's algorithm reads."""
+    if algorithm == "jacobi":
+        return dict(jacobi_cfg=jacobi_cfg)
+    return dict(gd_cfg=gd_cfg, sweeps=sweeps if algorithm == "pairwise-gd" else None)
+
+
 class TestConfigs:
     def test_gd_rejections(self):
         # an infinite step would turn the first update into NaN
@@ -91,8 +98,8 @@ class TestCompose:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_demixer_is_algo_matrix_times_whitening(self, algorithm):
         x = DEMO_MATRIX_2 @ _pair(400, 2)
-        res = separate(x, algorithm, gd_cfg=GdConfig(stride=4, max_iter=20),
-                       jacobi_cfg=JacobiConfig(stride=4), sweeps=1)
+        res = separate(x, algorithm, **_reads(algorithm, GdConfig(stride=4, max_iter=20),
+                                              JacobiConfig(stride=4), 1))
         assert np.array_equal(res.demixer, res.algo_matrix @ res.whitening.matrix)
 
 
@@ -316,9 +323,20 @@ class TestDispatcher:
             separate(_pair(300, 1), "fastica")
         assert calls == []
         for algorithm in ALGORITHMS:
-            separate(_pair(300, 1), algorithm, gd_cfg=GdConfig(stride=3, max_iter=2),
-                     jacobi_cfg=JacobiConfig(stride=3), sweeps=1)
+            separate(_pair(300, 1), algorithm, **_reads(algorithm, GdConfig(stride=3, max_iter=2),
+                                                        JacobiConfig(stride=3), 1))
         assert calls == [1] * len(ALGORITHMS)
+
+    @pytest.mark.parametrize("algorithm, unread", [
+        ("gd", dict(jacobi_cfg=JacobiConfig())), ("pairwise-gd", dict(jacobi_cfg=JacobiConfig())),
+        ("jacobi", dict(gd_cfg=GdConfig())), ("gd", dict(sweeps=3)), ("jacobi", dict(sweeps=3)),
+    ])
+    def test_unread_argument_rejected_before_whitening(self, monkeypatch, algorithm, unread):
+        calls = []
+        monkeypatch.setattr(optimizers, "center_and_whiten", lambda x: calls.append(1))
+        with pytest.raises(InvalidInput, match="does not read"):
+            separate(_pair(300, 1), algorithm, **unread)
+        assert calls == []
 
     def test_alias_accepted(self):
         # the CLI's spelling dispatches to _pairwise_gd; the underscore one is gone

@@ -1,8 +1,12 @@
 """The benchmark's tracer wraps package entry points by name, and its
 workloads build solver configs by field name; pin both here so a rename fails
-the suite rather than only a benchmark run."""
+the suite rather than only a benchmark run.  The gated workloads also run
+once here, so that a separation that fails the benchmark's checks fails the
+suite."""
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -55,3 +59,20 @@ def test_workload_round_builds_its_solver_configs(workload):
     for trial in trials:
         (cfg,) = trial.config.values()
         assert isinstance(cfg, JacobiConfig if trial.algorithm == "jacobi" else GdConfig)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("workload", ["jacobi-grid", "gd-fig4"])
+def test_gated_workload_measures_without_a_failure(workload, seed):
+    # one pass over the set-up rounds, started as run.py starts it: src on the
+    # path, one BLAS thread, the clock reading taken just before the start
+    run = _load("run")
+    cmd = [sys.executable, str(_PERFBENCH / "worker.py"), "--workload", workload, "--seed", str(seed),
+           "--mode", "measure", "--seconds", "0", "--t0", repr(run._clock())]
+    proc = subprocess.run(cmd, env=run._child_env(), capture_output=True, text=True, timeout=run.DEADLINE_S)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0, result["problems"]
+    # run.py adds setup_s from its own probes
+    contract = json.loads((_PERFBENCH.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    assert {m["name"] for m in contract} - {"setup_s"} <= result["metrics"].keys()
