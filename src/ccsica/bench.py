@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InvalidInput
 from .metrics import amari_index, sir_db
 from .objective import whole_number
-from .optimizers import GdConfig, JacobiConfig, separate
+from .optimizers import ALGORITHMS, GdConfig, JacobiConfig, separate
 from .sources import MixingModel, mix, noise_sigma_for_snr, random_mixing_matrix, rng_for, draw_source
 
 # the optional run_bench arguments each table reads; any other must keep its default
@@ -276,6 +276,8 @@ def run_bench(table: str, scale: float = 1.0, seed: int = 0, jobs: int = 1,
         raise InvalidInput("scale must lie in (0, 1]")
     jobs = whole_number(jobs, "jobs")
     algorithm = str(algorithm).strip().lower()
+    if algorithm not in ALGORITHMS:
+        raise InvalidInput(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     # the default algorithm counts as not given, like a None option
     options = dict(algorithm=None if algorithm == "jacobi" else algorithm, dims=dims, samples=samples,
                    eval_fracs=eval_fracs, wav_sources=wav_sources, matrix=matrix, snr_db=snr_db)

@@ -10,13 +10,17 @@ B = 1 face, the normalised joint density.
 The loop splits the queries into strips of at most `_CHUNK` kernel terms
 (query rows x references), each worked in place in a block that starts on a
 cache line, so a sum needs one such block (two with features) whatever the
-number of references, unless two query rows alone exceed the budget.  Points
-are divided by h once per call, and a strip's exponents -|q - r|^2 / 2 are
-one matrix product of its query rows [-|q|^2/2 | q | 1] with the reference
-operand [1 ; r ; -|r|^2/2], followed by `exp` in place.  That rounds each
-term to within about eps * max|q|^2 (a subtraction first would give
-eps * |u| * max|q|, but costs two more passes).  Every product has at least
-two query rows, so a row's exponent does not depend on how its strip falls.
+number of references, unless three query rows alone exceed the budget.  A
+block holds at least three query rows, unless there are fewer queries, so
+that a last strip of one row can take a row from the strip before it: no
+strip has one row unless n = 1.  Points are divided by h once per call, and
+a strip's exponents -|q - r|^2 / 2 are one matrix product of its query rows
+[-|q|^2/2 | q | 1] with the reference operand [1 ; r ; -|r|^2/2], followed
+by `exp` in place.  That rounds each term to within about eps * max|q|^2 (a
+subtraction first would give eps * |u| * max|q|, but costs two more
+passes).  A product of two or more rows goes to gemm, which rounds a row's
+exponents the same way however its strip falls; a one-row product would go
+to gemv, which rounds differently.
 
 Each pair of queries is computed once, about n*T - n^2/2 terms in all: a
 query gathers its pairs with earlier queries strip by strip, and each block
@@ -51,20 +55,26 @@ def default_bandwidth(t_count: int) -> float:
 
 
 def _block_rows(n_queries: int, n_refs: int) -> int:
-    return max(2, min(n_queries, _CHUNK // max(n_refs, 1)))
+    return min(n_queries, max(3, _CHUNK // n_refs))
 
 
-def _aligned_empty(size: int) -> np.ndarray:
-    """An uninitialised float64 array of `size` elements starting on a cache line."""
-    raw = np.empty(size + _ALIGN // 8)
-    start = (-raw.ctypes.data % _ALIGN) // 8
-    return raw[start : start + size]
+def _strips(n_queries: int, n_refs: int) -> list[tuple[int, int]]:
+    """The strips [lo, hi) of query rows that tile [0, n_queries) in order:
+    `_block_rows` rows each, but a last strip of one row takes a row from
+    the strip before it."""
+    bounds = list(range(0, n_queries, _block_rows(n_queries, n_refs))) + [n_queries]
+    if n_queries > 1 and bounds[-1] - bounds[-2] == 1:
+        bounds[-2] -= 1
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def kernel_scratch(n_queries: int, n_refs: int, count: int = 1) -> list[np.ndarray]:
-    """`count` work blocks for a kernel sum of n_queries against n_refs."""
+    """`count` uninitialised float64 work blocks for a kernel sum of n_queries
+    against n_refs, each starting on a cache line."""
     size = _block_rows(n_queries, n_refs) * n_refs
-    return [_aligned_empty(size) for _ in range(count)]
+    raws = [np.empty(size + _ALIGN // 8) for _ in range(count)]
+    # each block starts at the first element of its raw array on a cache line
+    return [raw[(-raw.ctypes.data % _ALIGN) // 8 :][:size] for raw in raws]
 
 
 def _operand(x: np.ndarray, h: float) -> np.ndarray:
@@ -75,18 +85,6 @@ def _operand(x: np.ndarray, h: float) -> np.ndarray:
     np.einsum("bij,bij->bj", op[:, 1 : m + 1], op[:, 1 : m + 1], out=op[:, m + 1])
     op[:, m + 1] *= -0.5
     return op
-
-
-def _strip_product(q_op: np.ndarray, r: int, ref_op: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """q_op[:r] @ ref_op in `block`, returned as an r x width view.
-
-    A one-row product would go to numpy's matrix-vector routine, which rounds
-    differently, so a strip of one row is computed with the next row of
-    `q_op`, which must hold a copy of it."""
-    rows, width = max(r, 2), ref_op.shape[1]
-    out = block[: rows * width].reshape(rows, width)
-    np.matmul(q_op[:rows], ref_op, out=out)
-    return out[:r]
 
 
 def _kernel_sums(refs: np.ndarray, n, h: float, feats=None, work=None):
@@ -102,16 +100,14 @@ def _kernel_sums(refs: np.ndarray, n, h: float, feats=None, work=None):
     n_sets, _, n_refs = refs.shape
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= n_refs:
         raise InvalidInput(f"query count must be an integer in [1, {n_refs}], got {n!r:.40}")
-    rows = _block_rows(n, n_refs)
+    strips = _strips(n, n_refs)
     work = [] if work is None else work
     work += kernel_scratch(n, n_refs, (1 if feats is None else 2) - len(work))
     ref_op = _operand(refs, h)
-    # query rows [-|q|^2/2 | q | 1], built once; row n repeats row n-1 for
-    # `_strip_product`, since only the last strip can have one row
-    q_rows = np.ones((n_sets, n + 1, ref_op.shape[1]))
-    q_rows[:, :n, 0] = ref_op[:, -1, :n]
-    q_rows[:, :n, 1:-1] = ref_op[:, 1:-1, :n].transpose(0, 2, 1)
-    q_rows[:, n] = q_rows[:, n - 1]
+    # query rows [-|q|^2/2 | q | 1], built once
+    q_rows = np.ones((n_sets, n, ref_op.shape[1]))
+    q_rows[..., 0] = ref_op[:, -1, :n]
+    q_rows[..., 1:-1] = ref_op[:, 1:-1, :n].transpose(0, 2, 1)
     # a strip of query rows [lo, hi) runs over the references from lo; its
     # part against the later queries hi:n is also their part against the
     # strip, so it is added to those queries by column (*_cols)
@@ -122,22 +118,21 @@ def _kernel_sums(refs: np.ndarray, n, h: float, feats=None, work=None):
         f1[:, 1:] = feats
         uf, uf_cols = np.empty((n_sets, n, f1.shape[1])), np.empty((n, f1.shape[1]))
         uf_part = np.empty_like(uf_cols)
-        u_op = np.full((rows, 2), -1.0)
+        u_op = np.full((_block_rows(n, n_refs), 2), -1.0)
     for b in range(n_sets):
         k_cols.fill(0.0)
         if feats is not None:
             uf_cols.fill(0.0)
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
+        for lo, hi in strips:
             r, cols, ref = hi - lo, n - hi, ref_op[b, :, lo:]
-            k = _strip_product(q_rows[b, lo:], r, ref, work[0])
+            k = np.matmul(q_rows[b, lo:hi], ref, out=work[0][: r * (n_refs - lo)].reshape(r, -1))
             np.exp(k, out=k)
             np.matmul(k, ones[: n_refs - lo], out=ksum[b, lo:hi])
             if cols:
                 k_cols[hi:] += np.matmul(ones[:r], k[:, r : r + cols], out=part[:cols])
             if feats is not None:
-                u_op[: max(r, 2), 0] = q_rows[b, lo : lo + max(r, 2), 1]
-                u = _strip_product(u_op, r, ref[:2], work[1])
+                u_op[:r, 0] = q_rows[b, lo:hi, 1]
+                u = np.matmul(u_op[:r], ref[:2], out=work[1][: r * (n_refs - lo)].reshape(r, -1))
                 u *= k
                 np.matmul(u, f1[lo:], out=uf[b, lo:hi])
                 if cols:

@@ -46,6 +46,8 @@ class GdConfig:
             raise InvalidInput("step_size must be positive and finite")
         if not self.epsilon >= 0.0:
             raise InvalidInput("epsilon must be nonnegative")
+        if not np.isfinite(self.alpha):
+            raise InvalidInput("alpha must be finite")
         object.__setattr__(self, "max_iter", whole_number(self.max_iter, "max_iter", least=0))
         object.__setattr__(self, "stride", whole_number(self.stride, "stride"))
 
@@ -60,6 +62,8 @@ class JacobiConfig:
     max_sweeps: int = 30
 
     def __post_init__(self):
+        if not np.isfinite(self.alpha):
+            raise InvalidInput("alpha must be finite")
         object.__setattr__(self, "max_sweeps", whole_number(self.max_sweeps, "max_sweeps"))
         object.__setattr__(self, "stride", whole_number(self.stride, "stride"))
 
@@ -117,17 +121,14 @@ def _gd_core(data: np.ndarray, cfg: GdConfig) -> tuple[np.ndarray, np.ndarray]:
     """
     obj = CcsObjective(data, cfg.alpha, stride=cfg.stride)
     w = np.eye(data.shape[0])
-    if cfg.max_iter == 0:
-        return w, np.array([obj.value(w)])
-    d_prev, grad = obj.value_and_gradient(w)
-    trace = [d_prev]
+    d, grad = obj.value_and_gradient(w)
+    trace = [d]
     for _ in range(cfg.max_iter):
         w = _normalize_rows(w - cfg.step_size * grad)
-        d_cur, grad = obj.value_and_gradient(w)
-        trace.append(d_cur)
-        if abs(d_cur - d_prev) <= cfg.epsilon:
+        d, grad = obj.value_and_gradient(w)
+        trace.append(d)
+        if abs(d - trace[-2]) <= cfg.epsilon:
             break
-        d_prev = d_cur
     return w, np.asarray(trace)
 
 
@@ -140,7 +141,7 @@ def _rotate_pair(w_algo: np.ndarray, demixed: np.ndarray, i: int, j: int, r: np.
     return patch @ w_algo
 
 
-def _pairwise_gd(z: np.ndarray, cfg: GdConfig, sweeps) -> tuple[np.ndarray, np.ndarray, int]:
+def _pairwise_gd(z: np.ndarray, cfg: GdConfig, sweeps: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Sweep the gradient core over all row pairs of the demixed data.
 
     Every pair (i, j) with i < j gets a 2x2 subproblem on the current demixed
@@ -148,7 +149,6 @@ def _pairwise_gd(z: np.ndarray, cfg: GdConfig, sweeps) -> tuple[np.ndarray, np.n
     two channels and a single sweep this is exactly _gd_core.  Returns
     (w_algo, the pair traces concatenated, the iterations over all pairs).
     """
-    sweeps = whole_number(sweeps, "sweeps")
     m = z.shape[0]
     w_algo = np.eye(m)
     demixed = z.copy()
@@ -252,7 +252,8 @@ def separate(x, algorithm: str = "jacobi", gd_cfg: GdConfig | None = None,
     gd_cfg drives gd and pairwise-gd, sweeps counts pairwise-gd's sweeps
     (PAIRWISE_GD_SWEEPS when None), and jacobi_cfg drives jacobi; each config
     defaults to its class's defaults.  An argument that the algorithm does
-    not read is refused with InvalidInput before any work.
+    not read, or a sweep count that is not a whole number >= 1, is refused
+    with InvalidInput before any work.
     """
     key = str(algorithm).strip().lower()
     if key not in ALGORITHMS:
@@ -261,14 +262,15 @@ def separate(x, algorithm: str = "jacobi", gd_cfg: GdConfig | None = None,
     unread = [k for k, v in given.items() if v is not None and k not in _ALGORITHM_READS[key]]
     if unread:
         raise InvalidInput(f"{key} does not read {', '.join(unread)}")
+    if key == "pairwise-gd":
+        sweeps = whole_number(PAIRWISE_GD_SWEEPS if sweeps is None else sweeps, "sweeps")
     z, wt = center_and_whiten(x)
     cm = None
     if key == "gd":
         w_algo, trace = _gd_core(z, gd_cfg or GdConfig())
         n_iter = len(trace) - 1
     elif key == "pairwise-gd":
-        w_algo, trace, n_iter = _pairwise_gd(z, gd_cfg or GdConfig(),
-                                             PAIRWISE_GD_SWEEPS if sweeps is None else sweeps)
+        w_algo, trace, n_iter = _pairwise_gd(z, gd_cfg or GdConfig(), sweeps)
     else:
         w_algo, trace, cm = _jacobi(z, jacobi_cfg or JacobiConfig())
         n_iter = len(trace)

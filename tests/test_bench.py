@@ -8,6 +8,7 @@ import pytest
 
 import ccsica
 from ccsica import bench
+from ccsica.errors import InvalidInput
 from ccsica.sources import source_bank
 
 
@@ -71,6 +72,16 @@ def test_grid_tables_run_every_trial_through_one_execute(monkeypatch, table, kwa
     assert len(rows) == n_rows
     if table == "t5":
         assert [row[2] for row in rows] == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unknown_algorithm_refused_before_any_trial(monkeypatch, jobs):
+    # with jobs > 1 the caller raises the refusal, not a worker process
+    calls = []
+    monkeypatch.setattr(bench, "_execute", lambda *a: calls.append(a))
+    with pytest.raises(InvalidInput, match="unknown algorithm"):
+        bench.run_bench("t1", scale=0.01, algorithm="fastica", jobs=jobs)
+    assert calls == []
 
 
 def test_import_leaves_the_process_pool_unloaded():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from ccsica import bench, cli
+from ccsica import bench, cli, optimizers
 from ccsica.cli import main
 from ccsica.fileio import (read_matrix_csv, read_signal_csv, read_wav, write_matrix_csv,
                            write_signal_csv)
@@ -221,6 +221,17 @@ class TestSolverFlags:
         calls = []
         for name in ("separate", "_read_any_signal"):
             monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a))
+        out = tmp_path / "sep"
+        assert main(["separate", "--input", str(signal), *argv, "--out", str(out)]) == 2
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--alpha", "nan"], ["--algorithm", "pairwise-gd", "--sweeps", "0"]])
+    def test_bad_solver_value_exits_two_before_whitening(self, tmp_path, monkeypatch, argv):
+        signal = tmp_path / "signal.csv"
+        write_signal_csv(signal, np.random.default_rng(0).laplace(size=(2, 200)))
+        calls = []
+        monkeypatch.setattr(optimizers, "center_and_whiten", lambda *a, **k: calls.append(a))
         out = tmp_path / "sep"
         assert main(["separate", "--input", str(signal), *argv, "--out", str(out)]) == 2
         assert calls == []

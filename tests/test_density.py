@@ -191,7 +191,7 @@ class TestSharedQueries:
         return k.sum(axis=1), (u * k).sum(axis=1), (u * k) @ feats
 
     # ts 1: 40 of 40 references; ts 4: 10 of 40.  A 150-term budget gives
-    # strips of three rows and a short last strip of one
+    # strips of three rows that end in two strips of two
     @pytest.mark.parametrize("n, chunk", [(40, 1 << 16), (40, 150), (10, 150)])
     def test_matches_hand_loop(self, rng, monkeypatch, n, chunk):
         refs = rng.normal(size=40)
@@ -210,8 +210,8 @@ class TestSharedQueries:
         refs = rng.normal(size=50)
         feats = rng.normal(size=(50, 2))
         whole = gaussian_sums_1d(refs, n, 0.4, feats)
-        # 5 elements: one-row strips; 150: three-row strips and a ragged last
-        # strip of two
+        # 5 elements: strips of three rows, the fewest a block holds; 150:
+        # three-row strips and a ragged last strip of two
         for chunk in (5, 150):
             monkeypatch.setattr(density, "_CHUNK", chunk)
             # a shared pair is added to the later query by column, so the
@@ -242,6 +242,60 @@ class TestSharedQueries:
         terms.clear()
         gaussian_sums_1d(rows, obj.n_points, obj.h, obj.data_t, work=obj._work)
         assert 0 < sum(terms) <= 3 * bound
+
+    @pytest.mark.parametrize("stride", [1, 10])
+    def test_exponentiates_the_terms_of_the_strip_plan(self, monkeypatch, stride):
+        # each strip [lo, hi) runs over the references from lo, for the
+        # joint build as for a 1-D sum, and for each row of a stack
+        real_exp, terms = np.exp, []
+
+        def counting_exp(x, *args, **kwargs):
+            terms.append(np.size(x))
+            return real_exp(x, *args, **kwargs)
+
+        z = np.random.default_rng(2).laplace(size=(2, 1000))
+        monkeypatch.setattr(density.np, "exp", counting_exp)
+        obj = CcsObjective(z, alpha=-0.99999, stride=stride)
+        plan = sum((hi - lo) * (obj.n_refs - lo) for lo, hi in density._strips(obj.n_points, obj.n_refs))
+        assert sum(terms) == plan
+        rows = np.array([[0.6, 0.8], [0.8, -0.6], [1.0, 0.0]]) @ obj.data
+        for stack, count in ((rows[0], 1), (rows, 3)):
+            terms.clear()
+            gaussian_sums_1d(stack, obj.n_points, obj.h, obj.data_t, work=obj._work)
+            assert sum(terms) == count * plan
+
+    @pytest.mark.parametrize("chunk, rows", [(5, 3), (4 * 60, 4), (65 * 60, 65)])
+    def test_strip_plan_tiles_the_queries(self, monkeypatch, chunk, rows):
+        # a block holds at least three query rows, so a last strip of one row
+        # can take a row from the strip before it
+        monkeypatch.setattr(density, "_CHUNK", chunk)
+        for n in range(1, 61):
+            strips = density._strips(n, 60)
+            assert density._block_rows(n, 60) == min(n, rows)
+            assert [lo for lo, _ in strips] == [0] + [hi for _, hi in strips[:-1]]
+            assert strips[-1][1] == n
+            assert all(1 <= hi - lo <= rows for lo, hi in strips)
+            assert any(hi - lo == 1 for lo, hi in strips) == (n == 1)
+
+    @pytest.mark.parametrize("n", [40, 10])
+    def test_no_kernel_product_has_one_row(self, rng, monkeypatch, n):
+        # numpy sends a one-row product to gemv, which rounds differently; a
+        # 150-term budget at T = 40 used to leave a last strip of one row
+        refs, feats = rng.normal(size=40), rng.normal(size=(40, 3))
+        monkeypatch.setattr(density, "_CHUNK", 150)
+        work = density.kernel_scratch(n, 40, 2)
+        real_matmul, rows = np.matmul, []
+
+        def recording_matmul(a, b, *args, out=None, **kwargs):
+            # the kernel products are the ones worked in a scratch block
+            if out is not None and any(np.shares_memory(out, block) for block in work):
+                rows.append(np.shape(a)[0])
+            return real_matmul(a, b, *args, out=out, **kwargs)
+
+        monkeypatch.setattr(density.np, "matmul", recording_matmul)
+        gaussian_sums_1d(refs, n, 0.5, feats, work=work)
+        gaussian_sums_1d(np.vstack([refs, -refs]), n, 0.5, work=work)
+        assert len(rows) == 4 * len(density._strips(n, 40)) and min(rows) == 2
 
     @pytest.mark.parametrize("chunk", [1 << 16, 5, 150])
     def test_stack_matches_one_row_calls(self, rng, monkeypatch, chunk):
@@ -331,8 +385,9 @@ class TestMultivariate:
 
     @pytest.mark.parametrize("chunk", [1 << 16, 5, 150])
     def test_one_channel_is_the_1d_sum(self, rng, monkeypatch, chunk):
-        # both sums run the same strip loop; 5 gives one-row strips, 150
-        # three-row strips and a ragged last strip of two
+        # both sums run the same strip loop; 5 gives strips of three rows,
+        # the fewest a block holds, 150 three-row strips and a ragged last
+        # strip of two
         refs = rng.normal(size=50)
         h = 0.4
         monkeypatch.setattr(density, "_CHUNK", chunk)

@@ -338,6 +338,15 @@ class TestDispatcher:
             separate(_pair(300, 1), algorithm, **unread)
         assert calls == []
 
+    def test_bad_values_rejected_before_whitening(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(optimizers, "center_and_whiten", lambda x: calls.append(1))
+        for make in (lambda: GdConfig(alpha=float("nan")), lambda: JacobiConfig(alpha=float("inf")),
+                     lambda: separate(_pair(300, 1), "pairwise-gd", sweeps=0)):
+            with pytest.raises(InvalidInput):
+                make()
+        assert calls == []
+
     def test_alias_accepted(self):
         # the CLI's spelling dispatches to _pairwise_gd; the underscore one is gone
         x = _pair(300, 1)
