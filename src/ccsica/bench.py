@@ -140,9 +140,9 @@ def _execute(tasks: list[dict], jobs: int):
 def _grid_rows(seed, jobs, cells):
     """One row per t1/t4/t5 cell (lead, key, trials, task): the lead columns, the
     trial count, then the median and mean Amari error x100 and the mean runtime.
-    Trial k of a cell runs under key + (k,) at alpha -0.99999; every trial of
-    the grid goes through one _execute call."""
-    tasks = [dict(task, seed=seed, key=key + (k,), alpha=-0.99999)
+    Trial k of a cell runs under key + (k,) at the default GdConfig.alpha;
+    every trial of the grid goes through one _execute call."""
+    tasks = [dict(task, seed=seed, key=key + (k,), alpha=GdConfig.alpha)
              for _, key, trials, task in cells for k in range(trials)]
     records = iter(_execute(tasks, jobs))
     rows = []
@@ -215,7 +215,7 @@ def bench_t5(scale=1.0, seed=0, jobs=1, algorithm="jacobi", dims=None, samples=N
 def _fig4_records(seed, jobs, max_iter=250) -> list[ExperimentRecord]:
     """The two-source demo's descents, one per _FIG4_BRANCHES entry: epsilon 0
     runs each to max_iter unless a step leaves the contrast bit-equal to the
-    step before, which stops it early (at 247 for alpha -0.99999, seed 0)."""
+    step before, which stops it early (at 247 on the first branch, seed 0)."""
     tasks = [
         dict(seed=seed, key=(44,), kinds=("uniform", "laplacian"), t=1000,
              matrix=DEMO_MATRIX_2, algorithm="gd", alpha=alpha, step_size=gamma, stride=1,
@@ -253,7 +253,7 @@ def _bench_three_source(table_key, scale, seed, jobs, algorithm, snr_db, wav_sou
         t_count = wav_sources.shape[1]
     tasks = [
         dict(seed=seed, key=(table_key, k), kinds=("uniform", "rayleigh", "laplacian"),
-             t=t_count, sources=wav_sources, algorithm=algorithm, alpha=-0.99999,
+             t=t_count, sources=wav_sources, algorithm=algorithm, alpha=GdConfig.alpha,
              stride=max(1, t_count // 200), matrix=a.tolist(), snr_db=snr_db, baseline=True)
         for k in range(trials)
     ]

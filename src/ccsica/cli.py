@@ -21,7 +21,7 @@ import yaml
 from . import bench as bench_mod
 from .divergences import DIVERGENCE_IDS, divergence_slice, divergence_surface
 from .errors import CcsIcaError, InvalidInput, IoFailure
-from .fileio import (read_matrix_csv, read_signal_csv, read_wav, write_csv,
+from .fileio import (WAV_RATE, read_matrix_csv, read_signal_csv, read_wav, write_csv,
                      write_matrix_csv, write_signal_csv, write_wav)
 from .metrics import amari_index, sir_db
 from .objective import whole_number
@@ -58,17 +58,27 @@ def _out_path(out: str, name: str | None = None) -> Path:
     return path
 
 
-def _read_signals(paths) -> np.ndarray:
+def _read_signals(paths) -> tuple[np.ndarray, int | None]:
     """The signals of a list of paths, each a signal CSV or a mono WAV,
-    trimmed to the shortest and stacked."""
-    rows = [np.atleast_2d(read_wav(p)[1] if str(p).endswith(".wav") else read_signal_csv(p))
-            for p in paths]
+    trimmed to the shortest and stacked, and the WAVs' common sample rate
+    (None without a WAV).  InvalidInput if the WAVs' rates differ."""
+    rows, rates = [], set()
+    for p in paths:
+        if str(p).endswith(".wav"):
+            rate, data = read_wav(p)
+            rates.add(rate)
+        else:
+            data = read_signal_csv(p)
+        rows.append(np.atleast_2d(data))
+    if len(rates) > 1:
+        raise InvalidInput(f"WAV inputs have different sample rates: {sorted(rates)} Hz")
     n = min(b.shape[1] for b in rows)
-    return np.vstack([b[:, :n] for b in rows])
+    return np.vstack([b[:, :n] for b in rows]), next(iter(rates), None)
 
 
-def _read_any_signal(path: str) -> np.ndarray:
-    """One file or a comma list; each entry a signal CSV or a mono WAV."""
+def _read_any_signal(path: str) -> tuple[np.ndarray, int | None]:
+    """One file or a comma list, each entry a signal CSV or a mono WAV, as
+    for _read_signals."""
     parts = [p.strip() for p in path.split(",") if p.strip()]
     if not parts:
         raise InvalidInput(f"no readable signal in {path!r}")
@@ -106,7 +116,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    sources = _read_any_signal(args.inputs)
+    sources, _ = _read_any_signal(args.inputs)
     if args.matrix in (None, "random"):
         a = random_mixing_matrix(sources.shape[0], rng_for(args.seed, 0x31))
     else:
@@ -140,13 +150,13 @@ def cmd_separate(args) -> int:
         raise InvalidInput(f"--algorithm {args.algorithm} does not read {', '.join(unread)}")
     cfg = cfg_class(**{name: value for name, value in flags.values() if name in read})
     solver = {"jacobi_cfg": cfg} if jacobi else {"gd_cfg": cfg, "sweeps": args.sweeps if pairwise else None}
-    x = _read_any_signal(args.input)
+    x, rate = _read_any_signal(args.input)
     out = _out_path(args.out)
     res = separate(x, args.algorithm, **solver)
     y = res.estimate(x)
     if args.format == "wav":
         for k, row in enumerate(y):
-            write_wav(out / f"estimate_{k:02d}.wav", _wav_safe(row))
+            write_wav(out / f"estimate_{k:02d}.wav", _wav_safe(row), rate or WAV_RATE)
         estimate_note = f"{y.shape[0]} estimate WAV file(s)"
     else:
         write_signal_csv(out / "estimates.csv", y)
@@ -162,8 +172,8 @@ def cmd_separate(args) -> int:
 def cmd_eval(args) -> int:
     if (args.demixer is None) != (args.mixing is None):
         raise InvalidInput("eval needs --demixer and --mixing together, for the Amari index")
-    estimates = _read_any_signal(args.estimates)
-    truth = _read_any_signal(args.truth)
+    estimates, _ = _read_any_signal(args.estimates)
+    truth, _ = _read_any_signal(args.truth)
     out_path = _out_path(args.out, "metrics.csv")
     rows = []
     sirs = sir_db(estimates, truth)
@@ -184,7 +194,7 @@ def cmd_bench(args) -> int:
         paths = sorted(Path(args.wav).glob("*.wav"))
         if len(paths) < 3:
             raise InvalidInput(f"bench fig6/fig7 needs 3 WAV files in {args.wav}")
-        wav_sources = _read_signals(paths[:3])
+        wav_sources, _ = _read_signals(paths[:3])
     dims = _parse_list(args.dims, int) if args.dims else None
     samples = _parse_list(args.samples, int) if args.samples else None
     fracs = _parse_list(args.eval_fracs) if args.eval_fracs else None

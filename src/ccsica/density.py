@@ -68,7 +68,7 @@ def _strips(n_queries: int, n_refs: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def kernel_scratch(n_queries: int, n_refs: int, count: int = 1) -> list[np.ndarray]:
+def _kernel_scratch(n_queries: int, n_refs: int, count: int = 1) -> list[np.ndarray]:
     """`count` uninitialised float64 work blocks for a kernel sum of n_queries
     against n_refs, each starting on a cache line."""
     size = _block_rows(n_queries, n_refs) * n_refs
@@ -102,7 +102,7 @@ def _kernel_sums(refs: np.ndarray, n, h: float, feats=None, work=None):
         raise InvalidInput(f"query count must be an integer in [1, {n_refs}], got {n!r:.40}")
     strips = _strips(n, n_refs)
     work = [] if work is None else work
-    work += kernel_scratch(n, n_refs, (1 if feats is None else 2) - len(work))
+    work += _kernel_scratch(n, n_refs, (1 if feats is None else 2) - len(work))
     ref_op = _operand(refs, h)
     # query rows [-|q|^2/2 | q | 1], built once
     q_rows = np.ones((n_sets, n, ref_op.shape[1]))
@@ -158,9 +158,8 @@ def gaussian_sums_1d(refs, n, h: float, feats=None, work=None):
 
     Each term rounds as the module docstring says; after whitening a solver
     row has |q/h| <= T^0.7 / 1.06 at the default bandwidth, and typical ones
-    far less.  `work` is a list of blocks from `kernel_scratch` to reuse
-    across calls: a call takes one, two with features, and appends those
-    the list lacks.
+    far less.  `work` is a list that the call fills with the work blocks it
+    lacks (one, two with features); passing the same list again reuses them.
     """
     refs = np.asarray(refs, dtype=float)
     if refs.ndim not in (1, 2):

@@ -2,8 +2,8 @@
 
 CSV files carry a single header line and floats rendered with 17 significant
 digits, enough for exact float64 round trips.  WAV files are mono 16-bit PCM,
-written at 8 kHz; samples map to [-1, 1) on read and are clipped (with a
-warning) on write.
+written at 8 kHz unless a rate is given; samples map to [-1, 1) on read and
+are clipped (with a warning) on write.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def read_matrix_csv(path) -> np.ndarray:
     return _parse_block(path, data_rows)
 
 
-def write_wav(path, samples) -> None:
+def write_wav(path, samples, rate: int = WAV_RATE) -> None:
     x = np.asarray(samples, dtype=float).ravel()
     limit = (_WAV_SCALE - 1.0) / _WAV_SCALE
     if x.size and (x.max(initial=-np.inf) > limit or x.min(initial=np.inf) < -1.0):
@@ -102,7 +102,7 @@ def write_wav(path, samples) -> None:
         with wave.open(str(path), "wb") as wf:
             wf.setnchannels(1)
             wf.setsampwidth(2)
-            wf.setframerate(WAV_RATE)
+            wf.setframerate(rate)
             wf.writeframes(ints.tobytes())
     except (OSError, wave.Error) as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc

@@ -41,8 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import density
-from .density import (_SQRT_2PI, default_bandwidth, gaussian_density_nd, gaussian_sums_1d,
-                      kernel_scratch)
+from .density import _SQRT_2PI, default_bandwidth, gaussian_density_nd, gaussian_sums_1d
 from .divergences import EPS_FLOOR, convex_f, convex_f_prime, log_ratio
 from .errors import InvalidInput, NonFinite, SingularDemixer
 from .preprocess import validate_signal
@@ -69,11 +68,14 @@ class CcsObjective:
 
     The kernel reference set is every column of the data; the evaluation sum
     runs over every stride-th column starting at the first.  `data` holds
-    those evaluation columns first, then the others in their order.  The
-    bandwidth follows the reference count.
+    those evaluation columns first, then the others in their order, and is
+    the one copy of the samples: its first n_points columns are the queries,
+    and its transpose is the features of the gradient's sums.  The bandwidth
+    follows the reference count.
 
-    An objective owns the scratch blocks its kernel sums work in, so one
-    instance must not be evaluated from two threads at once.
+    An objective keeps the work blocks that its first kernel sums fill, sized
+    by `density`, so one instance must not be evaluated from two threads at
+    once.
     """
 
     def __init__(self, data, alpha: float, stride: int = 1):
@@ -85,22 +87,16 @@ class CcsObjective:
         self.alpha = float(alpha)
         if not np.isfinite(self.alpha):
             raise InvalidInput("alpha must be finite")
-        self.stride = stride
+        self.n_points = n_points
         self.h = default_bandwidth(data.shape[1])
         # evaluation points first, so that the kernel sums share their pairs
         rest = np.ones(data.shape[1], dtype=bool)
         rest[::stride] = False
         self.data = np.concatenate([data[:, ::stride], data[:, rest]], axis=1)
-        self.data_t = np.ascontiguousarray(self.data.T)
-        self.queries_t = self.data_t[:n_points]
         # input joint density at the evaluation points; W enters only via det
         self.base_density = gaussian_density_nd(self.data, n_points, self.h)
-        # one kernel work block serves values; the first gradient adds a second
-        self._work = kernel_scratch(self.n_points, self.n_refs)
-
-    @property
-    def n_points(self) -> int:
-        return self.queries_t.shape[0]
+        # kernel work blocks, filled by the first kernel sums (a gradient takes two)
+        self._work = []
 
     @property
     def n_refs(self) -> int:
@@ -121,8 +117,8 @@ class CcsObjective:
         if not need_grad:
             return gaussian_sums_1d(rows, n, h, work=self._work) * norm_p, None
         norm_k = 1.0 / (self.n_refs * h * h * _SQRT_2PI)
-        ksum, usum, ufsum = gaussian_sums_1d(rows, n, h, self.data_t, work=self._work)
-        grad = -norm_k * (usum[..., None] * self.queries_t - ufsum)
+        ksum, usum, ufsum = gaussian_sums_1d(rows, n, h, self.data.T, work=self._work)
+        grad = -norm_k * (usum[..., None] * self.data[:, :n].T - ufsum)
         return ksum * norm_p, grad
 
     # -- evaluation ---------------------------------------------------------------

@@ -8,7 +8,7 @@ import yaml
 from ccsica import bench, cli, optimizers
 from ccsica.cli import main
 from ccsica.fileio import (read_matrix_csv, read_signal_csv, read_wav, write_matrix_csv,
-                           write_signal_csv)
+                           write_signal_csv, write_wav)
 from ccsica.metrics import kurtosis
 from ccsica.optimizers import GdConfig, JacobiConfig, separate
 from ccsica.preprocess import remove_mean, whiten
@@ -513,3 +513,51 @@ class TestWavPipeline:
         assert len(estimates) == 2
         assert main(["eval", "--estimates", ",".join(estimates),
                      "--truth", ",".join(wavs), "--out", str(tmp_path / "m")]) == 0
+
+    @staticmethod
+    def _wav_pair(folder, rates):
+        # two mixed rows, one WAV each at its rate
+        mixed = np.array([[0.6, 0.4], [0.3, 0.7]]) @ np.random.default_rng(3).uniform(-0.5, 0.5, (2, 400))
+        paths = [folder / f"x{k}_{rate}.wav" for k, rate in enumerate(rates)]
+        for path, row, rate in zip(paths, mixed, rates):
+            write_wav(path, row, rate)
+        return ",".join(str(p) for p in paths)
+
+    def test_estimates_keep_the_input_rate(self, tmp_path):
+        sep = tmp_path / "sep"
+        assert main(["separate", "--input", self._wav_pair(tmp_path, (16000, 16000)),
+                     "--ts", "4", "--format", "wav", "--out", str(sep)]) == 0
+        estimates = sorted(sep.glob("estimate_*.wav"))
+        assert len(estimates) == 2
+        assert all(read_wav(p)[0] == 16000 for p in estimates)
+
+    def test_csv_input_writes_8khz_estimates(self, tmp_path):
+        signal = tmp_path / "signal.csv"
+        write_signal_csv(signal, np.random.default_rng(0).laplace(size=(2, 200)))
+        sep = tmp_path / "sep"
+        assert main(["separate", "--input", str(signal), "--ts", "4", "--format", "wav",
+                     "--out", str(sep)]) == 0
+        estimates = sorted(sep.glob("estimate_*.wav"))
+        assert len(estimates) == 2
+        assert all(read_wav(p)[0] == 8000 for p in estimates)
+
+    @pytest.mark.parametrize("command", ["separate", "mix", "eval"])
+    def test_mixed_rates_exit_two_with_no_output(self, tmp_path, command):
+        pair = self._wav_pair(tmp_path, (16000, 8000))
+        out = tmp_path / "out"
+        argv = {"separate": ["--input", pair], "mix": ["--inputs", pair],
+                "eval": ["--estimates", pair, "--truth", pair]}[command]
+        assert main([command, *argv, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_bench_wav_mixed_rates_exit_two_before_any_trial(self, tmp_path, monkeypatch):
+        wavs = tmp_path / "wavs"
+        rows = np.random.default_rng(4).uniform(-0.5, 0.5, (3, 400))
+        for k, (row, rate) in enumerate(zip(rows, (8000, 8000, 16000))):
+            write_wav(wavs / f"s{k}.wav", row, rate)
+        calls = []
+        monkeypatch.setattr(bench, "_execute", lambda *a, **k: calls.append(a))
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "fig6", "--wav", str(wavs), "--scale", "0.1", "--out", str(out)]) == 2
+        assert calls == []
+        assert not out.exists()

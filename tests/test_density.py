@@ -153,7 +153,7 @@ class TestUnivariate:
     def test_scratch_blocks_start_on_cache_line(self, n_queries, n_refs):
         # the speed of a sum must not depend on where the heap put its blocks
         for _ in range(8):
-            for block in density.kernel_scratch(n_queries, n_refs):
+            for block in density._kernel_scratch(n_queries, n_refs):
                 assert block.ctypes.data % 64 == 0
                 assert block.size == density._block_rows(n_queries, n_refs) * n_refs
 
@@ -179,6 +179,19 @@ class TestUnivariate:
         assert np.allclose(grad, want, rtol=1e-10, atol=1e-14)
         value_only, none = obj._marginal_pass(row, need_grad=False)
         assert none is None and np.array_equal(value_only, dens)
+
+    @pytest.mark.parametrize("stride", [1, 10])
+    def test_strided_features_match_contiguous(self, stride):
+        # the objective passes its data's transpose, a strided view, as features
+        z = np.random.default_rng(5).laplace(size=(2, 300))
+        obj = CcsObjective(z, alpha=-0.99999, stride=stride)
+        feats = obj.data.T
+        assert not feats.flags.c_contiguous
+        rows = np.array([[0.6, 0.8], [0.8, -0.6], [1.0, 0.0]]) @ obj.data
+        for stack in (rows[0], rows):
+            strided = gaussian_sums_1d(stack, obj.n_points, obj.h, feats)
+            contiguous = gaussian_sums_1d(stack, obj.n_points, obj.h, np.ascontiguousarray(feats))
+            assert all(np.array_equal(a, b) for a, b in zip(strided, contiguous))
 
 
 class TestSharedQueries:
@@ -236,11 +249,11 @@ class TestSharedQueries:
         assert 0 < sum(terms) <= bound
         terms.clear()
         rows = np.array([[0.6, 0.8], [0.8, -0.6], [1.0, 0.0]]) @ obj.data
-        gaussian_sums_1d(rows[0], obj.n_points, obj.h, obj.data_t, work=obj._work)
+        gaussian_sums_1d(rows[0], obj.n_points, obj.h, obj.data.T, work=obj._work)
         assert 0 < sum(terms) <= bound
         # a stack of rows does each row's work once
         terms.clear()
-        gaussian_sums_1d(rows, obj.n_points, obj.h, obj.data_t, work=obj._work)
+        gaussian_sums_1d(rows, obj.n_points, obj.h, obj.data.T, work=obj._work)
         assert 0 < sum(terms) <= 3 * bound
 
     @pytest.mark.parametrize("stride", [1, 10])
@@ -261,7 +274,7 @@ class TestSharedQueries:
         rows = np.array([[0.6, 0.8], [0.8, -0.6], [1.0, 0.0]]) @ obj.data
         for stack, count in ((rows[0], 1), (rows, 3)):
             terms.clear()
-            gaussian_sums_1d(stack, obj.n_points, obj.h, obj.data_t, work=obj._work)
+            gaussian_sums_1d(stack, obj.n_points, obj.h, obj.data.T, work=obj._work)
             assert sum(terms) == count * plan
 
     @pytest.mark.parametrize("chunk, rows", [(5, 3), (4 * 60, 4), (65 * 60, 65)])
@@ -283,7 +296,7 @@ class TestSharedQueries:
         # 150-term budget at T = 40 used to leave a last strip of one row
         refs, feats = rng.normal(size=40), rng.normal(size=(40, 3))
         monkeypatch.setattr(density, "_CHUNK", 150)
-        work = density.kernel_scratch(n, 40, 2)
+        work = density._kernel_scratch(n, 40, 2)
         real_matmul, rows = np.matmul, []
 
         def recording_matmul(a, b, *args, out=None, **kwargs):
@@ -339,7 +352,7 @@ class TestSharedQueries:
         row = np.array([0.6, 0.8]) @ obj.data
         for name in ("divide", "subtract"):
             monkeypatch.setattr(density.np, name, Counting(getattr(np, name)))
-        gaussian_sums_1d(row, obj.n_points, obj.h, obj.data_t, work=obj._work)
+        gaussian_sums_1d(row, obj.n_points, obj.h, obj.data.T, work=obj._work)
         assert max(terms, default=0) <= obj.n_refs
 
 
