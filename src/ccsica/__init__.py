@@ -2,8 +2,7 @@
 
 from .errors import (CcsIcaError, DegenerateDivergence, InvalidInput, IoFailure,
                      NonFinite, RankDeficient, SingularDemixer)
-from .preprocess import (WhiteningTransform, center_and_whiten, remove_mean,
-                         validate_signal, whiten)
+from .preprocess import WhiteningTransform, center_and_whiten, validate_signal
 from .divergences import (DIVERGENCE_IDS, DiscreteBivariate, alpha_div, beta_div,
                           c_div, ccs_div, convex_f, convex_f_prime, cs_div,
                           divergence_slice, divergence_surface, e_div, js_div,
@@ -24,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CcsIcaError", "DegenerateDivergence", "InvalidInput", "IoFailure",
     "NonFinite", "RankDeficient", "SingularDemixer",
-    "WhiteningTransform", "center_and_whiten", "remove_mean", "validate_signal", "whiten",
+    "WhiteningTransform", "center_and_whiten", "validate_signal",
     "DIVERGENCE_IDS", "DiscreteBivariate", "alpha_div", "beta_div", "c_div",
     "ccs_div", "convex_f", "convex_f_prime", "cs_div",
     "divergence_slice", "divergence_surface", "e_div", "js_div",

@@ -102,6 +102,8 @@ def _kernel_sums(refs: np.ndarray, n, h: float, feats=None, work=None):
         raise InvalidInput(f"query count must be an integer in [1, {n_refs}], got {n!r:.40}")
     strips = _strips(n, n_refs)
     work = [] if work is None else work
+    if any(len(block) < _block_rows(n, n_refs) * n_refs for block in work):
+        work.clear()
     work += _kernel_scratch(n, n_refs, (1 if feats is None else 2) - len(work))
     ref_op = _operand(refs, h)
     # query rows [-|q|^2/2 | q | 1], built once
@@ -159,7 +161,8 @@ def gaussian_sums_1d(refs, n, h: float, feats=None, work=None):
     Each term rounds as the module docstring says; after whitening a solver
     row has |q/h| <= T^0.7 / 1.06 at the default bandwidth, and typical ones
     far less.  `work` is a list that the call fills with the work blocks it
-    lacks (one, two with features); passing the same list again reuses them.
+    lacks (one, two with features); passing it again reuses blocks that are
+    large enough and replaces them all otherwise.
     """
     refs = np.asarray(refs, dtype=float)
     if refs.ndim not in (1, 2):

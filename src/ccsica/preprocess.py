@@ -1,4 +1,4 @@
-"""Centering and whitening, the fixed two-step preprocessing for ICA."""
+"""Centering and whitening for ICA: one entry point, `center_and_whiten`."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import InvalidInput, RankDeficient
 
-# eigenvalues at or below RANK_EPS times the largest one are treated as zero
+# an eigenvalue at or below RANK_EPS times the largest one is treated as zero
 RANK_EPS = 1e-12
 # ICA needs at least two channels (rows) to separate
 MIN_CHANNELS = 2
@@ -33,63 +33,36 @@ def validate_signal(x) -> np.ndarray:
 class WhiteningTransform:
     """Affine map z = matrix @ (x - mean[:, None]) with unit output covariance.
 
-    eigenvectors holds the covariance eigenbasis as columns in descending
-    eigenvalue order, each column flipped so its largest-magnitude entry is
-    positive.  matrix is the inverse-square-root scaling stacked on that basis.
+    Row k of matrix is the covariance eigenvector of the k-th largest
+    eigenvalue over its square root (so row norms ascend), signed so that
+    its largest-magnitude entry is positive.
     """
 
     mean: np.ndarray
     matrix: np.ndarray
-    eigenvectors: np.ndarray
-    eigenvalues: np.ndarray
 
     def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.matrix @ (x - self.mean[:, None])
+        return self.matrix @ (np.asarray(x, dtype=float) - self.mean[:, None])
 
 
-def remove_mean(x) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract the per-channel average. Returns (centered, mean)."""
+def center_and_whiten(x) -> tuple[np.ndarray, WhiteningTransform]:
+    """Validate x, centre it and decorrelate it to unit covariance: (z, transform).
+
+    The covariance uses the population divisor T.  Raises RankDeficient when
+    any eigenvalue is at or below RANK_EPS times the largest one.
+    """
     x = validate_signal(x)
     mean = x.mean(axis=1)
-    return x - mean[:, None], mean
-
-
-def whiten(centered, mean=None) -> tuple[np.ndarray, WhiteningTransform]:
-    """Decorrelate centered data to unit covariance.
-
-    The covariance uses the population divisor (T, not T-1) so results are
-    reproducible against fixed references.  Raises RankDeficient when any
-    eigenvalue falls at or below RANK_EPS times the largest one.
-    """
-    x = validate_signal(centered)
-    m, t = x.shape
-    cov = (x @ x.T) / t
-    evals, evecs = np.linalg.eigh(cov)
+    x = x - mean[:, None]
+    evals, evecs = np.linalg.eigh((x @ x.T) / x.shape[1])
     order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
+    evals, evecs = evals[order], evecs[:, order]
     if evals[0] <= 0.0 or np.any(evals <= RANK_EPS * evals[0]):
         raise RankDeficient("sample covariance is rank deficient, cannot whiten")
-    # deterministic sign convention: largest-magnitude entry of each
-    # eigenvector is made positive
-    for k in range(m):
+    # deterministic sign: each eigenvector's largest-magnitude entry is positive
+    for k in range(len(evals)):
         pivot = int(np.argmax(np.abs(evecs[:, k])))
         if evecs[pivot, k] < 0.0:
             evecs[:, k] = -evecs[:, k]
     v = (evecs / np.sqrt(evals)).T
-    z = v @ x
-    if mean is None:
-        mean = np.zeros(m)
-    return z, WhiteningTransform(
-        mean=np.asarray(mean, dtype=float),
-        matrix=v,
-        eigenvectors=evecs,
-        eigenvalues=evals,
-    )
-
-
-def center_and_whiten(x) -> tuple[np.ndarray, WhiteningTransform]:
-    """remove_mean followed by whiten, keeping the mean in the transform."""
-    centered, mean = remove_mean(x)
-    return whiten(centered, mean=mean)
+    return v @ x, WhiteningTransform(mean=mean, matrix=v)

@@ -11,7 +11,7 @@ from ccsica.fileio import (read_matrix_csv, read_signal_csv, read_wav, write_mat
                            write_signal_csv, write_wav)
 from ccsica.metrics import kurtosis
 from ccsica.optimizers import GdConfig, JacobiConfig, separate
-from ccsica.preprocess import remove_mean, whiten
+from ccsica.preprocess import center_and_whiten
 
 
 def _read_metric_rows(path):
@@ -100,7 +100,7 @@ class TestSeparateEdges:
         assert main(["separate", "--input", str(mixture), "--algorithm", "gd",
                      "--max-iter", "0", "--out", str(sep)]) == 0
         x = np.atleast_2d(read_signal_csv(mixture))
-        _, tr = whiten(remove_mean(x)[0])
+        _, tr = center_and_whiten(x)
         assert np.array_equal(read_matrix_csv(sep / "demixer.csv"), tr.matrix)
         assert len((sep / "trace.csv").read_text().splitlines()) == 2
 
@@ -265,7 +265,7 @@ class TestConfigFile:
         assert main(["separate", "--input", str(mixture), "--config", str(cfg),
                      "--out", str(sep)]) == 0
         x = np.atleast_2d(read_signal_csv(mixture))
-        _, tr = whiten(remove_mean(x)[0])
+        _, tr = center_and_whiten(x)
         assert np.array_equal(read_matrix_csv(sep / "demixer.csv"), tr.matrix)
 
     def test_explicit_flags_beat_file(self, tmp_path):

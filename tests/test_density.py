@@ -310,6 +310,22 @@ class TestSharedQueries:
         gaussian_sums_1d(np.vstack([refs, -refs]), n, 0.5, work=work)
         assert len(rows) == 4 * len(density._strips(n, 40)) and min(rows) == 2
 
+    def test_work_sized_for_a_smaller_call_is_replaced(self, rng):
+        work = []
+        gaussian_sums_1d(rng.normal(size=100), 100, 0.5, work=work)
+        refs = rng.normal(size=2000)
+        assert np.array_equal(gaussian_sums_1d(refs, 2000, 0.5, work=work),
+                              gaussian_sums_1d(refs, 2000, 0.5))
+
+    def test_work_filled_before_a_larger_budget_is_replaced(self, rng, monkeypatch):
+        refs, feats = rng.normal(size=300), rng.normal(size=(300, 2))
+        work = []
+        gaussian_sums_1d(refs, 300, 0.5, feats, work=work)
+        monkeypatch.setattr(density, "_CHUNK", 4 * density._CHUNK)
+        for got, fresh in zip(gaussian_sums_1d(refs, 300, 0.5, feats, work=work),
+                              gaussian_sums_1d(refs, 300, 0.5, feats)):
+            assert np.array_equal(got, fresh)
+
     @pytest.mark.parametrize("chunk", [1 << 16, 5, 150])
     def test_stack_matches_one_row_calls(self, rng, monkeypatch, chunk):
         # each row of a stack runs its strips exactly as it would alone
