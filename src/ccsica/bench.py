@@ -20,6 +20,7 @@ observations can recover.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -128,12 +129,15 @@ def _run_table_trial(task: dict) -> ExperimentRecord:
 
 
 def _execute(tasks: list[dict], jobs: int):
-    if jobs <= 1:
+    """Run the trials in order, in at most jobs worker processes, but no more
+    than there are trials or CPUs: the pool starts all its workers at once."""
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [_run_table_trial(t) for t in tasks]
     # imported here, so that `import ccsica` does not load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_table_trial, tasks))
 
 

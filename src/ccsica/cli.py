@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -294,7 +295,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     be.add_argument("table", type=str, help=f"one of {bench_mod.TABLE_IDS}")
     be.add_argument("--scale", type=float, default=1.0,
                     help="trial/grid shrink factor in (0,1] (default %(default)s)")
-    be.add_argument("--jobs", type=int, default=1, help="concurrent trial workers (default %(default)s)")
+    be.add_argument("--jobs", type=int, default=1,
+                    help="trial worker processes, at most one per trial and per CPU (default %(default)s)")
     be.add_argument("--algorithm", choices=ALGORITHMS, default="jacobi",
                     help="solver for t1/t4/t5/fig6/fig7 (default %(default)s)")
     be.add_argument("--dims", type=str, default=None, help="override dimension list, e.g. 2,4")
@@ -357,23 +359,26 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
 
 def main(argv=None) -> int:
     parser, commands = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if args.config:
-            # file values become the subcommand's defaults, so explicit flags still win
-            command = commands[args.command]
-            command.set_defaults(**_config_defaults(args.config, command))
+    # a warning is one stderr line, as an error is
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
             args = parser.parse_args(argv)
-        return args.func(args)
-    except InvalidInput as exc:
-        print(f"error: invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except IoFailure as exc:
-        print(f"error: i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except CcsIcaError as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+            if args.config:
+                # file values become the subcommand's defaults, so explicit flags still win
+                command = commands[args.command]
+                command.set_defaults(**_config_defaults(args.config, command))
+                args = parser.parse_args(argv)
+            return args.func(args)
+        except InvalidInput as exc:
+            print(f"error: invalid input: {exc}", file=sys.stderr)
+            return EXIT_INVALID
+        except IoFailure as exc:
+            print(f"error: i/o failure: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except CcsIcaError as exc:
+            print(f"error: numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

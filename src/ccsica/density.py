@@ -10,8 +10,10 @@ B = 1 face, the normalised joint density.
 The loop splits the queries into strips of at most `_CHUNK` kernel terms
 (query rows x references), each worked in place in a block that starts on a
 cache line, so a sum needs one such block (two with features) whatever the
-number of references, unless three query rows alone exceed the budget.  A
-block holds at least three query rows, unless there are fewer queries, so
+number of references, unless three query rows alone exceed the budget.
+Each thread keeps its own two blocks (`_scratch`) for its lifetime, sized by
+its largest sum (at most 2 x 512 KiB when T <= 21,845); no caller holds any.
+A block holds at least three query rows, unless there are fewer queries, so
 that a last strip of one row can take a row from the strip before it: no
 strip has one row unless n = 1.  Points are divided by h once per call, and
 a strip's exponents -|q - r|^2 / 2 are one matrix product of its query rows
@@ -32,18 +34,20 @@ exactly as it would alone.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .errors import InvalidInput
 
-# kernel terms (query rows x references) per block; one float64 block of
-# this size, two for the 1-D sum with features, is the working memory of a sum
+# kernel terms (query rows x references) per block
 _CHUNK = 1 << 16
 # work blocks start on a cache line: numpy's SIMD loops run about 15 % slower
 # on a block that does not, and where an unaligned block starts depends on the
 # heap's history, so the speed of a sum would change from process to process
 _ALIGN = 64
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
+_scratch = threading.local()
 
 
 def default_bandwidth(t_count: int) -> float:
@@ -68,13 +72,15 @@ def _strips(n_queries: int, n_refs: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _kernel_scratch(n_queries: int, n_refs: int, count: int = 1) -> list[np.ndarray]:
-    """`count` uninitialised float64 work blocks for a kernel sum of n_queries
-    against n_refs, each starting on a cache line."""
+def _kernel_scratch(n_queries: int, n_refs: int) -> list[np.ndarray]:
+    """The calling thread's two float64 work blocks, each starting on a cache
+    line, both replaced if one is too small for n_queries against n_refs."""
     size = _block_rows(n_queries, n_refs) * n_refs
-    raws = [np.empty(size + _ALIGN // 8) for _ in range(count)]
-    # each block starts at the first element of its raw array on a cache line
-    return [raw[(-raw.ctypes.data % _ALIGN) // 8 :][:size] for raw in raws]
+    if min(map(len, getattr(_scratch, "blocks", ())), default=0) < size:
+        raws = [np.empty(size + _ALIGN // 8) for _ in range(2)]
+        # each block starts at the first element of its raw array on a cache line
+        _scratch.blocks = [raw[(-raw.ctypes.data % _ALIGN) // 8 :][:size] for raw in raws]
+    return _scratch.blocks
 
 
 def _operand(x: np.ndarray, h: float) -> np.ndarray:
@@ -87,7 +93,7 @@ def _operand(x: np.ndarray, h: float) -> np.ndarray:
     return op
 
 
-def _kernel_sums(refs: np.ndarray, n, h: float, feats=None, work=None):
+def _kernel_sums(refs: np.ndarray, n, h: float, feats=None):
     """Unnormalised kernel sums against each set of a B x m x T stack at its
     first n points, as a tuple of arrays with a leading axis of B.
 
@@ -95,16 +101,12 @@ def _kernel_sums(refs: np.ndarray, n, h: float, feats=None, work=None):
     per-reference features (T x d) at m = 1 it is
     (sum_r k, sum_r u*k, sum_r u*k*feats[r]), where u = q/h - r/h comes from
     query rows [q | -1] and operand rows [1 ; r], two exact products, so u is
-    q - r rounded once.  `work` is as for `gaussian_sums_1d`.
+    q - r rounded once.
     """
     n_sets, _, n_refs = refs.shape
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= n_refs:
         raise InvalidInput(f"query count must be an integer in [1, {n_refs}], got {n!r:.40}")
-    strips = _strips(n, n_refs)
-    work = [] if work is None else work
-    if any(len(block) < _block_rows(n, n_refs) * n_refs for block in work):
-        work.clear()
-    work += _kernel_scratch(n, n_refs, (1 if feats is None else 2) - len(work))
+    strips, work = _strips(n, n_refs), _kernel_scratch(n, n_refs)
     ref_op = _operand(refs, h)
     # query rows [-|q|^2/2 | q | 1], built once
     q_rows = np.ones((n_sets, n, ref_op.shape[1]))
@@ -145,7 +147,7 @@ def _kernel_sums(refs: np.ndarray, n, h: float, feats=None, work=None):
     return (ksum,) if feats is None else (ksum, uf[..., 0], uf[..., 1:])
 
 
-def gaussian_sums_1d(refs, n, h: float, feats=None, work=None):
+def gaussian_sums_1d(refs, n, h: float, feats=None):
     """Unnormalised Gaussian kernel sums of 1-D references at the first n of them.
 
     With u = q/h - r/h and k = exp(-u^2 / 2), returns sum_r k per query.
@@ -160,15 +162,14 @@ def gaussian_sums_1d(refs, n, h: float, feats=None, work=None):
 
     Each term rounds as the module docstring says; after whitening a solver
     row has |q/h| <= T^0.7 / 1.06 at the default bandwidth, and typical ones
-    far less.  `work` is a list that the call fills with the work blocks it
-    lacks (one, two with features); passing it again reuses blocks that are
-    large enough and replaces them all otherwise.
+    far less.  The work blocks are the calling thread's, which keeps its
+    largest for its lifetime (module docstring), so threads may call at once.
     """
     refs = np.asarray(refs, dtype=float)
     if refs.ndim not in (1, 2):
         raise InvalidInput("references must be one row, or a stack of rows")
     stack = refs.reshape(1 if refs.ndim == 1 else len(refs), 1, refs.shape[-1])
-    sums = _kernel_sums(stack, n, h, feats, work)
+    sums = _kernel_sums(stack, n, h, feats)
     if refs.ndim == 1:
         sums = tuple(s[0] for s in sums)
     return sums[0] if feats is None else sums

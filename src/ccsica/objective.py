@@ -73,9 +73,8 @@ class CcsObjective:
     and its transpose is the features of the gradient's sums.  The bandwidth
     follows the reference count.
 
-    An objective keeps the work blocks that its first kernel sums fill, sized
-    by `density`, so one instance must not be evaluated from two threads at
-    once.
+    No evaluation writes to an objective, and each thread has its own kernel
+    work blocks, so threads may share one instance and evaluate it at once.
     """
 
     def __init__(self, data, alpha: float, stride: int = 1):
@@ -95,8 +94,6 @@ class CcsObjective:
         self.data = np.concatenate([data[:, ::stride], data[:, rest]], axis=1)
         # input joint density at the evaluation points; W enters only via det
         self.base_density = gaussian_density_nd(self.data, n_points, self.h)
-        # kernel work blocks, filled by the first kernel sums (a gradient takes two)
-        self._work = []
 
     @property
     def n_refs(self) -> int:
@@ -115,9 +112,9 @@ class CcsObjective:
         n, h = self.n_points, self.h
         norm_p = 1.0 / (self.n_refs * h * _SQRT_2PI)
         if not need_grad:
-            return gaussian_sums_1d(rows, n, h, work=self._work) * norm_p, None
+            return gaussian_sums_1d(rows, n, h) * norm_p, None
         norm_k = 1.0 / (self.n_refs * h * h * _SQRT_2PI)
-        ksum, usum, ufsum = gaussian_sums_1d(rows, n, h, self.data.T, work=self._work)
+        ksum, usum, ufsum = gaussian_sums_1d(rows, n, h, self.data.T)
         grad = -norm_k * (usum[..., None] * self.data[:, :n].T - ufsum)
         return ksum * norm_p, grad
 

@@ -15,6 +15,7 @@ whitening matrix, acts on centered raw observations.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,7 +254,9 @@ def separate(x, algorithm: str = "jacobi", gd_cfg: GdConfig | None = None,
     (PAIRWISE_GD_SWEEPS when None), and jacobi_cfg drives jacobi; each config
     defaults to its class's defaults.  An argument that the algorithm does
     not read, or a sweep count that is not a whole number >= 1, is refused
-    with InvalidInput before any work.
+    with InvalidInput before any work.  A gd run that stops by its epsilon rule
+    at its first step, with max_iter > 1, emits a RuntimeWarning: its
+    demixer is then about the whitening alone (full-matrix gd at m >= 16).
     """
     key = str(algorithm).strip().lower()
     if key not in ALGORITHMS:
@@ -265,12 +268,17 @@ def separate(x, algorithm: str = "jacobi", gd_cfg: GdConfig | None = None,
     if key == "pairwise-gd":
         sweeps = whole_number(PAIRWISE_GD_SWEEPS if sweeps is None else sweeps, "sweeps")
     z, wt = center_and_whiten(x)
+    gd_cfg = gd_cfg or GdConfig()
     cm = None
     if key == "gd":
-        w_algo, trace = _gd_core(z, gd_cfg or GdConfig())
+        w_algo, trace = _gd_core(z, gd_cfg)
         n_iter = len(trace) - 1
+        if n_iter == 1 < gd_cfg.max_iter:
+            warnings.warn(f"gd stopped at its first step: the contrast moved by {abs(trace[1] - trace[0]):.3g}, "
+                          f"at most epsilon {gd_cfg.epsilon:g}, so the demixer is about the whitening alone",
+                          RuntimeWarning, stacklevel=2)
     elif key == "pairwise-gd":
-        w_algo, trace, n_iter = _pairwise_gd(z, gd_cfg or GdConfig(), sweeps)
+        w_algo, trace, n_iter = _pairwise_gd(z, gd_cfg, sweeps)
     else:
         w_algo, trace, cm = _jacobi(z, jacobi_cfg or JacobiConfig())
         n_iter = len(trace)

@@ -74,6 +74,55 @@ def test_grid_tables_run_every_trial_through_one_execute(monkeypatch, table, kwa
         assert [row[2] for row in rows] == [0.5, 1.0]
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """max_workers of each process pool made, with ProcessPoolExecutor
+    replaced by a stand-in that runs the tasks in order in this process."""
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+@pytest.mark.parametrize("jobs, n_tasks, cpus, workers", [
+    (500, 2, 64, [2]),    # fig4 --jobs 500: one worker per trial
+    (3, 10, 2, [2]),      # no more workers than CPUs
+    (4, 10, 8, [4]),
+    (4, 10, 1, []),       # one CPU, or an unknown count: no pool
+    (4, 10, None, []),
+    (8, 1, 8, []),        # one trial: no pool
+])
+def test_pool_is_capped_at_the_trials_and_cpus(monkeypatch, pool_sizes, jobs, n_tasks, cpus, workers):
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(bench, "_run_table_trial", _fake_trial)
+    records = bench._execute([dict(t=k) for k in range(n_tasks)], jobs)
+    assert pool_sizes == workers
+    assert [r.amari_times_100 for r in records] == list(range(n_tasks))
+
+
+def test_fig4_with_many_jobs_starts_one_worker_per_trial(monkeypatch, pool_sizes):
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 64)
+    _, pooled = bench.bench_fig4(jobs=500, max_iter=5)
+    _, serial = bench.bench_fig4(jobs=1, max_iter=5)
+    assert pool_sizes == [2]
+    assert [row[:4] for row in pooled] == [row[:4] for row in serial]
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_unknown_algorithm_refused_before_any_trial(monkeypatch, jobs):
     # with jobs > 1 the caller raises the refusal, not a worker process

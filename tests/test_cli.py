@@ -12,6 +12,7 @@ from ccsica.fileio import (read_matrix_csv, read_signal_csv, read_wav, write_mat
 from ccsica.metrics import kurtosis
 from ccsica.optimizers import GdConfig, JacobiConfig, separate
 from ccsica.preprocess import center_and_whiten
+from ccsica.sources import random_mixing_matrix, rng_for, source_bank
 
 
 def _read_metric_rows(path):
@@ -103,6 +104,15 @@ class TestSeparateEdges:
         _, tr = center_and_whiten(x)
         assert np.array_equal(read_matrix_csv(sep / "demixer.csv"), tr.matrix)
         assert len((sep / "trace.csv").read_text().splitlines()) == 2
+
+    def test_first_step_stop_prints_a_warning_and_exits_zero(self, tmp_path, capsys):
+        s = source_bank(tuple(bench._KIND_CYCLE[i % 4] for i in range(20)), 1000, 0)
+        write_signal_csv(tmp_path / "x.csv", random_mixing_matrix(20, rng_for(0, 9)) @ s)
+        assert main(["separate", "--input", str(tmp_path / "x.csv"), "--algorithm", "gd",
+                     "--ts", "10", "--out", str(tmp_path / "sep")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: gd stopped at its first step")
+        assert (tmp_path / "sep" / "demixer.csv").exists()
 
     def test_non_ccs_contrast_rejected(self, tmp_path):
         # separation always uses the ccs contrast; --divergence is a surface flag

@@ -1,4 +1,5 @@
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,6 +11,12 @@ from ccsica.objective import CcsObjective
 from ccsica.optimizers import rotation
 
 SQRT2PI = np.sqrt(2.0 * np.pi)
+
+
+def _in_fresh_thread(fn):
+    """fn() run in a new thread, which starts with no kernel work blocks."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn).result()
 
 
 def _sums_at(refs, points, h, feats=None):
@@ -150,12 +157,18 @@ class TestUnivariate:
         assert CcsObjective(z, alpha=-0.99999, stride=3).value(w) == whole
 
     @pytest.mark.parametrize("n_queries, n_refs", [(1000, 1000), (100, 1000), (3, 7), (1, 20000)])
-    def test_scratch_blocks_start_on_cache_line(self, n_queries, n_refs):
+    def test_scratch_blocks_start_on_cache_line(self, rng, n_queries, n_refs):
         # the speed of a sum must not depend on where the heap put its blocks
+        refs = rng.normal(size=n_refs)
+
+        def blocks_of_one_sum():
+            gaussian_sums_1d(refs, n_queries, 0.5, np.empty((n_refs, 0)))
+            return density._scratch.blocks
+
         for _ in range(8):
-            for block in density._kernel_scratch(n_queries, n_refs):
+            for block in _in_fresh_thread(blocks_of_one_sum):
                 assert block.ctypes.data % 64 == 0
-                assert block.size == density._block_rows(n_queries, n_refs) * n_refs
+                assert block.size >= density._block_rows(n_queries, n_refs) * n_refs
 
     def test_marginal_pass_matches_hand_loop(self, rng):
         # the contrast's own call into the shared sums: density of one output
@@ -249,11 +262,11 @@ class TestSharedQueries:
         assert 0 < sum(terms) <= bound
         terms.clear()
         rows = np.array([[0.6, 0.8], [0.8, -0.6], [1.0, 0.0]]) @ obj.data
-        gaussian_sums_1d(rows[0], obj.n_points, obj.h, obj.data.T, work=obj._work)
+        gaussian_sums_1d(rows[0], obj.n_points, obj.h, obj.data.T)
         assert 0 < sum(terms) <= bound
         # a stack of rows does each row's work once
         terms.clear()
-        gaussian_sums_1d(rows, obj.n_points, obj.h, obj.data.T, work=obj._work)
+        gaussian_sums_1d(rows, obj.n_points, obj.h, obj.data.T)
         assert 0 < sum(terms) <= 3 * bound
 
     @pytest.mark.parametrize("stride", [1, 10])
@@ -274,7 +287,7 @@ class TestSharedQueries:
         rows = np.array([[0.6, 0.8], [0.8, -0.6], [1.0, 0.0]]) @ obj.data
         for stack, count in ((rows[0], 1), (rows, 3)):
             terms.clear()
-            gaussian_sums_1d(stack, obj.n_points, obj.h, obj.data.T, work=obj._work)
+            gaussian_sums_1d(stack, obj.n_points, obj.h, obj.data.T)
             assert sum(terms) == count * plan
 
     @pytest.mark.parametrize("chunk, rows", [(5, 3), (4 * 60, 4), (65 * 60, 65)])
@@ -296,34 +309,46 @@ class TestSharedQueries:
         # 150-term budget at T = 40 used to leave a last strip of one row
         refs, feats = rng.normal(size=40), rng.normal(size=(40, 3))
         monkeypatch.setattr(density, "_CHUNK", 150)
-        work = density._kernel_scratch(n, 40, 2)
+        work = density._kernel_scratch(n, 40)
         real_matmul, rows = np.matmul, []
 
         def recording_matmul(a, b, *args, out=None, **kwargs):
-            # the kernel products are the ones worked in a scratch block
+            # the kernel products are the ones worked in this thread's blocks
             if out is not None and any(np.shares_memory(out, block) for block in work):
                 rows.append(np.shape(a)[0])
             return real_matmul(a, b, *args, out=out, **kwargs)
 
         monkeypatch.setattr(density.np, "matmul", recording_matmul)
-        gaussian_sums_1d(refs, n, 0.5, feats, work=work)
-        gaussian_sums_1d(np.vstack([refs, -refs]), n, 0.5, work=work)
+        gaussian_sums_1d(refs, n, 0.5, feats)
+        gaussian_sums_1d(np.vstack([refs, -refs]), n, 0.5)
         assert len(rows) == 4 * len(density._strips(n, 40)) and min(rows) == 2
 
     def test_work_sized_for_a_smaller_call_is_replaced(self, rng):
-        work = []
-        gaussian_sums_1d(rng.normal(size=100), 100, 0.5, work=work)
-        refs = rng.normal(size=2000)
-        assert np.array_equal(gaussian_sums_1d(refs, 2000, 0.5, work=work),
-                              gaussian_sums_1d(refs, 2000, 0.5))
+        small, refs = rng.normal(size=100), rng.normal(size=2000)
+
+        def small_then_large():
+            gaussian_sums_1d(small, 100, 0.5)
+            blocks = density._scratch.blocks
+            sums = gaussian_sums_1d(refs, 2000, 0.5)
+            assert density._scratch.blocks is not blocks
+            return sums
+
+        assert np.array_equal(_in_fresh_thread(small_then_large),
+                              _in_fresh_thread(lambda: gaussian_sums_1d(refs, 2000, 0.5)))
 
     def test_work_filled_before_a_larger_budget_is_replaced(self, rng, monkeypatch):
         refs, feats = rng.normal(size=300), rng.normal(size=(300, 2))
-        work = []
-        gaussian_sums_1d(refs, 300, 0.5, feats, work=work)
-        monkeypatch.setattr(density, "_CHUNK", 4 * density._CHUNK)
-        for got, fresh in zip(gaussian_sums_1d(refs, 300, 0.5, feats, work=work),
-                              gaussian_sums_1d(refs, 300, 0.5, feats)):
+
+        def then_at_a_larger_budget():
+            gaussian_sums_1d(refs, 300, 0.5, feats)
+            blocks = density._scratch.blocks
+            monkeypatch.setattr(density, "_CHUNK", 4 * density._CHUNK)
+            sums = gaussian_sums_1d(refs, 300, 0.5, feats)
+            assert density._scratch.blocks is not blocks
+            return sums
+
+        replaced = _in_fresh_thread(then_at_a_larger_budget)
+        for got, fresh in zip(replaced, _in_fresh_thread(lambda: gaussian_sums_1d(refs, 300, 0.5, feats))):
             assert np.array_equal(got, fresh)
 
     @pytest.mark.parametrize("chunk", [1 << 16, 5, 150])
@@ -368,7 +393,7 @@ class TestSharedQueries:
         row = np.array([0.6, 0.8]) @ obj.data
         for name in ("divide", "subtract"):
             monkeypatch.setattr(density.np, name, Counting(getattr(np, name)))
-        gaussian_sums_1d(row, obj.n_points, obj.h, obj.data.T, work=obj._work)
+        gaussian_sums_1d(row, obj.n_points, obj.h, obj.data.T)
         assert max(terms, default=0) <= obj.n_refs
 
 
@@ -487,9 +512,10 @@ class TestMemory:
 
     @staticmethod
     def _peak(fn):
+        # in a fresh thread, so that the kernel work blocks count too
         tracemalloc.start()
         try:
-            fn()
+            _in_fresh_thread(fn)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

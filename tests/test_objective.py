@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -6,7 +10,7 @@ from ccsica.density import default_bandwidth, gaussian_density_nd, gaussian_sums
 from ccsica.divergences import EPS_FLOOR, convex_f
 from ccsica.errors import InvalidInput, SingularDemixer
 from ccsica.objective import DET_FLOOR, CcsObjective
-from ccsica.optimizers import rotation
+from ccsica.optimizers import JACOBI_ROTATIONS, rotation
 from ccsica.sources import source_bank
 
 
@@ -236,3 +240,30 @@ class TestStackedValue:
         # the gradient takes one demixer only
         with pytest.raises(InvalidInput):
             obj.value_and_gradient(good)
+
+
+def test_one_objective_shared_by_two_threads():
+    # an objective holds no kernel scratch: two threads evaluating it at
+    # once each sum in their own blocks and get the serial results
+    obj = CcsObjective(_standardized_pair(t=1000, seed=5), alpha=-0.99999, stride=2)
+    demixers = [np.array([[0.9, 0.3], [-0.2, 1.1]]), rotation(0.3), np.eye(2) + 0.1]
+    serial_values = [obj.value(w) for w in JACOBI_ROTATIONS]
+    serial_grads = [obj.value_and_gradient(w) for w in demixers]
+    start = threading.Barrier(2)
+
+    def evaluate(fn, ws, rounds):
+        start.wait(timeout=60)
+        return [fn(w) for _ in range(rounds) for w in ws]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            values = pool.submit(evaluate, obj.value, JACOBI_ROTATIONS, 3)
+            grads = pool.submit(evaluate, obj.value_and_gradient, demixers, 10)
+            values, grads = values.result(timeout=60), grads.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert values == serial_values * 3
+    for (v, g), (want_v, want_g) in zip(grads, serial_grads * 10, strict=True):
+        assert v == want_v and np.array_equal(g, want_g)

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from ccsica import optimizers
+from ccsica import bench, optimizers
 from ccsica.bench import _KIND_CYCLE, _T1_PAIRS, DEMO_MATRIX_2, _sources_for
 from ccsica.errors import InvalidInput
 from ccsica.metrics import amari_index
@@ -137,6 +139,30 @@ class TestGradientDescent:
         res = separate(x, "gd", gd_cfg=GdConfig(stride=4, max_iter=20))
         want = res.demixer @ (x - x.mean(axis=1, keepdims=True))
         assert np.allclose(res.estimate(x), want, atol=1e-12)
+
+
+    def test_first_step_stop_warns_at_twenty_sources(self):
+        # full-matrix gd at m = 20 stops at its first step, at Amari x 100
+        # 29.67 as whitening alone; the warning leaves the result as it was
+        s = source_bank(tuple(_KIND_CYCLE[i % 4] for i in range(20)), 1000, 0)
+        x = random_mixing_matrix(20, rng_for(0, 9)) @ s
+        cfg = GdConfig(stride=10)
+        with pytest.warns(RuntimeWarning, match=r"gd stopped at its first step: the contrast moved by "
+                                                r"9\.93e-06, at most epsilon 0\.0001"):
+            res = separate(x, "gd", gd_cfg=cfg)
+        assert res.n_iter == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            quiet = separate(x, "gd", gd_cfg=cfg)
+        assert np.array_equal(res.demixer, quiet.demixer)
+        assert np.array_equal(res.trace, quiet.trace)
+
+    def test_no_first_step_warning_on_the_fig4_input(self):
+        x = DEMO_MATRIX_2 @ source_bank(("uniform", "laplacian"), 1000, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert separate(x, "gd", gd_cfg=GdConfig(max_iter=5)).n_iter == 5
+            assert [row[3] for row in bench.bench_fig4(max_iter=5)[1]] == [5] * 4
 
 
 class TestPairwiseGd:
