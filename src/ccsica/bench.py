@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import InvalidInput
 from .metrics import amari_index, sir_db
-from .objective import whole_number
 from .optimizers import ALGORITHMS, GdConfig, JacobiConfig, separate
+from .preprocess import whole_number
 from .sources import MixingModel, mix, noise_sigma_for_snr, random_mixing_matrix, rng_for, draw_source
 
 # the optional run_bench arguments each table reads; any other must keep its default
@@ -167,21 +167,24 @@ def bench_t1(scale=1.0, seed=0, jobs=1, algorithm="jacobi"):
     return header, _grid_rows(seed, jobs, cells)
 
 
+def _grid_samples(dim_list, samples, scale):
+    """A t4/t5 grid's sample counts (`samples`, else the _T4_SAMPLES the scale reaches), which must
+    reach the largest dimension, and each dimension's source kinds, cycled from _KIND_CYCLE."""
+    t_list = samples or [t for t in _T4_SAMPLES if t <= max(1000, int(np.ceil(8000 * scale)))]
+    if min(t_list) < max(dim_list):
+        raise InvalidInput(f"sample counts {list(t_list)} must reach the largest dimension {max(dim_list)}")
+    return t_list, {m: tuple(_KIND_CYCLE[i % 4] for i in range(m)) for m in dim_list}
+
+
 def bench_t4(scale=1.0, seed=0, jobs=1, algorithm="jacobi", dims=None, samples=None):
     header = ["m", "t", "trials", "median_amari_x100", "mean_amari_x100", "mean_runtime_s"]
     dim_list = dims or [m for m in _T4_DIMS if m <= max(2, int(np.ceil(20 * scale)))]
     if not set(dim_list) <= _T4_BASE_TRIALS.keys():
         raise InvalidInput(f"t4 dimensions must be among {sorted(_T4_BASE_TRIALS)}, got {list(dim_list)}")
-    t_list = samples or [t for t in _T4_SAMPLES if t <= max(1000, int(np.ceil(8000 * scale)))]
-    if min(t_list) < max(dim_list):
-        raise InvalidInput(f"sample counts {list(t_list)} must reach the largest dimension {max(dim_list)}")
-    cells = []
-    for m in dim_list:
-        trials = _scaled_trials(_T4_BASE_TRIALS[m], scale)
-        kinds = tuple(_KIND_CYCLE[i % 4] for i in range(m))
-        cells += [([m, t_count], (4, m, t_count), trials,
-                   dict(kinds=kinds, t=t_count, algorithm=algorithm, stride=max(1, t_count // 100)))
-                  for t_count in t_list]
+    t_list, kinds = _grid_samples(dim_list, samples, scale)
+    cells = [([m, t_count], (4, m, t_count), _scaled_trials(_T4_BASE_TRIALS[m], scale),
+              dict(kinds=kinds[m], t=t_count, algorithm=algorithm, stride=max(1, t_count // 100)))
+             for m in dim_list for t_count in t_list]
     return header, _grid_rows(seed, jobs, cells)
 
 
@@ -191,16 +194,13 @@ def bench_t5(scale=1.0, seed=0, jobs=1, algorithm="jacobi", dims=None, samples=N
     dim_list = dims or [m for m in (2, 4) if m <= max(2, int(np.ceil(4 * scale)))]
     if min(dim_list) < 2:
         raise InvalidInput(f"t5 dimensions must be at least 2, got {list(dim_list)}")
-    t_list = samples or [t for t in _T4_SAMPLES if t <= max(1000, int(np.ceil(8000 * scale)))]
-    if min(t_list) < max(dim_list):
-        raise InvalidInput(f"sample counts {list(t_list)} must reach the largest dimension {max(dim_list)}")
+    t_list, kinds = _grid_samples(dim_list, samples, scale)
     fracs = eval_fracs or _T5_FRACS
     if not all(0.0 < frac <= 1.0 for frac in fracs):
         raise InvalidInput(f"evaluation fractions must lie in (0, 1], got {list(fracs)}")
     cells = []
     for m in dim_list:
         trials = _scaled_trials(_T4_BASE_TRIALS.get(m, 20), scale)
-        kinds = tuple(_KIND_CYCLE[i % 4] for i in range(m))
         for t_count in t_list:
             for frac in fracs:
                 stride = max(1, round(1.0 / frac))
@@ -209,7 +209,7 @@ def bench_t5(scale=1.0, seed=0, jobs=1, algorithm="jacobi", dims=None, samples=N
                 # every column sees the same mixtures
                 if eval_points >= 2:
                     cells.append(([m, t_count, frac, eval_points], (5, m, t_count), trials,
-                                  dict(kinds=kinds, t=t_count, algorithm=algorithm, stride=stride)))
+                                  dict(kinds=kinds[m], t=t_count, algorithm=algorithm, stride=stride)))
     if not cells:
         raise InvalidInput(f"no t5 cell has 2 evaluation points: samples {list(t_list)}, "
                            f"fractions {list(fracs)}")

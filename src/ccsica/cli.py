@@ -25,10 +25,10 @@ from .errors import CcsIcaError, InvalidInput, IoFailure
 from .fileio import (WAV_RATE, read_matrix_csv, read_signal_csv, read_wav, write_csv,
                      write_matrix_csv, write_signal_csv, write_wav)
 from .metrics import amari_index, sir_db
-from .objective import whole_number
 from .optimizers import ALGORITHMS, PAIRWISE_GD_SWEEPS, GdConfig, JacobiConfig, separate
-from .sources import (SOURCE_KINDS, MixingModel, draw_source, mix,
-                      noise_sigma_for_snr, random_mixing_matrix, rng_for)
+from .preprocess import whole_number
+from .sources import (SOURCE_KINDS, MixingModel, mix, noise_sigma_for_snr,
+                      random_mixing_matrix, rng_for, source_bank)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -100,12 +100,9 @@ def _wav_safe(row: np.ndarray) -> np.ndarray:
 
 def cmd_gen(args) -> int:
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    if not kinds:
-        raise InvalidInput("gen needs at least one source kind")
     out = _out_path(args.out)
     # draw every row before writing, so a bad kind or shape leaves no files
-    rows = [draw_source(k, args.t, rng_for(args.seed, i), args.tau1, args.tau2)
-            for i, k in enumerate(kinds)]
+    rows = source_bank(kinds, args.t, args.seed, args.tau1, args.tau2)
     for i, (kind, data) in enumerate(zip(kinds, rows)):
         name = f"source_{i:02d}_{kind}"
         if args.format == "wav":

@@ -3,9 +3,10 @@
 `_kernel_sums` is the only code that does kernel work.  It runs over a
 B x m x T stack of reference sets, with direct sums over each full set (no
 tree or FFT shortcuts, no leave-one-out), at the first n points of each set
-as queries.  `gaussian_sums_1d` is its m = 1 face, which adds the
-derivative sums the contrast gradient needs; `gaussian_density_nd` is its
-B = 1 face, the normalised joint density.
+as queries, and checks the bandwidth and the query count for both faces:
+`gaussian_sums_1d` is its m = 1 face, which adds the derivative sums the
+contrast gradient needs; `gaussian_density_nd` is its B = 1 face, the
+normalised joint density.
 
 The loop splits the queries into strips of at most `_CHUNK` kernel terms
 (query rows x references), each worked in place in a block that starts on a
@@ -39,6 +40,7 @@ import threading
 import numpy as np
 
 from .errors import InvalidInput
+from .preprocess import whole_number
 
 # kernel terms (query rows x references) per block
 _CHUNK = 1 << 16
@@ -52,10 +54,7 @@ _scratch = threading.local()
 
 def default_bandwidth(t_count: int) -> float:
     """Rule-of-thumb bandwidth 1.06 * T^(-1/5) for T reference samples."""
-    t_count = int(t_count)
-    if t_count < 1:
-        raise InvalidInput("bandwidth needs a positive sample count")
-    return 1.06 * float(t_count) ** -0.2
+    return 1.06 * float(whole_number(t_count, "bandwidth sample count")) ** -0.2
 
 
 def _block_rows(n_queries: int, n_refs: int) -> int:
@@ -106,6 +105,9 @@ def _kernel_sums(refs: np.ndarray, n, h: float, feats=None):
     n_sets, _, n_refs = refs.shape
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= n_refs:
         raise InvalidInput(f"query count must be an integer in [1, {n_refs}], got {n!r:.40}")
+    h = float(h)
+    if not 0.0 < h < np.inf:
+        raise InvalidInput(f"bandwidth must be positive and finite, got {h!r}")
     strips, work = _strips(n, n_refs), _kernel_scratch(n, n_refs)
     ref_op = _operand(refs, h)
     # query rows [-|q|^2/2 | q | 1], built once
@@ -181,11 +183,9 @@ def gaussian_density_nd(refs, n, h: float):
     if refs.ndim != 2:
         raise InvalidInput("reference block must be channels x T")
     m, t_count = refs.shape
-    h = float(h)
-    if not 0.0 < h < np.inf:
-        raise InvalidInput(f"bandwidth must be positive and finite, got {h!r}")
+    # h = 0 fails here too; the kernel sums refuse any other h that is not positive and finite
     try:
-        norm = (2.0 * np.pi) ** (-m / 2.0) / (t_count * h**m)
+        norm = (2.0 * np.pi) ** (-m / 2.0) / (t_count * float(h) ** m)
     except (OverflowError, ZeroDivisionError):
-        raise InvalidInput(f"bandwidth {h!r} puts h^{m} outside the float range") from None
+        raise InvalidInput(f"bandwidth {h!r} puts h^{m} outside the positive float range") from None
     return _kernel_sums(refs[None], n, h)[0][0] * norm

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDivergence, InvalidInput
+from .preprocess import whole_number
 
 EPS_FLOOR = 1e-12
 _TABLE_TOL = 1e-12
@@ -263,8 +264,6 @@ def _walk(m1: np.ndarray, p_ba_values, grid: int, which: str, alpha, weight, bet
     """Rows (p_aa, p_ba, value) over the grid cell centers of p_aa in
     (0, m1[0]) times p_ba_values, each p_ba in [0, m1[1]]: every table is
     feasible, since no p_aa center reaches m1[0]."""
-    if grid < 8:
-        raise InvalidInput("grid resolution must be at least 8")
     fn = make_divergence(which, alpha=alpha, weight=weight, beta=beta)
     rows = [(p_aa, p_ba, fn(DiscreteBivariate.from_free_cells(m1, p_aa, p_ba)))
             for p_aa in _centers(0.0, m1[0], grid) for p_ba in p_ba_values]
@@ -280,7 +279,7 @@ def divergence_surface(marg1, grid: int, which: str, *, alpha: float = -1.0,
     (p_aa, p_ba, value).
     """
     m1 = _as_marginal(marg1)
-    grid = int(grid)
+    grid = whole_number(grid, "grid resolution", least=8)
     return _walk(m1, _centers(0.0, m1[1], grid), grid, which, alpha, weight, beta)
 
 
@@ -297,7 +296,7 @@ def divergence_slice(marg1, marg2, grid: int, which: str, *, alpha: float = -1.0
     p_ba = m1[1] * _as_marginal(marg2)[0]
     if not 0.0 < p_ba < m1[1]:
         raise InvalidInput("marginal pair admits no interior sweep line")
-    return _walk(m1, [p_ba], int(grid), which, alpha, weight, beta)
+    return _walk(m1, [p_ba], whole_number(grid, "grid resolution", least=8), which, alpha, weight, beta)
 
 
 def second_differences(values) -> np.ndarray:

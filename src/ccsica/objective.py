@@ -44,17 +44,9 @@ from . import density
 from .density import _SQRT_2PI, default_bandwidth, gaussian_density_nd, gaussian_sums_1d
 from .divergences import EPS_FLOOR, convex_f, convex_f_prime, log_ratio
 from .errors import InvalidInput, NonFinite, SingularDemixer
-from .preprocess import validate_signal
+from .preprocess import validate_signal, whole_number
 
 DET_FLOOR = 1e-12
-
-
-def whole_number(value, name: str, least: int = 1) -> int:
-    """`value` as an int; InvalidInput unless it is a whole number >= least."""
-    if not (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-            and float(value).is_integer() and value >= least):
-        raise InvalidInput(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, SingularDemixer
-from .objective import CcsObjective, whole_number
-from .preprocess import WhiteningTransform, center_and_whiten
+from .objective import CcsObjective
+from .preprocess import WhiteningTransform, center_and_whiten, whole_number
 
 QUARTER_PI = np.pi / 4.0
 

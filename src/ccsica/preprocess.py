@@ -1,4 +1,4 @@
-"""Centering and whitening for ICA: one entry point, `center_and_whiten`."""
+"""Input checks and whitening for ICA: `whole_number`, `validate_signal` and `center_and_whiten`."""
 
 from __future__ import annotations
 
@@ -12,6 +12,14 @@ from .errors import InvalidInput, RankDeficient
 RANK_EPS = 1e-12
 # ICA needs at least two channels (rows) to separate
 MIN_CHANNELS = 2
+
+
+def whole_number(value, name: str, least: int = 1) -> int:
+    """`value` as an int; InvalidInput unless it is a whole number >= least."""
+    if not (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+            and float(value).is_integer() and value >= least):
+        raise InvalidInput(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def validate_signal(x) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .preprocess import validate_signal
+from .preprocess import validate_signal, whole_number
 
 SOURCE_KINDS = ("uniform", "rayleigh", "laplacian", "lognormal")
 # random_mixing_matrix's invertibility floor and its cap on redraws
@@ -36,8 +36,7 @@ def draw_source(kind: str, n: int, rng: np.random.Generator,
     """
     if kind not in SOURCE_KINDS:
         raise InvalidInput(f"unknown source kind {kind!r}, expected one of {SOURCE_KINDS}")
-    if int(n) < 2:
-        raise InvalidInput("need at least 2 samples")
+    n = whole_number(n, "sample count", least=2)
     # the uniform kind draws on a width of 2 tau1, which must stay a float too
     if not (0.0 < 2.0 * tau1 < np.inf and 0.0 < tau2 < np.inf):
         raise InvalidInput(f"scale parameters must be positive and finite, got tau1={tau1!r}, tau2={tau2!r}")
@@ -59,14 +58,13 @@ def source_bank(kinds, t_count: int, seed: int = 0, tau1: float = 3.0, tau2: flo
     kinds = list(kinds)
     if not kinds:
         raise InvalidInput("need at least one source kind")
-    rows = [draw_source(k, int(t_count), rng_for(seed, i), tau1, tau2) for i, k in enumerate(kinds)]
+    rows = [draw_source(k, t_count, rng_for(seed, i), tau1, tau2) for i, k in enumerate(kinds)]
     return np.vstack(rows)
 
 
 def random_mixing_matrix(m: int, rng: np.random.Generator) -> np.ndarray:
     """Entries i.i.d. uniform on (-1, 1), redrawn until |det| >= MIN_ABS_DET."""
-    if int(m) < 2:
-        raise InvalidInput("mixing matrix needs at least 2 channels")
+    m = whole_number(m, "mixing matrix channel count", least=2)
     for _ in range(MAX_MIXING_DRAWS):
         a = rng.uniform(-1.0, 1.0, (m, m))
         if abs(np.linalg.det(a)) >= MIN_ABS_DET:
@@ -109,6 +107,8 @@ def mix(sources, model: MixingModel, seed: int = 0) -> np.ndarray:
 def noise_sigma_for_snr(clean, snr_db: float) -> float:
     """Per-entry noise scale that hits the requested signal-to-noise ratio."""
     clean = np.asarray(clean, dtype=float)
+    if not np.all(np.isfinite(clean)):
+        raise InvalidInput("clean signal contains non-finite entries")
     power = float(np.mean(clean**2))
     if power <= 0.0:
         raise InvalidInput("clean signal has zero power")

@@ -88,6 +88,14 @@ class TestGen:
         for f in sorted((tmp_path / "a").glob("*.csv")):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_are_the_source_bank(self, tmp_path, seed):
+        kinds = ("uniform", "laplacian", "rayleigh", "lognormal")
+        assert main(["gen", "--kinds", ",".join(kinds), "--t", "500", "--seed", str(seed),
+                     "--out", str(tmp_path)]) == 0
+        rows = [read_signal_csv(tmp_path / f"source_{i:02d}_{k}.csv") for i, k in enumerate(kinds)]
+        assert np.array_equal(np.vstack(rows), source_bank(kinds, 500, seed))
+
     def test_laplacian_sample_kurtosis(self, tmp_path):
         assert main(["gen", "--kinds", "laplacian", "--t", "20000", "--out", str(tmp_path)]) == 0
         data = read_signal_csv(tmp_path / "source_00_laplacian.csv")
@@ -173,6 +181,16 @@ class TestExitCodes:
                      "--out", str(tmp_path / "noisy")]) == 2
         assert main(["bench", "fig7", "--scale", "0.1", f"--snr-db={snr}",
                      "--out", str(tmp_path / "bench")]) == 2
+
+    def test_non_finite_clean_signal_with_snr_exits_two(self, tmp_path, capsys):
+        sources, _, _ = _gen_and_mix(tmp_path, t=50)
+        data = read_signal_csv(sources[0])
+        data[..., 7] = np.nan
+        write_signal_csv(tmp_path / "nan.csv", data)
+        assert main(["mix", "--inputs", f"{tmp_path / 'nan.csv'},{sources[1]}", "--snr-db", "20",
+                     "--out", str(tmp_path / "noisy")]) == 2
+        assert "clean signal contains non-finite entries" in capsys.readouterr().err
+        assert not (tmp_path / "noisy").exists()
 
     @pytest.mark.parametrize("frac", ["0", "nan", "-0.5", "1.5"])
     def test_eval_fraction_outside_unit_interval_exits_two(self, tmp_path, frac):
@@ -468,7 +486,7 @@ class TestBench:
 
 class TestOutPath:
     @pytest.mark.parametrize("argv, module, name", [
-        (["gen"], cli, "draw_source"),
+        (["gen"], cli, "source_bank"),
         (["mix", "--inputs", "SIGNAL"], cli, "mix"),
         (["separate", "--input", "SIGNAL"], cli, "separate"),
         (["eval", "--estimates", "SIGNAL", "--truth", "SIGNAL"], cli, "sir_db"),

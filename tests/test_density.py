@@ -62,6 +62,10 @@ class TestBandwidth:
     def test_rejects_empty(self):
         with pytest.raises(InvalidInput):
             default_bandwidth(0)
+        # a count is a whole number, never truncated or parsed from text
+        for t_count in (2.5, "10"):
+            with pytest.raises(InvalidInput):
+                default_bandwidth(t_count)
 
 
 class TestUnivariate:

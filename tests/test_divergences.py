@@ -243,6 +243,12 @@ class TestSurfaces:
     def test_slice_rejects_coarse_grid(self):
         with pytest.raises(InvalidInput):
             divergence_slice([0.7, 0.3], [0.5, 0.5], 4, "kl")
+        # a grid is a whole number, never truncated or parsed from text
+        for grid in (8.5, "16"):
+            with pytest.raises(InvalidInput):
+                divergence_slice([0.7, 0.3], [0.5, 0.5], grid, "kl")
+            with pytest.raises(InvalidInput):
+                divergence_surface([0.7, 0.3], grid, "kl")
 
     def test_surface_nodes_interior_and_feasible(self):
         rows = divergence_surface([0.6, 0.4], 8, "e")

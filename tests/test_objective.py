@@ -141,9 +141,15 @@ class TestCcsObjective:
         z = _standardized_pair(t=50, seed=7)
         # the joint density refuses a bandwidth that is not positive and finite,
         # or whose h^m leaves the float range (1e300 overflows, 1e-200 underflows)
+        n = z.shape[1]
         for h in (0.0, -0.3, np.nan, np.inf, 1e300, 1e-200):
             with pytest.raises(InvalidInput):
-                gaussian_density_nd(z, z.shape[1], h)
+                gaussian_density_nd(z, n, h)
+        # so do the 1-D sums, on a row or a stack, with features or without
+        for h in (0.0, -0.3, np.nan, np.inf):
+            for refs, feats in ((z[0], None), (z, None), (z[0], z[1][:, None])):
+                with pytest.raises(InvalidInput):
+                    gaussian_sums_1d(refs, n, h, feats)
 
     def test_rejects_non_finite_alpha(self):
         z = _standardized_pair(t=50, seed=7)

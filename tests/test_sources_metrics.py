@@ -55,6 +55,10 @@ class TestSources:
             draw_source("laplacian", 10, rng_for(0), tau2=-1.0)
         with pytest.raises(InvalidInput):
             draw_source("laplacian", 10, rng_for(0), tau2=float("nan"))
+        # a count is a whole number, never truncated or parsed from text
+        for n in (2.5, "10"):
+            with pytest.raises(InvalidInput):
+                draw_source("uniform", n, rng_for(0))
 
     def test_sample_source_deterministic(self):
         a = draw_source("laplacian", 64, rng_for(4), tau2=2.0)
@@ -78,6 +82,9 @@ class TestSources:
     def test_bank_rejects_empty(self):
         with pytest.raises(InvalidInput):
             source_bank((), 100)
+        for t_count in (2.5, "10"):
+            with pytest.raises(InvalidInput):
+                source_bank(("uniform", "laplacian"), t_count)
 
 
 class TestKurtosis:
@@ -135,6 +142,11 @@ class TestMixing:
             a = random_mixing_matrix(4, rng_for(11, k))
             assert abs(np.linalg.det(a)) >= 0.01
             assert np.all(np.abs(a) < 1.0)
+
+    @pytest.mark.parametrize("m", [1, 2.5, "10"])
+    def test_random_matrix_refuses_a_bad_channel_count(self, m):
+        with pytest.raises(InvalidInput):
+            random_mixing_matrix(m, rng_for(0))
 
     def test_zero_power_rejected(self):
         with pytest.raises(InvalidInput):
