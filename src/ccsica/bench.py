@@ -168,20 +168,23 @@ def bench_t1(scale=1.0, seed=0, jobs=1, algorithm="jacobi"):
 
 
 def _grid_samples(dim_list, samples, scale):
-    """A t4/t5 grid's sample counts (`samples`, else the _T4_SAMPLES the scale reaches), which must
-    reach the largest dimension, and each dimension's source kinds, cycled from _KIND_CYCLE."""
-    t_list = samples or [t for t in _T4_SAMPLES if t <= max(1000, int(np.ceil(8000 * scale)))]
+    """A t4/t5 grid's dimensions and sample counts (`samples`, else the _T4_SAMPLES the scale
+    reaches), each a whole number and the counts reaching the largest dimension, and each
+    dimension's source kinds, cycled from _KIND_CYCLE."""
+    dim_list = [whole_number(m, "each grid dimension") for m in dim_list]
+    t_list = ([whole_number(t, "each sample count") for t in samples] if samples else
+              [t for t in _T4_SAMPLES if t <= max(1000, int(np.ceil(8000 * scale)))])
     if min(t_list) < max(dim_list):
-        raise InvalidInput(f"sample counts {list(t_list)} must reach the largest dimension {max(dim_list)}")
-    return t_list, {m: tuple(_KIND_CYCLE[i % 4] for i in range(m)) for m in dim_list}
+        raise InvalidInput(f"sample counts {t_list} must reach the largest dimension {max(dim_list)}")
+    return dim_list, t_list, {m: tuple(_KIND_CYCLE[i % 4] for i in range(m)) for m in dim_list}
 
 
 def bench_t4(scale=1.0, seed=0, jobs=1, algorithm="jacobi", dims=None, samples=None):
     header = ["m", "t", "trials", "median_amari_x100", "mean_amari_x100", "mean_runtime_s"]
-    dim_list = dims or [m for m in _T4_DIMS if m <= max(2, int(np.ceil(20 * scale)))]
+    dim_list, t_list, kinds = _grid_samples(
+        dims or [m for m in _T4_DIMS if m <= max(2, int(np.ceil(20 * scale)))], samples, scale)
     if not set(dim_list) <= _T4_BASE_TRIALS.keys():
-        raise InvalidInput(f"t4 dimensions must be among {sorted(_T4_BASE_TRIALS)}, got {list(dim_list)}")
-    t_list, kinds = _grid_samples(dim_list, samples, scale)
+        raise InvalidInput(f"t4 dimensions must be among {sorted(_T4_BASE_TRIALS)}, got {dim_list}")
     cells = [([m, t_count], (4, m, t_count), _scaled_trials(_T4_BASE_TRIALS[m], scale),
               dict(kinds=kinds[m], t=t_count, algorithm=algorithm, stride=max(1, t_count // 100)))
              for m in dim_list for t_count in t_list]
@@ -191,10 +194,10 @@ def bench_t4(scale=1.0, seed=0, jobs=1, algorithm="jacobi", dims=None, samples=N
 def bench_t5(scale=1.0, seed=0, jobs=1, algorithm="jacobi", dims=None, samples=None, eval_fracs=None):
     header = ["m", "t", "eval_frac", "eval_points", "trials",
               "median_amari_x100", "mean_amari_x100", "mean_runtime_s"]
-    dim_list = dims or [m for m in (2, 4) if m <= max(2, int(np.ceil(4 * scale)))]
+    dim_list, t_list, kinds = _grid_samples(
+        dims or [m for m in (2, 4) if m <= max(2, int(np.ceil(4 * scale)))], samples, scale)
     if min(dim_list) < 2:
-        raise InvalidInput(f"t5 dimensions must be at least 2, got {list(dim_list)}")
-    t_list, kinds = _grid_samples(dim_list, samples, scale)
+        raise InvalidInput(f"t5 dimensions must be at least 2, got {dim_list}")
     fracs = eval_fracs or _T5_FRACS
     if not all(0.0 < frac <= 1.0 for frac in fracs):
         raise InvalidInput(f"evaluation fractions must lie in (0, 1], got {list(fracs)}")

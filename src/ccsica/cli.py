@@ -26,7 +26,6 @@ from .fileio import (WAV_RATE, read_matrix_csv, read_signal_csv, read_wav, write
                      write_matrix_csv, write_signal_csv, write_wav)
 from .metrics import amari_index, sir_db
 from .optimizers import ALGORITHMS, PAIRWISE_GD_SWEEPS, GdConfig, JacobiConfig, separate
-from .preprocess import whole_number
 from .sources import (SOURCE_KINDS, MixingModel, mix, noise_sigma_for_snr,
                       random_mixing_matrix, rng_for, source_bank)
 
@@ -36,13 +35,12 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
-def _parse_list(text: str, element: type = float) -> list:
-    """A comma list of floats, or with element=int of whole numbers >= 1."""
+def _parse_list(text: str) -> list[float]:
+    """A comma list of floats."""
     try:
-        values = [float(v) for v in str(text).split(",") if v != ""]
+        return [float(v) for v in str(text).split(",") if v != ""]
     except ValueError as exc:
         raise InvalidInput(f"cannot parse number list {text!r}") from exc
-    return values if element is float else [whole_number(v, f"each entry of {text!r}") for v in values]
 
 
 def _out_path(out: str, name: str | None = None) -> Path:
@@ -193,8 +191,8 @@ def cmd_bench(args) -> int:
         if len(paths) < 3:
             raise InvalidInput(f"bench fig6/fig7 needs 3 WAV files in {args.wav}")
         wav_sources, _ = _read_signals(paths[:3])
-    dims = _parse_list(args.dims, int) if args.dims else None
-    samples = _parse_list(args.samples, int) if args.samples else None
+    dims = _parse_list(args.dims) if args.dims else None
+    samples = _parse_list(args.samples) if args.samples else None
     fracs = _parse_list(args.eval_fracs) if args.eval_fracs else None
     matrix = read_matrix_csv(args.matrix) if args.matrix else None
     out_path = _out_path(args.out, f"bench_{args.table.lower()}.csv")

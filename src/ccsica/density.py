@@ -3,10 +3,16 @@
 `_kernel_sums` is the only code that does kernel work.  It runs over a
 B x m x T stack of reference sets, with direct sums over each full set (no
 tree or FFT shortcuts, no leave-one-out), at the first n points of each set
-as queries, and checks the bandwidth and the query count for both faces:
-`gaussian_sums_1d` is its m = 1 face, which adds the derivative sums the
-contrast gradient needs; `gaussian_density_nd` is its B = 1 face, the
-normalised joint density.
+as queries, and checks the bandwidth, the query count and the scaled points
+for both faces: `gaussian_sums_1d` is its m = 1 face, which adds the
+derivative sums the contrast gradient needs; `gaussian_density_nd` is its
+B = 1 face, the normalised joint density.
+
+`stack_rows` is the one rule for how many rows of a stack of 1-D sets one
+call takes: a stack of T-point rows and its 3-row operand (below) fit one
+block budget, `_CHUNK // (4 T)` rows, but never fewer than the rows of one
+caller's item (one demixer's m output rows), so a caller that groups its
+work by this rule holds O(_CHUNK) of stack whatever its number of items.
 
 The loop splits the queries into strips of at most `_CHUNK` kernel terms
 (query rows x references), each worked in place in a block that starts on a
@@ -21,9 +27,12 @@ a strip's exponents -|q - r|^2 / 2 are one matrix product of its query rows
 [-|q|^2/2 | q | 1] with the reference operand [1 ; r ; -|r|^2/2], followed
 by `exp` in place.  That rounds each term to within about eps * max|q|^2 (a
 subtraction first would give eps * |u| * max|q|, but costs two more
-passes).  A product of two or more rows goes to gemm, which rounds a row's
-exponents the same way however its strip falls; a one-row product would go
-to gemv, which rounds differently.
+passes), so a call refuses points that are not finite or have max|x/h|
+above `_MAX_SCALED` = 2^16, where that error reaches about 1e-6 of a term;
+a whitened solver row stays below T^0.7 / 1.06, which passes 2^16 only
+beyond T = 8 * 10^6.  A product of two or more rows goes to gemm, which
+rounds a row's exponents the same way however its strip falls; a one-row
+product would go to gemv, which rounds differently.
 
 Each pair of queries is computed once, about n*T - n^2/2 terms in all: a
 query gathers its pairs with earlier queries strip by strip, and each block
@@ -44,6 +53,8 @@ from .preprocess import whole_number
 
 # kernel terms (query rows x references) per block
 _CHUNK = 1 << 16
+# largest |x/h| a call accepts: the exponents round to about eps * max|x/h|^2
+_MAX_SCALED = 2.0**16
 # work blocks start on a cache line: numpy's SIMD loops run about 15 % slower
 # on a block that does not, and where an unaligned block starts depends on the
 # heap's history, so the speed of a sum would change from process to process
@@ -55,6 +66,13 @@ _scratch = threading.local()
 def default_bandwidth(t_count: int) -> float:
     """Rule-of-thumb bandwidth 1.06 * T^(-1/5) for T reference samples."""
     return 1.06 * float(whole_number(t_count, "bandwidth sample count")) ** -0.2
+
+
+def stack_rows(n_refs: int, least: int) -> int:
+    """How many rows of a stack of 1-D sets of n_refs points one kernel-sum
+    call takes: as many as fit one block budget with their 3-row operand,
+    but never fewer than `least`."""
+    return max(least, _CHUNK // (4 * n_refs))
 
 
 def _block_rows(n_queries: int, n_refs: int) -> int:
@@ -108,8 +126,14 @@ def _kernel_sums(refs: np.ndarray, n, h: float, feats=None):
     h = float(h)
     if not 0.0 < h < np.inf:
         raise InvalidInput(f"bandwidth must be positive and finite, got {h!r}")
+    with np.errstate(over="ignore"):
+        ref_op = _operand(refs, h)
+    # the last operand row is -|x/h|^2/2; a NaN fails the comparison too
+    low = ref_op[:, -1].min()
+    if not -low <= _MAX_SCALED**2 / 2:
+        raise InvalidInput(f"points must be finite with |x|/h <= {_MAX_SCALED:g}, "
+                           f"got max |x|/h = {np.sqrt(-2.0 * low):.3g} at h = {h!r}")
     strips, work = _strips(n, n_refs), _kernel_scratch(n, n_refs)
-    ref_op = _operand(refs, h)
     # query rows [-|q|^2/2 | q | 1], built once
     q_rows = np.ones((n_sets, n, ref_op.shape[1]))
     q_rows[..., 0] = ref_op[:, -1, :n]

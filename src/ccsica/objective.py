@@ -19,11 +19,12 @@ T^2/ts - (T/ts)^2/2 kernel terms per output row, about T^2/2 at ts 1.
 
 `value` also takes a K x m x m stack of demixers, such as the angle grid of
 a Jacobi pair visit, and returns K values.  It checks the stack and takes
-its determinants once, then evaluates it in groups of max(1, _CHUNK // (m T))
-members, so its scratch stays O(m T) whatever K is.  A group's output rows
-are projected by one product and summed by one kernel-sum call, and its
-contrast terms are assembled on G x n arrays, each member's row computed
-exactly as that member alone.  The gradient is the group of one demixer.
+its determinants once, then evaluates it in groups of as many members as
+`density.stack_rows` lets one kernel-sum call take (at least one), so a
+group's output rows fit one block budget whatever K is.  A group's output
+rows are projected by one product and summed by one kernel-sum call, and
+its contrast terms are assembled on G x n arrays, each member's row
+computed exactly as that member alone.  The gradient is the group of one demixer.
 
 The gradient is the exact derivative of the log form,
 
@@ -40,8 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import density
-from .density import _SQRT_2PI, default_bandwidth, gaussian_density_nd, gaussian_sums_1d
+from .density import _SQRT_2PI, default_bandwidth, gaussian_density_nd, gaussian_sums_1d, stack_rows
 from .divergences import EPS_FLOOR, convex_f, convex_f_prime, log_ratio
 from .errors import InvalidInput, NonFinite, SingularDemixer
 from .preprocess import validate_signal, whole_number
@@ -179,14 +179,15 @@ class CcsObjective:
 
         The whole stack is checked, and its determinants taken, before any
         member is evaluated.  Members are then evaluated in groups of
-        max(1, _CHUNK // (m * T)), one kernel-sum call per group, so the
-        scratch stays O(m * T) whatever K is; each member is computed as it
-        would be alone, so value(ws)[k] == value(ws[k]) bit for bit.
+        stack_rows(T, m) // m, one kernel-sum call per group, so a group's
+        output rows fit one block budget whatever K is; each member is
+        computed as it would be alone, so value(ws)[k] == value(ws[k]) bit
+        for bit.
         """
         w = np.asarray(w, dtype=float)
         abs_dets = self._checked(w, stacks=True)
         ws = w.reshape(-1, self.n_channels, self.n_channels)
-        size = max(1, density._CHUNK // (self.n_channels * self.n_refs))
+        size = stack_rows(self.n_refs, self.n_channels) // self.n_channels
         values = np.concatenate([self._evaluate(ws[lo : lo + size], abs_dets[lo : lo + size], False)[0]
                                  for lo in range(0, len(ws), size)])
         return float(values[0]) if w.ndim == 2 else values

@@ -109,7 +109,10 @@ def noise_sigma_for_snr(clean, snr_db: float) -> float:
     clean = np.asarray(clean, dtype=float)
     if not np.all(np.isfinite(clean)):
         raise InvalidInput("clean signal contains non-finite entries")
-    power = float(np.mean(clean**2))
+    with np.errstate(over="ignore"):
+        power = float(np.mean(clean**2))
+    if power == np.inf:
+        raise InvalidInput("clean signal power (mean square) overflows the float range")
     if power <= 0.0:
         raise InvalidInput("clean signal has zero power")
     snr_db = float(snr_db)

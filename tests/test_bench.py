@@ -133,6 +133,19 @@ def test_unknown_algorithm_refused_before_any_trial(monkeypatch, jobs):
     assert calls == []
 
 
+@pytest.mark.parametrize("table, grid", [
+    ("t5", dict(dims=[2.5])), ("t5", dict(dims=[2], samples=[1000.5])),
+    ("t4", dict(dims=["2"])), ("t4", dict(dims=[2], samples=[1000.5])),
+])
+def test_fractional_grid_entry_refused_before_any_trial(monkeypatch, table, grid):
+    # library dims and samples are whole numbers, never truncated or parsed from text
+    calls = []
+    monkeypatch.setattr(bench, "_execute", lambda *a: calls.append(a))
+    with pytest.raises(InvalidInput, match="must be an integer"):
+        bench.run_bench(table, scale=0.01, **grid)
+    assert calls == []
+
+
 def test_import_leaves_the_process_pool_unloaded():
     # the pool, and multiprocessing with it, loads only for a run with jobs > 1
     env = dict(os.environ, PYTHONPATH=str(Path(ccsica.__file__).parents[1]))

@@ -192,6 +192,15 @@ class TestExitCodes:
         assert "clean signal contains non-finite entries" in capsys.readouterr().err
         assert not (tmp_path / "noisy").exists()
 
+    def test_overflowing_clean_signal_power_with_snr_exits_two(self, tmp_path, capsys):
+        # finite entries of 1e200 whose mean square overflows
+        sources, _, _ = _gen_and_mix(tmp_path, t=50)
+        write_signal_csv(tmp_path / "big.csv", read_signal_csv(sources[0]) * 1e200)
+        assert main(["mix", "--inputs", f"{tmp_path / 'big.csv'},{sources[1]}", "--snr-db", "20",
+                     "--out", str(tmp_path / "noisy")]) == 2
+        assert "clean signal power" in capsys.readouterr().err
+        assert not (tmp_path / "noisy").exists()
+
     @pytest.mark.parametrize("frac", ["0", "nan", "-0.5", "1.5"])
     def test_eval_fraction_outside_unit_interval_exits_two(self, tmp_path, frac):
         assert main(["bench", "t5", "--scale", "0.1", f"--eval-fracs={frac}",
@@ -453,6 +462,8 @@ class TestBench:
         ["t4", "--dims", "2,4", "--samples", "3", "--scale", "0.02"],
         ["t4", "--samples", "10", "--scale", "1"],
         ["t5", "--dims", "2,4", "--samples", "3", "--eval-fracs", "1", "--scale", "0.01"],
+        ["t5", "--dims", "2.5", "--samples", "1000", "--eval-fracs", "1", "--scale", "0.01"],
+        ["t5", "--dims", "2", "--samples", "1000.5", "--eval-fracs", "1", "--scale", "0.01"],
     ])
     def test_non_integer_or_short_grid_exits_two_before_any_trial(self, tmp_path, monkeypatch, argv):
         # not truncated to m = 2, T = 1000; t4's default grid at scale 1 reaches m = 20

@@ -8,7 +8,9 @@ from ccsica import density
 from ccsica.density import default_bandwidth, gaussian_density_nd, gaussian_sums_1d
 from ccsica.errors import InvalidInput
 from ccsica.objective import CcsObjective
-from ccsica.optimizers import rotation
+from ccsica.optimizers import JACOBI_ROTATIONS, rotation
+from ccsica.preprocess import center_and_whiten
+from ccsica.sources import source_bank
 
 SQRT2PI = np.sqrt(2.0 * np.pi)
 
@@ -465,6 +467,42 @@ class TestMultivariate:
         assert _parzen_grad(np.array([0.0, 0.0]), np.array([-0.5]), 0.4)[0] > 0.0
 
 
+class TestScaledPoints:
+    """Both faces refuse points that the product-form exponents cannot scale
+    by h within their rounding bound: not finite, or beyond 2^16 bandwidths."""
+
+    @pytest.mark.parametrize("h", [1e-100, 1e-155, 1e-200])
+    def test_tiny_bandwidth_refused(self, rng, h):
+        # every sum is at least 1 from the query's own term, yet the sums
+        # came out 0, inf or NaN
+        row = rng.normal(size=50)
+        for refs, feats in ((row, None), (np.vstack([row, row]), None), (row, row[:, None])):
+            with pytest.raises(InvalidInput, match="points must be finite"):
+                gaussian_sums_1d(refs, 50, h, feats)
+        with pytest.raises(InvalidInput, match="points must be finite"):
+            gaussian_density_nd(row[None], 50, h)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_refused(self, rng, bad):
+        refs = rng.normal(size=(2, 50))
+        refs[1, 7] = bad
+        for rows, feats in ((refs[1], None), (refs, None), (refs[1], refs[0][:, None])):
+            with pytest.raises(InvalidInput, match="points must be finite"):
+                gaussian_sums_1d(rows, 50, 0.3, feats)
+        with pytest.raises(InvalidInput, match="points must be finite"):
+            gaussian_density_nd(refs, 50, 0.3)
+
+    def test_limit_is_two_to_the_sixteen_bandwidths(self):
+        h = 0.5
+        assert np.array_equal(gaussian_sums_1d([0.0, 6e4 * h], 2, h), [1.0, 1.0])
+        with pytest.raises(InvalidInput, match="got max"):
+            gaussian_sums_1d([[0.0, 1.0], [0.0, 7e4 * h]], 2, h)
+        # the joint face measures a point's norm: 4e4 * sqrt(2) passes, 5e4 * sqrt(2) does not
+        assert np.all(gaussian_density_nd(np.full((2, 2), [0.0, 4e4 * h]), 2, h) > 0.0)
+        with pytest.raises(InvalidInput, match="got max"):
+            gaussian_density_nd(np.full((2, 2), [0.0, 5e4 * h]), 2, h)
+
+
 class TestAccuracy:
     """Against an extended-precision hand loop on spread-out data.
 
@@ -547,6 +585,15 @@ class TestMemory:
         w = np.array([[0.9, 0.3], [-0.2, 1.1]])
         peak = self._peak(lambda: CcsObjective(z, alpha=-0.99999, stride=1).value_and_gradient(w))
         assert peak < self.BOUND
+
+    def test_jacobi_visit_fits_the_block_budget(self):
+        # one T = 1000, ts 10 pair visit, the 32 grid rotations in one call:
+        # in groups of eight, whose output rows and operands fit one block
+        # budget, the peak is the two 0.5 MiB work blocks plus about 0.6 MiB
+        # (1.62 MiB); one kernel-sum call for all 32 reads 3.16 MiB
+        z, _ = center_and_whiten(source_bank(("uniform", "laplacian"), 1000, seed=0))
+        obj = CcsObjective(z, alpha=-0.99999, stride=10)
+        assert self._peak(lambda: obj.value(JACOBI_ROTATIONS)) < 2.25 * 2**20
 
     def test_objective_stacked_value(self, rng):
         # one Jacobi pair visit: the 33 grid rotations in one call

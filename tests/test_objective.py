@@ -206,12 +206,13 @@ class TestStackedValue:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_groups_match_single_calls(self, monkeypatch, m):
-        # a budget of 5 m T terms evaluates the 33 grid rotations in groups
-        # of five, one kernel-sum call of 5 m rows each, the last of three
+        # a budget of 20 m T terms takes 5 m output rows and their 3-row
+        # operands per call, so the 33 grid rotations go in groups of five,
+        # one kernel-sum call of 5 m rows each, the last of three
         obj = self._obj(m)
         ws = np.tile(np.eye(m), (33, 1, 1))
         ws[:, :2, :2] = [rotation(th) for th in np.arange(-16, 17) * (np.pi / 64.0)]
-        monkeypatch.setattr(density, "_CHUNK", 5 * m * obj.n_refs)
+        monkeypatch.setattr(density, "_CHUNK", 20 * m * obj.n_refs)
         calls = []
 
         def counting_sums(rows, *args, **kwargs):

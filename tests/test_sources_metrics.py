@@ -152,6 +152,12 @@ class TestMixing:
         with pytest.raises(InvalidInput):
             noise_sigma_for_snr(np.zeros((2, 10)), 20.0)
 
+    def test_overflowing_power_named(self):
+        # finite entries whose mean square overflows: the clean signal's power
+        # is refused, not the inf noise scale it would give
+        with pytest.raises(InvalidInput, match="clean signal power"):
+            noise_sigma_for_snr(np.full((2, 10), 1e200), 20.0)
+
     @pytest.mark.parametrize("snr_db", [-np.inf, np.nan, -4000.0])
     def test_snr_without_float_noise_scale_rejected(self, snr_db):
         with pytest.raises(InvalidInput):
