@@ -23,21 +23,15 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import InvalidInput
 from .metrics import amari_index, sir_db
 from .optimizers import ALGORITHMS, GdConfig, JacobiConfig, separate
-from .preprocess import whole_number
+from .preprocess import validate_signal, whole_number
 from .sources import MixingModel, mix, noise_sigma_for_snr, random_mixing_matrix, rng_for, draw_source
-
-# the optional run_bench arguments each table reads; any other must keep its default
-_TABLE_OPTIONS = {"t1": ("algorithm",), "t4": ("algorithm", "dims", "samples"),
-                  "t5": ("algorithm", "dims", "samples", "eval_fracs"), "fig4": (), "fig5": (),
-                  "fig6": ("algorithm", "wav_sources", "matrix"),
-                  "fig7": ("algorithm", "wav_sources", "matrix", "snr_db")}
-TABLE_IDS = tuple(_TABLE_OPTIONS)
 
 # fixed mixing matrices for the demo scenarios (columns mix the sources)
 DEMO_MATRIX_2 = np.array([[0.5, 0.6], [0.3, 0.4]]).T
@@ -169,9 +163,9 @@ def bench_t1(scale=1.0, seed=0, jobs=1, algorithm="jacobi"):
 
 def _grid_samples(dim_list, samples, scale):
     """A t4/t5 grid's dimensions and sample counts (`samples`, else the _T4_SAMPLES the scale
-    reaches), each a whole number and the counts reaching the largest dimension, and each
-    dimension's source kinds, cycled from _KIND_CYCLE."""
-    dim_list = [whole_number(m, "each grid dimension") for m in dim_list]
+    reaches), each a whole number, the dimensions at least 2 and the counts reaching the
+    largest dimension, and each dimension's source kinds, cycled from _KIND_CYCLE."""
+    dim_list = [whole_number(m, "each grid dimension", least=2) for m in dim_list]
     t_list = ([whole_number(t, "each sample count") for t in samples] if samples else
               [t for t in _T4_SAMPLES if t <= max(1000, int(np.ceil(8000 * scale)))])
     if min(t_list) < max(dim_list):
@@ -196,8 +190,6 @@ def bench_t5(scale=1.0, seed=0, jobs=1, algorithm="jacobi", dims=None, samples=N
               "median_amari_x100", "mean_amari_x100", "mean_runtime_s"]
     dim_list, t_list, kinds = _grid_samples(
         dims or [m for m in (2, 4) if m <= max(2, int(np.ceil(4 * scale)))], samples, scale)
-    if min(dim_list) < 2:
-        raise InvalidInput(f"t5 dimensions must be at least 2, got {dim_list}")
     fracs = eval_fracs or _T5_FRACS
     if not all(0.0 < frac <= 1.0 for frac in fracs):
         raise InvalidInput(f"evaluation fractions must lie in (0, 1], got {list(fracs)}")
@@ -250,17 +242,20 @@ def bench_fig5(seed=0, jobs=1, max_iter=250):
     return header, rows
 
 
-def _bench_three_source(table_key, scale, seed, jobs, algorithm, snr_db, wav_sources=None, matrix=None):
+def _bench_three_source(table_key, scale=1.0, seed=0, jobs=1, algorithm="jacobi", snr_db=None,
+                        wav_sources=None, matrix=None):
+    """fig6/fig7 under table_key; the matrix and any sources are checked before any trial."""
     header = ["trial", "source", "sir_db", "baseline_sir_db", "amari_x100"]
     trials = _scaled_trials(10, scale)
-    a = DEMO_MATRIX_3 if matrix is None else np.asarray(matrix, dtype=float)
-    t_count = _THREE_SOURCE_SAMPLES
-    if wav_sources is not None:
-        wav_sources = np.asarray(wav_sources, dtype=float)
-        t_count = wav_sources.shape[1]
+    a = MixingModel(DEMO_MATRIX_3 if matrix is None else matrix).matrix
+    sources = None if wav_sources is None else validate_signal(wav_sources)
+    if len(a) != 3 or (sources is not None and len(sources) != 3):
+        raise InvalidInput(f"bench fig6/fig7 needs a 3x3 mixing matrix and 3 source rows, got a {a.shape} "
+                           f"matrix and {'3 drawn' if sources is None else sources.shape} sources")
+    t_count = _THREE_SOURCE_SAMPLES if sources is None else sources.shape[1]
     tasks = [
         dict(seed=seed, key=(table_key, k), kinds=("uniform", "rayleigh", "laplacian"),
-             t=t_count, sources=wav_sources, algorithm=algorithm, alpha=GdConfig.alpha,
+             t=t_count, sources=sources, algorithm=algorithm, alpha=GdConfig.alpha,
              stride=max(1, t_count // 200), matrix=a.tolist(), snr_db=snr_db, baseline=True)
         for k in range(trials)
     ]
@@ -271,13 +266,28 @@ def _bench_three_source(table_key, scale, seed, jobs, algorithm, snr_db, wav_sou
     return header, rows
 
 
-def run_bench(table: str, scale: float = 1.0, seed: int = 0, jobs: int = 1,
-              algorithm: str = "jacobi", wav_sources=None,
-              dims=None, samples=None, eval_fracs=None, snr_db: float | None = None,
-              matrix=None):
-    """Dispatch a table id to its scenario. Returns (header, rows)."""
+# each table's builder and the optional run_bench arguments it reads
+_TABLES = {
+    "t1": (bench_t1, ("scale", "algorithm")),
+    "t4": (bench_t4, ("scale", "algorithm", "dims", "samples")),
+    "t5": (bench_t5, ("scale", "algorithm", "dims", "samples", "eval_fracs")),
+    "fig4": (bench_fig4, ()),
+    "fig5": (bench_fig5, ()),
+    "fig6": (partial(_bench_three_source, 6), ("scale", "algorithm", "wav_sources", "matrix")),
+    "fig7": (partial(_bench_three_source, 7, snr_db=20.0),
+             ("scale", "algorithm", "wav_sources", "matrix", "snr_db")),
+}
+TABLE_IDS = tuple(_TABLES)
+
+
+def run_bench(table: str, scale: float = 1.0, seed: int = 0, jobs: int = 1, algorithm: str = "jacobi",
+              wav_sources=None, dims=None, samples=None, eval_fracs=None,
+              snr_db: float | None = None, matrix=None):
+    """Run one table of TABLE_IDS: (header, rows). An option off its default (scale 1, algorithm
+    jacobi, else None) that the table does not read (`_TABLES`) is refused, as are a bad table id,
+    scale, jobs or algorithm, and the table checks its own inputs: each before any trial."""
     key = str(table).strip().lower()
-    if key not in TABLE_IDS:
+    if key not in _TABLES:
         raise InvalidInput(f"unknown bench table {table!r}, expected one of {TABLE_IDS}")
     if not 0.0 < scale <= 1.0:
         raise InvalidInput("scale must lie in (0, 1]")
@@ -285,23 +295,12 @@ def run_bench(table: str, scale: float = 1.0, seed: int = 0, jobs: int = 1,
     algorithm = str(algorithm).strip().lower()
     if algorithm not in ALGORITHMS:
         raise InvalidInput(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-    # the default algorithm counts as not given, like a None option
-    options = dict(algorithm=None if algorithm == "jacobi" else algorithm, dims=dims, samples=samples,
+    builder, reads = _TABLES[key]
+    options = dict(scale=None if scale == 1.0 else scale,
+                   algorithm=None if algorithm == "jacobi" else algorithm, dims=dims, samples=samples,
                    eval_fracs=eval_fracs, wav_sources=wav_sources, matrix=matrix, snr_db=snr_db)
-    unread = [k for k, v in options.items() if v is not None and k not in _TABLE_OPTIONS[key]]
+    given = {k: v for k, v in options.items() if v is not None}
+    unread = [k for k in given if k not in reads]
     if unread:
         raise InvalidInput(f"bench {key} does not read {', '.join(unread)}")
-    if key == "t1":
-        return bench_t1(scale, seed, jobs, algorithm)
-    if key == "t4":
-        return bench_t4(scale, seed, jobs, algorithm, dims=dims, samples=samples)
-    if key == "t5":
-        return bench_t5(scale, seed, jobs, algorithm, dims=dims, samples=samples, eval_fracs=eval_fracs)
-    if key == "fig4":
-        return bench_fig4(seed, jobs)
-    if key == "fig5":
-        return bench_fig5(seed, jobs)
-    if key == "fig6":
-        return _bench_three_source(6, scale, seed, jobs, algorithm, None, wav_sources, matrix=matrix)
-    return _bench_three_source(7, scale, seed, jobs, algorithm,
-                               20.0 if snr_db is None else snr_db, wav_sources, matrix=matrix)
+    return builder(seed=seed, jobs=jobs, **given)

@@ -354,8 +354,10 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
 
 def main(argv=None) -> int:
     parser, commands = _build_parser()
-    # a warning is one stderr line, as an error is
+    # a warning is one stderr line, as an error is, whatever the process's filters: -W error
+    # must not turn it into a traceback and an undocumented exit code
     with warnings.catch_warnings():
+        warnings.simplefilter("default")
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             args = parser.parse_args(argv)

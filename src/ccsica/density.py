@@ -44,6 +44,7 @@ exactly as it would alone.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -202,14 +203,23 @@ def gaussian_sums_1d(refs, n, h: float, feats=None):
 
 
 def gaussian_density_nd(refs, n, h: float):
-    """Joint Gaussian-kernel density of M x T references at the first n of them."""
+    """Joint Gaussian-kernel density of M x T references at the first n of them.
+
+    The normaliser is (2 pi)^(-M/2) / (T h^M): InvalidInput unless h^M is a
+    normal positive float (at least sys.float_info.min) and T h^M is finite,
+    as a subnormal h^M would make every density inf, and an infinite T h^M 0.
+    """
     refs = np.asarray(refs, dtype=float)
     if refs.ndim != 2:
         raise InvalidInput("reference block must be channels x T")
     m, t_count = refs.shape
-    # h = 0 fails here too; the kernel sums refuse any other h that is not positive and finite
     try:
-        norm = (2.0 * np.pi) ** (-m / 2.0) / (t_count * float(h) ** m)
-    except (OverflowError, ZeroDivisionError):
-        raise InvalidInput(f"bandwidth {h!r} puts h^{m} outside the positive float range") from None
+        h_m = float(h) ** m
+    except OverflowError:
+        h_m = np.inf
+    # h = 0 and NaN fail here too; the kernel sums refuse any other h that is not positive and finite
+    if not (sys.float_info.min <= h_m and t_count * h_m < np.inf):
+        raise InvalidInput(f"bandwidth {h!r} puts h^{m}, or T h^{m}, outside the normal positive "
+                           "float range")
+    norm = (2.0 * np.pi) ** (-m / 2.0) / (t_count * h_m)
     return _kernel_sums(refs[None], n, h)[0][0] * norm

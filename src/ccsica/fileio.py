@@ -3,7 +3,7 @@
 CSV files carry a single header line and floats rendered with 17 significant
 digits, enough for exact float64 round trips.  WAV files are mono 16-bit PCM,
 written at 8 kHz unless a rate is given; samples map to [-1, 1) on read and
-are clipped (with a warning) on write.
+are clipped (with a warning) on write; non-finite samples are refused.
 """
 
 from __future__ import annotations
@@ -93,6 +93,8 @@ def read_matrix_csv(path) -> np.ndarray:
 
 def write_wav(path, samples, rate: int = WAV_RATE) -> None:
     x = np.asarray(samples, dtype=float).ravel()
+    if not np.all(np.isfinite(x)):
+        raise InvalidInput(f"cannot write {path}: samples must be finite")
     limit = (_WAV_SCALE - 1.0) / _WAV_SCALE
     if x.size and (x.max(initial=-np.inf) > limit or x.min(initial=np.inf) < -1.0):
         warnings.warn(f"samples outside [-1, 1) clipped while writing {path}", stacklevel=2)

@@ -146,6 +146,19 @@ def test_fractional_grid_entry_refused_before_any_trial(monkeypatch, table, grid
     assert calls == []
 
 
+@pytest.mark.parametrize("table", ["fig6", "fig7"])
+@pytest.mark.parametrize("given", [dict(matrix=np.eye(2)),
+                                   dict(wav_sources=source_bank(("uniform", "laplacian"), 400))])
+def test_three_source_input_of_another_size_refused_before_any_trial(monkeypatch, table, given):
+    # refused before the first trial draws its sources, not by mix inside that trial
+    calls = []
+    monkeypatch.setattr(bench, "draw_source", lambda *a: calls.append(a))
+    monkeypatch.setattr(bench, "_execute", lambda *a: calls.append(a))
+    with pytest.raises(InvalidInput, match="3x3 mixing matrix and 3 source rows"):
+        bench.run_bench(table, scale=0.1, **given)
+    assert calls == []
+
+
 def test_import_leaves_the_process_pool_unloaded():
     # the pool, and multiprocessing with it, loads only for a run with jobs > 1
     env = dict(os.environ, PYTHONPATH=str(Path(ccsica.__file__).parents[1]))

@@ -1,5 +1,9 @@
 import inspect
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import yaml
 
 from ccsica import bench, cli, optimizers
 from ccsica.cli import main
+from ccsica.errors import InvalidInput
 from ccsica.fileio import (read_matrix_csv, read_signal_csv, read_wav, write_matrix_csv,
                            write_signal_csv, write_wav)
 from ccsica.metrics import kurtosis
@@ -113,14 +118,27 @@ class TestSeparateEdges:
         assert np.array_equal(read_matrix_csv(sep / "demixer.csv"), tr.matrix)
         assert len((sep / "trace.csv").read_text().splitlines()) == 2
 
-    def test_first_step_stop_prints_a_warning_and_exits_zero(self, tmp_path, capsys):
+    @staticmethod
+    def _twenty_sources(tmp_path):
         s = source_bank(tuple(bench._KIND_CYCLE[i % 4] for i in range(20)), 1000, 0)
         write_signal_csv(tmp_path / "x.csv", random_mixing_matrix(20, rng_for(0, 9)) @ s)
-        assert main(["separate", "--input", str(tmp_path / "x.csv"), "--algorithm", "gd",
-                     "--ts", "10", "--out", str(tmp_path / "sep")]) == 0
+        return ["separate", "--input", str(tmp_path / "x.csv"), "--algorithm", "gd",
+                "--ts", "10", "--out", str(tmp_path / "sep")]
+
+    def test_first_step_stop_prints_a_warning_and_exits_zero(self, tmp_path, capsys):
+        assert main(self._twenty_sources(tmp_path)) == 0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("warning: gd stopped at its first step")
         assert (tmp_path / "sep" / "demixer.csv").exists()
+
+    def test_warning_filters_do_not_change_the_exit_code(self, tmp_path):
+        # -W error would turn the warning into a traceback and exit 1
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "ccsica.cli",
+                               *self._twenty_sources(tmp_path)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: gd stopped at its first step")
 
     def test_non_ccs_contrast_rejected(self, tmp_path):
         # separation always uses the ccs contrast; --divergence is a surface flag
@@ -480,6 +498,7 @@ class TestBench:
         ["fig4", "--samples", "1000"], ["fig5", "--wav", "WAVS"], ["fig6", "--snr-db", "5"],
         ["fig6", "--dims", "3"], ["fig7", "--samples", "1000"],
         ["fig4", "--algorithm", "gd"], ["fig5", "--algorithm", "pairwise-gd"],
+        ["fig4"], ["fig5"],  # the appended --scale 0.01: fig4/fig5 read no scale
     ])
     def test_option_the_table_does_not_read_exits_two_before_any_trial(self, tmp_path, monkeypatch, argv):
         write_matrix_csv(tmp_path / "a.csv", np.eye(3))
@@ -552,6 +571,13 @@ class TestWavPipeline:
         assert len(estimates) == 2
         assert main(["eval", "--estimates", ",".join(estimates),
                      "--truth", ",".join(wavs), "--out", str(tmp_path / "m")]) == 0
+
+    def test_non_finite_samples_refused_before_the_file_opens(self, tmp_path):
+        # NaN would be written as 0 and +-inf as full scale
+        path = tmp_path / "sub" / "x.wav"
+        with pytest.raises(InvalidInput, match=re.escape(str(path))):
+            write_wav(path, [0.1, np.nan, np.inf, -np.inf])
+        assert not path.parent.exists()
 
     @staticmethod
     def _wav_pair(folder, rates):

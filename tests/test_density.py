@@ -492,6 +492,13 @@ class TestScaledPoints:
         with pytest.raises(InvalidInput, match="points must be finite"):
             gaussian_density_nd(refs, 50, 0.3)
 
+    @pytest.mark.parametrize("h", [1e-160, 1e154])
+    def test_normaliser_outside_the_float_range_refused(self, rng, h):
+        # |x/h| is about 1, yet a subnormal h^2 = 1e-320 would make every density inf
+        # and an overflowing 50 h^2 = 5e309 would make every one 0
+        with pytest.raises(InvalidInput, match="normal positive float range"):
+            gaussian_density_nd(rng.normal(size=(2, 50)) * h, 5, h)
+
     def test_limit_is_two_to_the_sixteen_bandwidths(self):
         h = 0.5
         assert np.array_equal(gaussian_sums_1d([0.0, 6e4 * h], 2, h), [1.0, 1.0])
