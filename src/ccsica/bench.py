@@ -20,6 +20,7 @@ observations can recover.
 
 from __future__ import annotations
 
+import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -48,12 +49,12 @@ _T1_PAIRS = (
 # samples per source of every t1 trial, and of fig6/fig7 without --wav
 _T1_SAMPLES = 1000
 _THREE_SOURCE_SAMPLES = 2000
-_T4_DIMS = (2, 4, 8, 16, 20)
-_T4_SAMPLES = (1000, 2000, 4000, 8000)
 _T4_BASE_TRIALS = {2: 100, 4: 50, 8: 20, 16: 10, 20: 5}
+_T4_DIMS = tuple(_T4_BASE_TRIALS)
+_T4_SAMPLES = (1000, 2000, 4000, 8000)
 _T5_FRACS = (0.1, 0.01, 0.001, 1.0)
 # (alpha, step size) of the two fig4/fig5 descents
-_FIG4_BRANCHES = ((-0.99999, 0.3), (1.0, 0.7))
+_FIG4_BRANCHES = ((GdConfig.alpha, GdConfig.step_size), (1.0, 0.7))
 # cycled to fill an m-row bank; the m=2 prefix is the canonical sub+super pair
 _KIND_CYCLE = ("uniform", "laplacian", "rayleigh", "lognormal")
 
@@ -285,12 +286,14 @@ def run_bench(table: str, scale: float = 1.0, seed: int = 0, jobs: int = 1, algo
               snr_db: float | None = None, matrix=None):
     """Run one table of TABLE_IDS: (header, rows). An option off its default (scale 1, algorithm
     jacobi, else None) that the table does not read (`_TABLES`) is refused, as are a bad table id,
-    scale, jobs or algorithm, and the table checks its own inputs: each before any trial."""
+    scale (a real number in (0, 1]), seed (a whole number), jobs or algorithm, and the table checks
+    its own inputs: each before any trial."""
     key = str(table).strip().lower()
     if key not in _TABLES:
         raise InvalidInput(f"unknown bench table {table!r}, expected one of {TABLE_IDS}")
-    if not 0.0 < scale <= 1.0:
-        raise InvalidInput("scale must lie in (0, 1]")
+    if isinstance(scale, bool) or not isinstance(scale, numbers.Real) or not 0.0 < scale <= 1.0:
+        raise InvalidInput(f"scale must be a real number in (0, 1], got {scale!r}")
+    seed = whole_number(seed, "seed", least=None)
     jobs = whole_number(jobs, "jobs")
     algorithm = str(algorithm).strip().lower()
     if algorithm not in ALGORITHMS:

@@ -69,9 +69,10 @@ def _abs_correlations(estimates: np.ndarray, sources: np.ndarray) -> np.ndarray:
 def align_sources(estimates, sources):
     """Greedy one-to-one matching of estimates to sources by |correlation|.
 
-    Matches are claimed in descending correlation order; ties within 1e-12
-    go to the lowest estimate index, then the lowest source index.  Each
-    matched estimate is rescaled by least squares onto its source.  Returns
+    Matches are claimed in descending correlation order: a correlation
+    within 1e-12 of the largest unclaimed one ties with it, and ties go to
+    the lowest estimate index, then the lowest source index.  Each matched
+    estimate is rescaled by least squares onto its source.  Returns
     (aligned, perm, gains) where aligned[k] approximates sources[k] and
     perm[k] is the index of the estimate assigned to source k.
     """
@@ -81,30 +82,20 @@ def align_sources(estimates, sources):
         raise InvalidInput(f"estimates {y.shape} and sources {s.shape} differ in shape")
     m = y.shape[0]
     corr = _abs_correlations(y, s)
-    perm = np.full(m, -1, dtype=int)
-    free_est = set(range(m))
-    free_src = set(range(m))
+    perm = np.empty(m, dtype=int)
+    free = np.ones((m, m), dtype=bool)  # estimate i and source k both unclaimed
     for _ in range(m):
-        best = None
-        best_val = -1.0
-        for i in sorted(free_est):
-            for k in sorted(free_src):
-                if corr[i, k] > best_val + _TIE_TOL:
-                    best_val = corr[i, k]
-                    best = (i, k)
-        i, k = best
+        c = np.where(free, corr, -np.inf)
+        # the first tie in row-major order: the lowest estimate, then source
+        i, k = np.unravel_index(np.argmax(c >= c.max() - _TIE_TOL), c.shape)
         perm[k] = i
-        free_est.remove(i)
-        free_src.remove(k)
-    aligned = np.empty_like(s)
-    gains = np.empty(m)
-    for k in range(m):
-        yk = y[perm[k]]
+        free[i, :] = free[:, k] = False
+    gains = np.zeros(m)
+    for k, yk in enumerate(y[perm]):
         denom = float(yk @ yk)
-        g = float(yk @ s[k]) / denom if denom > 0.0 else 0.0
-        gains[k] = g
-        aligned[k] = g * yk
-    return aligned, perm, gains
+        if denom > 0.0:
+            gains[k] = float(yk @ s[k]) / denom
+    return gains[:, None] * y[perm], perm, gains
 
 
 def sir_db(estimates, sources) -> np.ndarray:

@@ -1,15 +1,16 @@
 """ICA by the convex Cauchy-Schwarz contrast, through one entry point.
 
 separate(x, algorithm) checks the algorithm id, centers and whitens x once,
-runs one solver core on the whitened data and builds one SeparationResult.
-The cores: _gd_core takes explicit gradient steps on the full demixing
+runs the algorithm's solver core from _SOLVERS on the whitened data and
+builds one SeparationResult from the core's (algo_matrix, trace, n_iter,
+cm).  The cores: _gd_core takes explicit gradient steps on the full demixing
 matrix with row renormalization (gd); _pairwise_gd runs that core on every
-row pair of the running demixed data and accumulates the 2x2 solutions
-(pairwise-gd); _jacobi searches one period of rotation angles per pair,
-tracking progress in a matrix of last-applied angles, and settles without a
-visit a pair whose plane no other pair has moved since its last nonzero
-rotation (jacobi).  The result's demixer, the algorithm matrix times the
-whitening matrix, acts on centered raw observations.
+row pair of the running demixed data and applies each 2x2 solution to the
+pair's two rows (pairwise-gd); _jacobi searches one period of rotation
+angles per pair, tracking progress in a matrix of last-applied angles, and
+settles without a visit a pair whose plane no other pair has moved since
+its last nonzero rotation (jacobi).  The result's demixer, the algorithm
+matrix times the whitening matrix, acts on centered raw observations.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .objective import CcsObjective
 from .preprocess import WhiteningTransform, center_and_whiten, whole_number
 
 QUARTER_PI = np.pi / 4.0
+# pairwise-gd's sweep count when separate is given none
+PAIRWISE_GD_SWEEPS = 3
 
 
 @dataclass(frozen=True)
@@ -112,54 +115,56 @@ def _normalize_rows(w: np.ndarray) -> np.ndarray:
     return w / norms[:, None]
 
 
-def _gd_core(data: np.ndarray, cfg: GdConfig) -> tuple[np.ndarray, np.ndarray]:
+def _gd_core(z: np.ndarray, gd_cfg: GdConfig = GdConfig()) -> tuple[np.ndarray, np.ndarray, int, None]:
     """Gradient descent from the identity on already-whitened data.
 
     Each step subtracts step_size times the gradient and renormalizes every
     row to unit length; iteration stops when the contrast moves by at most
     epsilon or max_iter is reached.  With epsilon = 0 that is a step whose
-    contrast is bit-equal to the last one's.  Returns (w, trace).
+    contrast is bit-equal to the last one's.  Returns (w, trace, the steps
+    taken, which is len(trace) - 1, None).
     """
-    obj = CcsObjective(data, cfg.alpha, stride=cfg.stride)
-    w = np.eye(data.shape[0])
+    obj = CcsObjective(z, gd_cfg.alpha, stride=gd_cfg.stride)
+    w = np.eye(z.shape[0])
     d, grad = obj.value_and_gradient(w)
     trace = [d]
-    for _ in range(cfg.max_iter):
-        w = _normalize_rows(w - cfg.step_size * grad)
+    for _ in range(gd_cfg.max_iter):
+        w = _normalize_rows(w - gd_cfg.step_size * grad)
         d, grad = obj.value_and_gradient(w)
         trace.append(d)
-        if abs(d - trace[-2]) <= cfg.epsilon:
+        if abs(d - trace[-2]) <= gd_cfg.epsilon:
             break
-    return w, np.asarray(trace)
+    return w, np.asarray(trace), len(trace) - 1, None
 
 
-def _rotate_pair(w_algo: np.ndarray, demixed: np.ndarray, i: int, j: int, r: np.ndarray) -> np.ndarray:
-    """Apply the 2x2 r to rows i and j of demixed in place; returns w_algo
-    with r patched into the identity and accumulated on the left."""
-    patch = np.eye(len(w_algo))
-    patch[np.ix_([i, j], [i, j])] = r
-    demixed[[i, j], :] = r @ demixed[[i, j], :]
-    return patch @ w_algo
+def _rotate_pair(w_algo: np.ndarray, demixed: np.ndarray, i: int, j: int, r: np.ndarray) -> None:
+    """Apply the 2x2 r on the left to rows i and j of w_algo and of demixed,
+    in place; every other row is left as it is."""
+    for a in (w_algo, demixed):
+        a[[i, j]] = r @ a[[i, j]]
 
 
-def _pairwise_gd(z: np.ndarray, cfg: GdConfig, sweeps: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _pairwise_gd(z: np.ndarray, gd_cfg: GdConfig = GdConfig(),
+                 sweeps: int = PAIRWISE_GD_SWEEPS) -> tuple[np.ndarray, np.ndarray, int, None]:
     """Sweep the gradient core over all row pairs of the demixed data.
 
     Every pair (i, j) with i < j gets a 2x2 subproblem on the current demixed
-    rows; its solution is patched into the identity and accumulated.  With
-    two channels and a single sweep this is exactly _gd_core.  Returns
-    (w_algo, the pair traces concatenated, the iterations over all pairs).
+    rows; its solution is applied to rows i and j of the running demixer and
+    data.  With two channels and a single sweep this is exactly _gd_core.
+    Returns (w_algo, the pair traces concatenated, the iterations over all
+    pairs, None).
     """
     m = z.shape[0]
     w_algo = np.eye(m)
     demixed = z.copy()
-    trace_parts = []
+    trace_parts, n_iter = [], 0
     for _ in range(sweeps):
         for i, j in itertools.combinations(range(m), 2):
-            w_pair, trace = _gd_core(demixed[[i, j], :], cfg)
-            w_algo = _rotate_pair(w_algo, demixed, i, j, w_pair)
+            w_pair, trace, steps, _ = _gd_core(demixed[[i, j], :], gd_cfg)
+            _rotate_pair(w_algo, demixed, i, j, w_pair)
             trace_parts.append(trace)
-    return w_algo, np.concatenate(trace_parts), sum(len(t) - 1 for t in trace_parts)
+            n_iter += steps
+    return w_algo, np.concatenate(trace_parts), n_iter, None
 
 
 # The Jacobi angle grid: one period, [-pi/4, pi/4), at pi/64.  +pi/4 is left
@@ -182,7 +187,8 @@ def _best_angle(values: np.ndarray) -> int:
     return next(k for k in _TIE_ORDER if values[k] == v_min)
 
 
-def _jacobi(z: np.ndarray, cfg: JacobiConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _jacobi(z: np.ndarray,
+            jacobi_cfg: JacobiConfig = JacobiConfig()) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Plane-rotation solver: per pair, grid-search the 2-D contrast minimum.
 
     A pair visit builds one objective on the pair's demixed rows and hands
@@ -198,52 +204,52 @@ def _jacobi(z: np.ndarray, cfg: JacobiConfig) -> tuple[np.ndarray, np.ndarray, n
 
     A pair whose plane has not moved is settled without a visit: when no
     other pair has rotated row i or row j since pair (i, j) last applied a
-    nonzero angle, cm[i, j] is set to 0 and no objective is built.  That
-    visit would pick angle 0 in exact arithmetic: the contrast of a pair is
-    pi/2-periodic in the angle (the marginal product ignores the order and
-    the signs of the two rows, the joint density is rotation-invariant), and
-    JACOBI_THETAS spans one period, so its grid is the last one shifted to
-    put the minimum at index 0, where ties also go.  At m = 2 this settles
-    every second visit; at m >= 3 it applies in late sweeps.
+    nonzero angle (mover[i] == mover[j] == (i, j), mover[r] being the pair
+    that last rotated row r), cm[i, j] is set to 0 and no objective is
+    built.  That visit would pick angle 0 in exact arithmetic: the contrast
+    of a pair is pi/2-periodic in the angle (the marginal product ignores
+    the order and the signs of the two rows, the joint density is
+    rotation-invariant), and JACOBI_THETAS spans one period, so its grid is
+    the last one shifted to put the minimum at index 0, where ties also go.
+    At m = 2 this settles every second visit; at m >= 3 it applies in late
+    sweeps.
 
-    Returns (w_algo, the total absolute angle of each sweep, cm).
+    Returns (w_algo, the total absolute angle per sweep, the sweep count, cm).
     """
     m = z.shape[0]
     w_algo = np.eye(m)
     demixed = z.copy()
     cm = np.full((m, m), 90.0)
     np.fill_diagonal(cm, 0.0)
-    settled: set[tuple[int, int]] = set()
+    mover: list[tuple[int, int] | None] = [None] * m
     sweep_totals: list[float] = []
     recent: list[np.ndarray] = []  # cm after the last two sweeps
-    for _ in range(cfg.max_sweeps):
+    for _ in range(jacobi_cfg.max_sweeps):
         for i, j in itertools.combinations(range(m), 2):
             if cm[i, j] == 0.0:
                 continue
-            if (i, j) in settled:
+            if mover[i] == mover[j] == (i, j):
                 cm[i, j] = cm[j, i] = 0.0
                 continue
-            obj = CcsObjective(demixed[[i, j], :], cfg.alpha, stride=cfg.stride)
+            obj = CcsObjective(demixed[[i, j], :], jacobi_cfg.alpha, stride=jacobi_cfg.stride)
             k = _best_angle(obj.value(JACOBI_ROTATIONS))
             theta = float(JACOBI_THETAS[k])
             cm[i, j] = cm[j, i] = np.degrees(theta)
             if theta != 0.0:
-                w_algo = _rotate_pair(w_algo, demixed, i, j, JACOBI_ROTATIONS[k])
-                settled = {p for p in settled if i not in p and j not in p}
-                settled.add((i, j))
+                _rotate_pair(w_algo, demixed, i, j, JACOBI_ROTATIONS[k])
+                mover[i] = mover[j] = (i, j)
         total = float(sum(abs(cm[i, j]) for i, j in itertools.combinations(range(m), 2)))
         sweep_totals.append(total)
         if total <= CM_STOP_DEG or len(recent) == 2 and np.array_equal(cm, recent[0]):
             break
         recent = (recent + [cm.copy()])[-2:]
-    return w_algo, np.asarray(sweep_totals), cm
+    return w_algo, np.asarray(sweep_totals), len(sweep_totals), cm
 
 
-# pairwise-gd's sweep count when separate is given none
-PAIRWISE_GD_SWEEPS = 3
-# the optional arguments of separate that each algorithm reads; any other must be None
-_ALGORITHM_READS = {"gd": ("gd_cfg",), "pairwise-gd": ("gd_cfg", "sweeps"), "jacobi": ("jacobi_cfg",)}
-ALGORITHMS = tuple(_ALGORITHM_READS)
+# each algorithm's solver core and the optional separate arguments it reads; any other must be None
+_SOLVERS = {"gd": (_gd_core, ("gd_cfg",)), "pairwise-gd": (_pairwise_gd, ("gd_cfg", "sweeps")),
+            "jacobi": (_jacobi, ("jacobi_cfg",))}
+ALGORITHMS = tuple(_SOLVERS)
 
 
 def separate(x, algorithm: str = "jacobi", gd_cfg: GdConfig | None = None,
@@ -259,27 +265,21 @@ def separate(x, algorithm: str = "jacobi", gd_cfg: GdConfig | None = None,
     demixer is then about the whitening alone (full-matrix gd at m >= 16).
     """
     key = str(algorithm).strip().lower()
-    if key not in ALGORITHMS:
+    if key not in _SOLVERS:
         raise InvalidInput(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-    given = dict(gd_cfg=gd_cfg, jacobi_cfg=jacobi_cfg, sweeps=sweeps)
-    unread = [k for k, v in given.items() if v is not None and k not in _ALGORITHM_READS[key]]
+    core, reads = _SOLVERS[key]
+    options = dict(gd_cfg=gd_cfg, jacobi_cfg=jacobi_cfg, sweeps=sweeps)
+    given = {k: v for k, v in options.items() if v is not None}
+    unread = [k for k in given if k not in reads]
     if unread:
         raise InvalidInput(f"{key} does not read {', '.join(unread)}")
-    if key == "pairwise-gd":
-        sweeps = whole_number(PAIRWISE_GD_SWEEPS if sweeps is None else sweeps, "sweeps")
+    if sweeps is not None:
+        given["sweeps"] = whole_number(sweeps, "sweeps")
     z, wt = center_and_whiten(x)
+    w_algo, trace, n_iter, cm = core(z, **given)
     gd_cfg = gd_cfg or GdConfig()
-    cm = None
-    if key == "gd":
-        w_algo, trace = _gd_core(z, gd_cfg)
-        n_iter = len(trace) - 1
-        if n_iter == 1 < gd_cfg.max_iter:
-            warnings.warn(f"gd stopped at its first step: the contrast moved by {abs(trace[1] - trace[0]):.3g}, "
-                          f"at most epsilon {gd_cfg.epsilon:g}, so the demixer is about the whitening alone",
-                          RuntimeWarning, stacklevel=2)
-    elif key == "pairwise-gd":
-        w_algo, trace, n_iter = _pairwise_gd(z, gd_cfg, sweeps)
-    else:
-        w_algo, trace, cm = _jacobi(z, jacobi_cfg or JacobiConfig())
-        n_iter = len(trace)
+    if key == "gd" and n_iter == 1 < gd_cfg.max_iter:
+        warnings.warn(f"gd stopped at its first step: the contrast moved by {abs(trace[1] - trace[0]):.3g}, "
+                      f"at most epsilon {gd_cfg.epsilon:g}, so the demixer is about the whitening alone",
+                      RuntimeWarning, stacklevel=2)
     return SeparationResult(w_algo, wt, trace, n_iter, cm)

@@ -14,11 +14,14 @@ RANK_EPS = 1e-12
 MIN_CHANNELS = 2
 
 
-def whole_number(value, name: str, least: int = 1) -> int:
-    """`value` as an int; InvalidInput unless it is a whole number >= least."""
+def whole_number(value, name: str, least: int | None = 1) -> int:
+    """`value` as an int; InvalidInput unless it is a whole number >= least
+    (of any sign when least is None)."""
     if not (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-            and float(value).is_integer() and value >= least):
-        raise InvalidInput(f"{name} must be an integer >= {least}, got {value!r}")
+            and (isinstance(value, (int, np.integer)) or float(value).is_integer())
+            and (least is None or value >= least)):
+        bound = "" if least is None else f" >= {least}"
+        raise InvalidInput(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
 
 

@@ -22,8 +22,9 @@ _SEED_MASK = (1 << 64) - 1
 
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic child generator for a base seed and an integer key path."""
-    entropy = [int(seed) & _SEED_MASK] + [int(k) & _SEED_MASK for k in key]
+    """Deterministic child generator for a base seed and an integer key path;
+    InvalidInput unless each is a whole number, of any sign."""
+    entropy = [whole_number(v, "each seed and key entry", least=None) & _SEED_MASK for v in (seed, *key)]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 

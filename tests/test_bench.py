@@ -133,6 +133,19 @@ def test_unknown_algorithm_refused_before_any_trial(monkeypatch, jobs):
     assert calls == []
 
 
+@pytest.mark.parametrize("given, match", [
+    (dict(seed=0.5), "seed must be an integer"), (dict(seed="7"), "seed must be an integer"),
+    (dict(scale="0.5"), "scale must be a real number"), (dict(scale=True), "scale must be a real number"),
+])
+def test_seed_and_scale_of_another_type_refused_before_any_trial(monkeypatch, given, match):
+    # a fractional seed was truncated to its integer part, and a text one reached the trials
+    calls = []
+    monkeypatch.setattr(bench, "_execute", lambda *a: calls.append(a))
+    with pytest.raises(InvalidInput, match=match):
+        bench.run_bench("t1", **dict(dict(scale=0.01), **given))
+    assert calls == []
+
+
 @pytest.mark.parametrize("table, grid", [
     ("t5", dict(dims=[2.5])), ("t5", dict(dims=[2], samples=[1000.5])),
     ("t4", dict(dims=["2"])), ("t4", dict(dims=[2], samples=[1000.5])),

@@ -19,6 +19,8 @@ from ccsica.optimizers import (
     SeparationResult,
     _best_angle,
     _pairwise_gd,
+    _rotate_pair,
+    _SOLVERS,
     rotation,
     separate,
 )
@@ -96,6 +98,21 @@ class TestRotation:
     def test_range_guard(self):
         with pytest.raises(InvalidInput):
             rotation(np.pi / 4 + 0.01)
+
+
+class TestRotatePair:
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 3), (0, 4), (4, 2)])
+    def test_two_rows_updated_in_place(self, i, j):
+        g = np.random.default_rng(i + 5 * j)
+        w, demixed, r = g.normal(size=(5, 5)), g.normal(size=(5, 40)), rotation(g.uniform(-0.7, 0.7))
+        patch = np.eye(5)
+        patch[np.ix_([i, j], [i, j])] = r
+        w_new, d_new = w.copy(), demixed.copy()
+        assert _rotate_pair(w_new, d_new, i, j, r) is None
+        others = [k for k in range(5) if k not in (i, j)]
+        for new, old in ((w_new, w), (d_new, demixed)):
+            assert np.array_equal(new[others], old[others])
+            assert np.abs(new - patch @ old).max() <= 1e-15 * np.abs(patch @ old).max()
 
 
 class TestCompose:
@@ -358,6 +375,23 @@ class TestDispatcher:
     def test_ids(self):
         assert ALGORITHMS == ("gd", "pairwise-gd", "jacobi")
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_every_core_returns_the_result_fields(self, algorithm):
+        # n_iter counts gradient steps (len(trace) - 1 for gd, summed over the three
+        # pair traces of one pairwise-gd sweep) or Jacobi sweeps; cm is Jacobi's alone
+        s = source_bank(("uniform", "laplacian", "rayleigh"), 600, 2)
+        x = random_mixing_matrix(3, rng_for(2, 1)) @ s
+        z, _ = center_and_whiten(x)
+        core, _ = _SOLVERS[algorithm]
+        read = _reads(algorithm, GdConfig(stride=6, max_iter=20), JacobiConfig(stride=6), 1)
+        kwargs = {k: v for k, v in read.items() if v is not None}
+        w_algo, trace, n_iter, cm = core(z, **kwargs)
+        res = separate(x, algorithm, **kwargs)
+        assert np.array_equal(res.algo_matrix, w_algo) and np.array_equal(res.trace, trace)
+        assert res.n_iter == n_iter
+        assert n_iter == {"gd": len(trace) - 1, "pairwise-gd": len(trace) - 3, "jacobi": len(trace)}[algorithm]
+        assert (cm is None) == (algorithm != "jacobi")
+
     def test_unknown_rejected(self):
         with pytest.raises(InvalidInput):
             separate(_pair(300, 1), "fastica")
@@ -401,7 +435,7 @@ class TestDispatcher:
         cfg = GdConfig(stride=3, max_iter=5)
         lhs = separate(x, "pairwise-gd", gd_cfg=cfg, sweeps=1)
         z, tr = center_and_whiten(x)
-        w_algo, trace, n_iter = _pairwise_gd(z, cfg, 1)
+        w_algo, trace, n_iter, _ = _pairwise_gd(z, cfg, 1)
         assert np.array_equal(lhs.demixer, w_algo @ tr.matrix)
         assert np.array_equal(lhs.trace, trace) and lhs.n_iter == n_iter
         with pytest.raises(InvalidInput):

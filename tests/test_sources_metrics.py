@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ccsica import metrics
 from ccsica.errors import InvalidInput
 from ccsica.metrics import (
     SIR_CAP_DB,
@@ -34,6 +35,16 @@ class TestRngFor:
         c = rng_for(8, 1, 2).normal(size=5)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_whole_numbers_of_any_sign_accepted(self):
+        # the mask maps each entry to 64 bits, so -1 and 2**64 - 1 draw alike
+        assert np.array_equal(rng_for(-1, 3.0).normal(size=3), rng_for((1 << 64) - 1, 3).normal(size=3))
+        rng_for(np.int64(-5), 1 << 70)
+
+    @pytest.mark.parametrize("seed, key", [(0.5, ()), ("7", ()), (7, (1.5,)), (7, (True,)), (None, ())])
+    def test_other_seeds_and_keys_refused(self, seed, key):
+        with pytest.raises(InvalidInput, match="seed and key"):
+            rng_for(seed, *key)
 
 
 class TestSources:
@@ -218,6 +229,19 @@ class TestAlignment:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInput):
             align_sources(np.zeros((2, 10)), np.zeros((3, 10)))
+
+    def test_ties_are_within_the_tolerance_of_the_largest_unclaimed(self, monkeypatch):
+        # (2, 1) is within 1e-12 of the largest unclaimed correlation, (2, 2), so it
+        # ties with it and wins on the lower source index; a scan that ties each
+        # entry with the best seen so far passes over it and takes (2, 2)
+        e = 1e-12
+        corr = np.array([[0.5 + 0.6 * e, 0.5 + 1.2 * e, 0.1],
+                         [0.5 + 0.6 * e, 0.1, 0.5],
+                         [0.5 + 0.6 * e, 0.5 + 0.6 * e, 0.5 + 1.2 * e]])
+        monkeypatch.setattr(metrics, "_abs_correlations", lambda y, s: corr)
+        s = source_bank(("uniform", "laplacian", "rayleigh"), 50, seed=1)
+        _, perm, _ = align_sources(s, s)
+        assert perm.tolist() == [0, 2, 1]
 
 
 class TestSir:
