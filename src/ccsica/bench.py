@@ -12,10 +12,11 @@ Table ids:
 
 Every trial derives its generator from (seed, cell key, trial index) through
 numpy SeedSequence, so runs are reproducible and trials can execute in any
-order or process.  For t5, the trial data depends only on (m, t, trial) so
-all evaluation-size columns face identical mixtures.  SIR is always reported
-against centered sources, matching what a demixer applied to centered
-observations can recover.
+order or process.  _trial_input alone draws a trial's input, and each task
+carries the one separate call it makes (`solver`).  For t5, the trial data
+depends only on (m, t, trial) so all evaluation-size columns face identical
+mixtures.  SIR is always reported against centered sources, matching what a
+demixer applied to centered observations can recover.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import numbers
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -53,8 +54,8 @@ _T4_BASE_TRIALS = {2: 100, 4: 50, 8: 20, 16: 10, 20: 5}
 _T4_DIMS = tuple(_T4_BASE_TRIALS)
 _T4_SAMPLES = (1000, 2000, 4000, 8000)
 _T5_FRACS = (0.1, 0.01, 0.001, 1.0)
-# (alpha, step size) of the two fig4/fig5 descents
-_FIG4_BRANCHES = ((GdConfig.alpha, GdConfig.step_size), (1.0, 0.7))
+# the two fig4/fig5 descents, each run to its bench_fig4 max_iter
+_FIG4_CONFIGS = (GdConfig(epsilon=0.0), GdConfig(alpha=1.0, step_size=0.7, epsilon=0.0))
 # cycled to fill an m-row bank; the m=2 prefix is the canonical sub+super pair
 _KIND_CYCLE = ("uniform", "laplacian", "rayleigh", "lognormal")
 
@@ -76,24 +77,23 @@ def _scaled_trials(base: int, scale: float) -> int:
     return max(1, round(base * scale))
 
 
-def _sources_for(kinds, t_count, rng) -> np.ndarray:
-    rows = [draw_source(k, t_count, rng) for k in kinds]
-    s = np.vstack(rows)
-    return s - s.mean(axis=1, keepdims=True)
+def _table_solver(algorithm: str, stride: int) -> dict:
+    """The separate call of a t1/t4/t5/fig6/fig7 trial at the table's stride: jacobi at its
+    defaults, the gd family converging each subproblem tightly (max_iter 400, epsilon 1e-5)."""
+    if algorithm == "jacobi":
+        return dict(algorithm=algorithm, jacobi_cfg=JacobiConfig(stride=stride))
+    return dict(algorithm=algorithm, gd_cfg=GdConfig(max_iter=400, epsilon=1e-5, stride=stride))
 
 
-def _run_table_trial(task: dict) -> ExperimentRecord:
-    """Worker for every table's trials (picklable).
-
-    Source rows are drawn from task["kinds"], or, when task["sources"] holds
-    an array, are those rows centred; the trial generator then draws only
-    what the task leaves open (mixing matrix, noise seed).
-    """
+def _trial_input(task: dict):
+    """(x, centred sources, mixing matrix) of a trial: the sources are task["sources"], else
+    drawn from task["kinds"], and the trial generator then draws, in order, the mixing matrix
+    (unless task["matrix"]), the noise sigma at task["snr_db"] (if given) and the mix seed."""
     rng = rng_for(task["seed"], *task["key"])
-    if task.get("sources") is not None:
-        sources = task["sources"] - task["sources"].mean(axis=1, keepdims=True)
-    else:
-        sources = _sources_for(task["kinds"], task["t"], rng)
+    s = task.get("sources")
+    if s is None:
+        s = np.vstack([draw_source(k, task["t"], rng) for k in task["kinds"]])
+    sources = s - s.mean(axis=1, keepdims=True)
     if task.get("matrix") is not None:
         a = np.asarray(task["matrix"], dtype=float)
     else:
@@ -102,15 +102,15 @@ def _run_table_trial(task: dict) -> ExperimentRecord:
     if task.get("snr_db") is not None:
         sigma = noise_sigma_for_snr(a @ sources, task["snr_db"])
     x = mix(sources, MixingModel(a, noise_sigma=sigma), seed=int(rng.integers(1 << 31)))
-    if task["algorithm"] == "jacobi":
-        solver = {"jacobi_cfg": JacobiConfig(alpha=task["alpha"], stride=task["stride"])}
-    else:
-        # gd-family table trials converge each subproblem tightly
-        solver = {"gd_cfg": GdConfig(step_size=task.get("step_size", GdConfig.step_size),
-                                     max_iter=task.get("max_iter", 400), alpha=task["alpha"],
-                                     stride=task["stride"], epsilon=task.get("epsilon", 1e-5))}
+    return x, sources, a
+
+
+def _run_table_trial(task: dict) -> ExperimentRecord:
+    """Worker for every table's trials (picklable): the task's input, its one
+    separate call (task["solver"]), and the trial's scores."""
+    x, sources, a = _trial_input(task)
     start = time.perf_counter()
-    res = separate(x, task["algorithm"], **solver)
+    res = separate(x, **task["solver"])
     runtime = time.perf_counter() - start
     baseline = tuple(sir_db(res.whitening.apply(x), sources)) if task.get("baseline") else None
     return ExperimentRecord(
@@ -139,9 +139,9 @@ def _execute(tasks: list[dict], jobs: int):
 def _grid_rows(seed, jobs, cells):
     """One row per t1/t4/t5 cell (lead, key, trials, task): the lead columns, the
     trial count, then the median and mean Amari error x100 and the mean runtime.
-    Trial k of a cell runs under key + (k,) at the default GdConfig.alpha;
-    every trial of the grid goes through one _execute call."""
-    tasks = [dict(task, seed=seed, key=key + (k,), alpha=GdConfig.alpha)
+    Trial k of a cell runs under key + (k,); every trial of the grid goes
+    through one _execute call."""
+    tasks = [dict(task, seed=seed, key=key + (k,))
              for _, key, trials, task in cells for k in range(trials)]
     records = iter(_execute(tasks, jobs))
     rows = []
@@ -156,7 +156,7 @@ def _grid_rows(seed, jobs, cells):
 def bench_t1(scale=1.0, seed=0, jobs=1, algorithm="jacobi"):
     header = ["pair", "trials", "median_amari_x100", "mean_amari_x100", "mean_runtime_s"]
     trials = _scaled_trials(100, scale)
-    task = dict(t=_T1_SAMPLES, algorithm=algorithm, stride=_T1_SAMPLES // 100)
+    task = dict(t=_T1_SAMPLES, solver=_table_solver(algorithm, _T1_SAMPLES // 100))
     cells = [(["+".join(pair)], (1, ci), trials, dict(task, kinds=pair))
              for ci, pair in enumerate(_T1_PAIRS)]
     return header, _grid_rows(seed, jobs, cells)
@@ -181,7 +181,7 @@ def bench_t4(scale=1.0, seed=0, jobs=1, algorithm="jacobi", dims=None, samples=N
     if not set(dim_list) <= _T4_BASE_TRIALS.keys():
         raise InvalidInput(f"t4 dimensions must be among {sorted(_T4_BASE_TRIALS)}, got {dim_list}")
     cells = [([m, t_count], (4, m, t_count), _scaled_trials(_T4_BASE_TRIALS[m], scale),
-              dict(kinds=kinds[m], t=t_count, algorithm=algorithm, stride=max(1, t_count // 100)))
+              dict(kinds=kinds[m], t=t_count, solver=_table_solver(algorithm, max(1, t_count // 100))))
              for m in dim_list for t_count in t_list]
     return header, _grid_rows(seed, jobs, cells)
 
@@ -205,7 +205,7 @@ def bench_t5(scale=1.0, seed=0, jobs=1, algorithm="jacobi", dims=None, samples=N
                 # every column sees the same mixtures
                 if eval_points >= 2:
                     cells.append(([m, t_count, frac, eval_points], (5, m, t_count), trials,
-                                  dict(kinds=kinds[m], t=t_count, algorithm=algorithm, stride=stride)))
+                                  dict(kinds=kinds[m], t=t_count, solver=_table_solver(algorithm, stride))))
     if not cells:
         raise InvalidInput(f"no t5 cell has 2 evaluation points: samples {list(t_list)}, "
                            f"fractions {list(fracs)}")
@@ -213,14 +213,13 @@ def bench_t5(scale=1.0, seed=0, jobs=1, algorithm="jacobi", dims=None, samples=N
 
 
 def _fig4_records(seed, jobs, max_iter=250) -> list[ExperimentRecord]:
-    """The two-source demo's descents, one per _FIG4_BRANCHES entry: epsilon 0
+    """The two-source demo's descents, one per _FIG4_CONFIGS entry: epsilon 0
     runs each to max_iter unless a step leaves the contrast bit-equal to the
     step before, which stops it early (at 247 on the first branch, seed 0)."""
     tasks = [
-        dict(seed=seed, key=(44,), kinds=("uniform", "laplacian"), t=1000,
-             matrix=DEMO_MATRIX_2, algorithm="gd", alpha=alpha, step_size=gamma, stride=1,
-             max_iter=max_iter, epsilon=0.0)
-        for alpha, gamma in _FIG4_BRANCHES
+        dict(seed=seed, key=(44,), kinds=("uniform", "laplacian"), t=1000, matrix=DEMO_MATRIX_2,
+             solver=dict(algorithm="gd", gd_cfg=replace(cfg, max_iter=max_iter)))
+        for cfg in _FIG4_CONFIGS
     ]
     return _execute(tasks, jobs)
 
@@ -228,18 +227,18 @@ def _fig4_records(seed, jobs, max_iter=250) -> list[ExperimentRecord]:
 def bench_fig4(seed=0, jobs=1, max_iter=250):
     header = ["alpha", "source", "sir_db", "iterations", "runtime_s"]
     rows = []
-    for (alpha, _), rec in zip(_FIG4_BRANCHES, _fig4_records(seed, jobs, max_iter)):
+    for cfg, rec in zip(_FIG4_CONFIGS, _fig4_records(seed, jobs, max_iter)):
         for k, s in enumerate(rec.sir_db):
-            rows.append([alpha, k, float(s), rec.iterations, rec.runtime_seconds])
+            rows.append([cfg.alpha, k, float(s), rec.iterations, rec.runtime_seconds])
     return header, rows
 
 
 def bench_fig5(seed=0, jobs=1, max_iter=250):
     header = ["alpha", "iteration", "contrast"]
     rows = []
-    for (alpha, _), rec in zip(_FIG4_BRANCHES, _fig4_records(seed, jobs, max_iter)):
+    for cfg, rec in zip(_FIG4_CONFIGS, _fig4_records(seed, jobs, max_iter)):
         for k, v in enumerate(rec.trace):
-            rows.append([alpha, k, float(v)])
+            rows.append([cfg.alpha, k, float(v)])
     return header, rows
 
 
@@ -256,8 +255,8 @@ def _bench_three_source(table_key, scale=1.0, seed=0, jobs=1, algorithm="jacobi"
     t_count = _THREE_SOURCE_SAMPLES if sources is None else sources.shape[1]
     tasks = [
         dict(seed=seed, key=(table_key, k), kinds=("uniform", "rayleigh", "laplacian"),
-             t=t_count, sources=sources, algorithm=algorithm, alpha=GdConfig.alpha,
-             stride=max(1, t_count // 200), matrix=a.tolist(), snr_db=snr_db, baseline=True)
+             t=t_count, sources=sources, solver=_table_solver(algorithm, max(1, t_count // 200)),
+             matrix=a.tolist(), snr_db=snr_db, baseline=True)
         for k in range(trials)
     ]
     rows = []

@@ -13,6 +13,7 @@ every measure finite and continuous up to the boundary of the simplex.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,15 @@ def _cells(d: DiscreteBivariate):
     return d.joint.ravel(), d.product_cells().ravel()
 
 
+def _finite(value, name: str) -> float:
+    """value as a float, refused unless finite; math.isfinite, since convex_f
+    runs it on every contrast evaluation."""
+    v = float(value)
+    if not math.isfinite(v):
+        raise InvalidInput(f"{name} must be finite, got {v!r}")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # the convex function and its derivative
 
@@ -102,7 +112,7 @@ def convex_f(t, alpha: float):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise InvalidInput("convex_f requires t >= 0")
-    a = float(alpha)
+    a = _finite(alpha, "alpha")
     tc = _floor(t)
     if a == 1.0:
         out = t * np.log(tc) - t + 1.0
@@ -119,7 +129,7 @@ def convex_f_prime(t, alpha: float):
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise InvalidInput("convex_f_prime requires t > 0")
-    a = float(alpha)
+    a = _finite(alpha, "alpha")
     tc = _floor(t)
     if a == 1.0:
         out = np.log(tc)
@@ -174,7 +184,7 @@ def alpha_div(d: DiscreteBivariate, alpha: float) -> float:
     The endpoints alpha = +1 and alpha = -1 are rejected; their limits are
     covered by kl_div, matching the policy used for beta_div endpoints.
     """
-    a = float(alpha)
+    a = _finite(alpha, "alpha")
     if a in (1.0, -1.0):
         raise InvalidInput("alpha_div is undefined at alpha = +1/-1, use kl_div")
     j, p = _cells(d)
@@ -220,7 +230,7 @@ def beta_div(d: DiscreteBivariate, beta: float) -> float:
     beta = 0 and beta = -1 are rejected: those limits are the KL and
     Itakura-Saito forms and would need separate branches.
     """
-    b = float(beta)
+    b = _finite(beta, "beta")
     if b in (0.0, -1.0):
         raise InvalidInput("beta_div is undefined at beta in {0, -1}, use kl_div for the beta -> 0 limit")
     j, p = _cells(d)

@@ -102,7 +102,7 @@ class SeparationResult:
 def rotation(theta: float) -> np.ndarray:
     """2x2 plane rotation; the solver only ever needs angles up to pi/4."""
     th = float(theta)
-    if abs(th) > QUARTER_PI + 1e-12:
+    if not abs(th) <= QUARTER_PI + 1e-12:
         raise InvalidInput("rotation angle must lie in [-pi/4, pi/4]")
     c, s = np.cos(th), np.sin(th)
     return np.array([[c, s], [-s, c]])

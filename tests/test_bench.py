@@ -9,6 +9,7 @@ import pytest
 import ccsica
 from ccsica import bench
 from ccsica.errors import InvalidInput
+from ccsica.optimizers import GdConfig, JacobiConfig
 from ccsica.sources import source_bank
 
 
@@ -44,6 +45,41 @@ def test_three_source_stride_follows_source_length(monkeypatch):
     _, rows = bench.run_bench("fig6", scale=0.1, wav_sources=wav)
     assert strides == [(2000, 10), (800, 4)]
     assert len(rows) == 3 and all(np.isfinite(r[2]) for r in rows)
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """The arguments of each bench.separate call after x; every call returns a
+    one-sweep Jacobi result at stride 100, so that the trial's scoring still runs."""
+    calls = []
+    real_separate = bench.separate
+
+    def spy(x, algorithm, **solver):
+        calls.append(dict(algorithm=algorithm, **solver))
+        return real_separate(x, "jacobi", jacobi_cfg=JacobiConfig(stride=100, max_sweeps=1))
+
+    monkeypatch.setattr(bench, "separate", spy)
+    return calls
+
+
+@pytest.mark.parametrize("algorithm, solver", [
+    ("jacobi", dict(jacobi_cfg=JacobiConfig(stride=10))),
+    ("gd", dict(gd_cfg=GdConfig(max_iter=400, epsilon=1e-5, stride=10))),
+    ("pairwise-gd", dict(gd_cfg=GdConfig(max_iter=400, epsilon=1e-5, stride=10))),
+])
+def test_table_trials_make_the_table_solver_call(solver_calls, algorithm, solver):
+    # gd-family table trials converge each subproblem more tightly than separate's
+    # defaults; pairwise-gd takes its default sweeps
+    bench.run_bench("t1", scale=0.01, algorithm=algorithm)
+    assert solver_calls == [dict(algorithm=algorithm, **solver)] * 5
+
+
+def test_fig4_descents_make_their_config_calls(solver_calls):
+    bench.bench_fig4(max_iter=5)
+    assert solver_calls == [
+        dict(algorithm="gd", gd_cfg=GdConfig(epsilon=0.0, max_iter=5)),
+        dict(algorithm="gd", gd_cfg=GdConfig(alpha=1.0, step_size=0.7, epsilon=0.0, max_iter=5)),
+    ]
 
 
 def _fake_trial(task):

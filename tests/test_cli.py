@@ -453,6 +453,14 @@ class TestSurface:
         rows = np.loadtxt(out / "surface_alpha.csv", delimiter=",", skiprows=1)
         assert rows.shape == (64, 3)
 
+    @pytest.mark.parametrize("argv", [["--alpha", "nan"], ["--divergence", "beta", "--beta", "inf"]])
+    def test_non_finite_parameter_exits_two(self, tmp_path, argv):
+        # each wrote a CSV of NaN values and exited 0
+        out = tmp_path / "s.csv"
+        assert main(["surface", *argv, "--marg1", "0.6,0.4", "--marg2", "0.5,0.5", "--grid", "8",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestEval:
     def test_truth_against_itself_hits_cap(self, tmp_path):

@@ -83,6 +83,14 @@ class TestConvexFunction:
         with pytest.raises(InvalidInput):
             convex_f_prime(0.0, 0.5)
 
+    def test_non_finite_alpha_rejected(self):
+        # a NaN or infinite alpha made every value NaN
+        for a in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidInput, match="alpha must be finite"):
+                convex_f(0.5, a)
+            with pytest.raises(InvalidInput, match="alpha must be finite"):
+                convex_f_prime(0.5, a)
+
 
 class TestDiscreteBivariate:
     def test_from_joint_marginals(self):
@@ -192,13 +200,13 @@ class TestDivergenceValues:
 
     def test_alpha_div_rejects_limit_curvatures(self):
         d = DiscreteBivariate.independent([0.6, 0.4], [0.5, 0.5])
-        for a in (1.0, -1.0):
+        for a in (1.0, -1.0, np.nan, np.inf, -np.inf):
             with pytest.raises(InvalidInput):
                 alpha_div(d, a)
 
     def test_beta_div_rejects_degenerate_exponents(self):
         d = DiscreteBivariate.independent([0.6, 0.4], [0.5, 0.5])
-        for b in (0.0, -1.0):
+        for b in (0.0, -1.0, np.nan, np.inf, -np.inf):
             with pytest.raises(InvalidInput):
                 beta_div(d, b)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ccsica import bench, optimizers
-from ccsica.bench import _KIND_CYCLE, _T1_PAIRS, DEMO_MATRIX_2, _sources_for
+from ccsica.bench import _KIND_CYCLE, _T1_PAIRS, DEMO_MATRIX_2, _trial_input
 from ccsica.errors import InvalidInput
 from ccsica.metrics import amari_index
 from ccsica.objective import CcsObjective
@@ -25,7 +25,7 @@ from ccsica.optimizers import (
     separate,
 )
 from ccsica.preprocess import center_and_whiten
-from ccsica.sources import MixingModel, mix, random_mixing_matrix, rng_for, source_bank
+from ccsica.sources import random_mixing_matrix, rng_for, source_bank
 
 
 def _pair(t, seed, tau2=1.0):
@@ -96,8 +96,9 @@ class TestRotation:
         assert np.allclose(rotation(th) @ rotation(-th), np.eye(2), atol=1e-14)
 
     def test_range_guard(self):
-        with pytest.raises(InvalidInput):
-            rotation(np.pi / 4 + 0.01)
+        for th in (np.pi / 4 + 0.01, np.nan):
+            with pytest.raises(InvalidInput):
+                rotation(th)
 
 
 class TestRotatePair:
@@ -343,11 +344,8 @@ class TestJacobi:
         # bench t4 --scale 0.2 --seed 0, m = 4, T = 1000, trial 2: from sweep 4
         # pairs (1, 2) and (2, 3) pick -2.8125 and +2.8125 degrees in turn
         m, t, trial = 4, 1000, 2
-        rng = rng_for(0, 4, m, t, trial)
         kinds = tuple(_KIND_CYCLE[i % 4] for i in range(m))
-        s = _sources_for(kinds, t, rng)
-        a = random_mixing_matrix(m, rng)
-        x = mix(s, MixingModel(a), seed=int(rng.integers(1 << 31)))
+        x, _, _ = _trial_input(dict(seed=0, key=(4, m, t, trial), t=t, kinds=kinds))
         cfg = JacobiConfig(stride=10)
         res = separate(x, "jacobi", jacobi_cfg=cfg)
         assert res.n_iter < cfg.max_sweeps
