@@ -13,13 +13,12 @@ every measure finite and continuous up to the boundary of the simplex.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateDivergence, InvalidInput
-from .preprocess import whole_number
+from .preprocess import choose, finite_number, whole_number
 
 EPS_FLOOR = 1e-12
 _TABLE_TOL = 1e-12
@@ -89,15 +88,6 @@ def _cells(d: DiscreteBivariate):
     return d.joint.ravel(), d.product_cells().ravel()
 
 
-def _finite(value, name: str) -> float:
-    """value as a float, refused unless finite; math.isfinite, since convex_f
-    runs it on every contrast evaluation."""
-    v = float(value)
-    if not math.isfinite(v):
-        raise InvalidInput(f"{name} must be finite, got {v!r}")
-    return v
-
-
 # ---------------------------------------------------------------------------
 # the convex function and its derivative
 
@@ -112,7 +102,7 @@ def convex_f(t, alpha: float):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise InvalidInput("convex_f requires t >= 0")
-    a = _finite(alpha, "alpha")
+    a = finite_number(alpha, "alpha")
     tc = _floor(t)
     if a == 1.0:
         out = t * np.log(tc) - t + 1.0
@@ -129,7 +119,7 @@ def convex_f_prime(t, alpha: float):
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise InvalidInput("convex_f_prime requires t > 0")
-    a = _finite(alpha, "alpha")
+    a = finite_number(alpha, "alpha")
     tc = _floor(t)
     if a == 1.0:
         out = np.log(tc)
@@ -184,7 +174,7 @@ def alpha_div(d: DiscreteBivariate, alpha: float) -> float:
     The endpoints alpha = +1 and alpha = -1 are rejected; their limits are
     covered by kl_div, matching the policy used for beta_div endpoints.
     """
-    a = _finite(alpha, "alpha")
+    a = finite_number(alpha, "alpha")
     if a in (1.0, -1.0):
         raise InvalidInput("alpha_div is undefined at alpha = +1/-1, use kl_div")
     j, p = _cells(d)
@@ -199,7 +189,7 @@ def _entropy(v) -> float:
 
 def js_div(d: DiscreteBivariate, weight: float = 0.5) -> float:
     """Jensen-Shannon divergence with mixing weight on the joint side."""
-    lam = float(weight)
+    lam = finite_number(weight, "weight")
     if not 0.0 <= lam <= 1.0:
         raise InvalidInput("js_div weight must lie in [0, 1]")
     j, p = _cells(d)
@@ -212,7 +202,7 @@ def c_div(d: DiscreteBivariate, alpha: float, weight: float = 0.5) -> float:
 
     At alpha = 1 this coincides with js_div at the same weight.
     """
-    lam = float(weight)
+    lam = finite_number(weight, "weight")
     if not 0.0 <= lam <= 1.0:
         raise InvalidInput("c_div weight must lie in [0, 1]")
     j, p = _cells(d)
@@ -230,7 +220,7 @@ def beta_div(d: DiscreteBivariate, beta: float) -> float:
     beta = 0 and beta = -1 are rejected: those limits are the KL and
     Itakura-Saito forms and would need separate branches.
     """
-    b = _finite(beta, "beta")
+    b = finite_number(beta, "beta")
     if b in (0.0, -1.0):
         raise InvalidInput("beta_div is undefined at beta in {0, -1}, use kl_div for the beta -> 0 limit")
     j, p = _cells(d)
@@ -243,25 +233,24 @@ def beta_div(d: DiscreteBivariate, beta: float) -> float:
 # surfaces over the free cells of the table
 
 
-# each id's evaluator of (table, alpha, weight, beta)
+# each id's evaluator of (table, alpha, weight, beta) and the parameters it reads
 _EVALUATORS = {
-    "ccs": lambda d, alpha, weight, beta: ccs_div(d, alpha),
-    "cs": lambda d, alpha, weight, beta: cs_div(d),
-    "kl": lambda d, alpha, weight, beta: kl_div(d),
-    "e": lambda d, alpha, weight, beta: e_div(d),
-    "alpha": lambda d, alpha, weight, beta: alpha_div(d, alpha),
-    "js": lambda d, alpha, weight, beta: js_div(d, weight),
-    "c": lambda d, alpha, weight, beta: c_div(d, alpha, weight),
-    "beta": lambda d, alpha, weight, beta: beta_div(d, beta),
+    "ccs": (lambda d, alpha, weight, beta: ccs_div(d, alpha), ("alpha",)),
+    "cs": (lambda d, alpha, weight, beta: cs_div(d), ()),
+    "kl": (lambda d, alpha, weight, beta: kl_div(d), ()),
+    "e": (lambda d, alpha, weight, beta: e_div(d), ()),
+    "alpha": (lambda d, alpha, weight, beta: alpha_div(d, alpha), ("alpha",)),
+    "js": (lambda d, alpha, weight, beta: js_div(d, weight), ("weight",)),
+    "c": (lambda d, alpha, weight, beta: c_div(d, alpha, weight), ("alpha", "weight")),
+    "beta": (lambda d, alpha, weight, beta: beta_div(d, beta), ("beta",)),
 }
 DIVERGENCE_IDS = tuple(_EVALUATORS)
 
 
 def make_divergence(which: str, alpha: float = -1.0, weight: float = 0.5, beta: float = 2.0):
-    """Resolve a divergence id to a single-argument evaluator on tables."""
-    evaluator = _EVALUATORS.get(str(which).strip().lower())
-    if evaluator is None:
-        raise InvalidInput(f"unknown divergence id {which!r}, expected one of {DIVERGENCE_IDS}")
+    """Resolve a divergence id to a single-argument evaluator on tables; a parameter the id
+    does not read (`_EVALUATORS`) is ignored, where the surfaces refuse it off its default."""
+    evaluator, _ = choose(_EVALUATORS, which, "divergence id")
     return lambda d: evaluator(d, alpha, weight, beta)
 
 
@@ -271,11 +260,12 @@ def _centers(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def _walk(m1: np.ndarray, p_ba_values, grid: int, which: str, alpha, weight, beta) -> np.ndarray:
-    """Rows (p_aa, p_ba, value) over the grid cell centers of p_aa in
-    (0, m1[0]) times p_ba_values, each p_ba in [0, m1[1]]: every table is
-    feasible, since no p_aa center reaches m1[0]."""
-    fn = make_divergence(which, alpha=alpha, weight=weight, beta=beta)
-    rows = [(p_aa, p_ba, fn(DiscreteBivariate.from_free_cells(m1, p_aa, p_ba)))
+    """Rows (p_aa, p_ba, value) over the grid cell centers of p_aa in (0, m1[0]) times p_ba_values,
+    each p_ba in [0, m1[1]] (every table is feasible: no p_aa center reaches m1[0]), after
+    refusing a parameter off its default that the id does not read."""
+    evaluator, _ = choose(_EVALUATORS, which, "divergence id", alpha=None if alpha == -1.0 else alpha,
+                          weight=None if weight == 0.5 else weight, beta=None if beta == 2.0 else beta)
+    rows = [(p_aa, p_ba, evaluator(DiscreteBivariate.from_free_cells(m1, p_aa, p_ba), alpha, weight, beta))
             for p_aa in _centers(0.0, m1[0], grid) for p_ba in p_ba_values]
     return np.asarray(rows, dtype=float)
 

@@ -44,7 +44,7 @@ import numpy as np
 from .density import _SQRT_2PI, default_bandwidth, gaussian_density_nd, gaussian_sums_1d, stack_rows
 from .divergences import EPS_FLOOR, convex_f, convex_f_prime, log_ratio
 from .errors import InvalidInput, NonFinite, SingularDemixer
-from .preprocess import validate_signal, whole_number
+from .preprocess import finite_number, validate_signal, whole_number
 
 DET_FLOOR = 1e-12
 
@@ -75,9 +75,7 @@ class CcsObjective:
         n_points = len(range(0, data.shape[1], stride))
         if n_points < 2:
             raise InvalidInput("need at least 2 evaluation points after striding")
-        self.alpha = float(alpha)
-        if not np.isfinite(self.alpha):
-            raise InvalidInput("alpha must be finite")
+        self.alpha = finite_number(alpha, "alpha")
         self.n_points = n_points
         self.h = default_bandwidth(data.shape[1])
         # evaluation points first, so that the kernel sums share their pairs

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidInput, SingularDemixer
 from .objective import CcsObjective
-from .preprocess import WhiteningTransform, center_and_whiten, whole_number
+from .preprocess import WhiteningTransform, center_and_whiten, choose, finite_number, whole_number
 
 QUARTER_PI = np.pi / 4.0
 # pairwise-gd's sweep count when separate is given none
@@ -46,12 +46,12 @@ class GdConfig:
     stride: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.step_size < np.inf:
+        for name in ("step_size", "epsilon", "alpha"):
+            object.__setattr__(self, name, finite_number(getattr(self, name), name))
+        if not self.step_size > 0.0:
             raise InvalidInput("step_size must be positive and finite")
         if not self.epsilon >= 0.0:
             raise InvalidInput("epsilon must be nonnegative")
-        if not np.isfinite(self.alpha):
-            raise InvalidInput("alpha must be finite")
         object.__setattr__(self, "max_iter", whole_number(self.max_iter, "max_iter", least=0))
         object.__setattr__(self, "stride", whole_number(self.stride, "stride"))
 
@@ -66,8 +66,7 @@ class JacobiConfig:
     max_sweeps: int = 30
 
     def __post_init__(self):
-        if not np.isfinite(self.alpha):
-            raise InvalidInput("alpha must be finite")
+        object.__setattr__(self, "alpha", finite_number(self.alpha, "alpha"))
         object.__setattr__(self, "max_sweeps", whole_number(self.max_sweeps, "max_sweeps"))
         object.__setattr__(self, "stride", whole_number(self.stride, "stride"))
 
@@ -258,27 +257,21 @@ def separate(x, algorithm: str = "jacobi", gd_cfg: GdConfig | None = None,
 
     gd_cfg drives gd and pairwise-gd, sweeps counts pairwise-gd's sweeps
     (PAIRWISE_GD_SWEEPS when None), and jacobi_cfg drives jacobi; each config
-    defaults to its class's defaults.  An argument that the algorithm does
-    not read, or a sweep count that is not a whole number >= 1, is refused
-    with InvalidInput before any work.  A gd run that stops by its epsilon rule
-    at its first step, with max_iter > 1, emits a RuntimeWarning: its
-    demixer is then about the whitening alone (full-matrix gd at m >= 16).
+    defaults to its class's defaults.  An unknown algorithm, an argument it
+    does not read (the rule of preprocess.choose) or a sweep count that is not
+    a whole number >= 1 is refused with InvalidInput before any work.  A gd
+    run that stops by its epsilon rule at its first step, with max_iter > 1,
+    emits a RuntimeWarning: its demixer is then about the whitening alone
+    (full-matrix gd at m >= 16).
     """
-    key = str(algorithm).strip().lower()
-    if key not in _SOLVERS:
-        raise InvalidInput(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-    core, reads = _SOLVERS[key]
-    options = dict(gd_cfg=gd_cfg, jacobi_cfg=jacobi_cfg, sweeps=sweeps)
-    given = {k: v for k, v in options.items() if v is not None}
-    unread = [k for k in given if k not in reads]
-    if unread:
-        raise InvalidInput(f"{key} does not read {', '.join(unread)}")
+    core, given = choose(_SOLVERS, algorithm, "algorithm",
+                         gd_cfg=gd_cfg, jacobi_cfg=jacobi_cfg, sweeps=sweeps)
     if sweeps is not None:
         given["sweeps"] = whole_number(sweeps, "sweeps")
     z, wt = center_and_whiten(x)
     w_algo, trace, n_iter, cm = core(z, **given)
     gd_cfg = gd_cfg or GdConfig()
-    if key == "gd" and n_iter == 1 < gd_cfg.max_iter:
+    if core is _gd_core and n_iter == 1 < gd_cfg.max_iter:
         warnings.warn(f"gd stopped at its first step: the contrast moved by {abs(trace[1] - trace[0]):.3g}, "
                       f"at most epsilon {gd_cfg.epsilon:g}, so the demixer is about the whitening alone",
                       RuntimeWarning, stacklevel=2)

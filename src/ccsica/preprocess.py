@@ -1,7 +1,8 @@
-"""Input checks and whitening for ICA: `whole_number`, `validate_signal` and `center_and_whiten`."""
+"""Input checks (`whole_number`, `finite_number`, `choose`, `validate_signal`) and `center_and_whiten`."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,17 +13,42 @@ from .errors import InvalidInput, RankDeficient
 RANK_EPS = 1e-12
 # ICA needs at least two channels (rows) to separate
 MIN_CHANNELS = 2
+# the number types whole_number and finite_number take, bool (an int) excepted
+_NUMBERS = (float, int, np.floating, np.integer)
 
 
 def whole_number(value, name: str, least: int | None = 1) -> int:
     """`value` as an int; InvalidInput unless it is a whole number >= least
     (of any sign when least is None)."""
-    if not (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (isinstance(value, _NUMBERS) and not isinstance(value, bool)
             and (isinstance(value, (int, np.integer)) or float(value).is_integer())
             and (least is None or value >= least)):
         bound = "" if least is None else f" >= {least}"
         raise InvalidInput(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
+
+
+def finite_number(value, name: str) -> float:
+    """`value` as a float; InvalidInput unless it is a finite real number (not a bool or text)."""
+    if isinstance(value, bool) or not isinstance(value, _NUMBERS) or not math.isfinite(value):
+        raise InvalidInput(f"{name} must be finite and real, got {value!r}")
+    return float(value)
+
+
+def choose(registry: dict, key, what: str, **options):
+    """(entry, given) for `key` in `registry`, which maps each id to (entry, names of the options
+    it reads): the one resolver of an id and its unread-option rule.  The id is matched after
+    strip().lower(), `given` holds the options that are not None, and InvalidInput refuses an
+    unknown id or a given option that the entry does not read."""
+    name = str(key).strip().lower()
+    if name not in registry:
+        raise InvalidInput(f"unknown {what} {key!r}, expected one of {tuple(registry)}")
+    entry, reads = registry[name]
+    given = {k: v for k, v in options.items() if v is not None}
+    unread = [k for k in given if k not in reads]
+    if unread:
+        raise InvalidInput(f"{what} {name} does not read {', '.join(unread)}")
+    return entry, given
 
 
 def validate_signal(x) -> np.ndarray:

@@ -281,7 +281,8 @@ class TestSolverFlags:
         assert calls == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [["--alpha", "nan"], ["--algorithm", "pairwise-gd", "--sweeps", "0"]])
+    @pytest.mark.parametrize("argv", [["--alpha", "nan"], ["--algorithm", "pairwise-gd", "--sweeps", "0"],
+                                      ["--algorithm", "gd", "--epsilon", "inf"]])
     def test_bad_solver_value_exits_two_before_whitening(self, tmp_path, monkeypatch, argv):
         signal = tmp_path / "signal.csv"
         write_signal_csv(signal, np.random.default_rng(0).laplace(size=(2, 200)))
@@ -460,6 +461,30 @@ class TestSurface:
         assert main(["surface", *argv, "--marg1", "0.6,0.4", "--marg2", "0.5,0.5", "--grid", "8",
                      "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, config", [
+        (["--divergence", "kl", "--alpha", "0.5"], None),
+        (["--divergence", "kl", "--beta", "7"], None),
+        (["--divergence", "ccs", "--weight", "0.9"], None),
+        ([], {"divergence": "kl", "alpha": 0.5}),
+    ])
+    def test_unread_parameter_exits_two(self, tmp_path, argv, config):
+        # each wrote an 8-node CSV and exited 0
+        if config is not None:
+            (tmp_path / "run.yaml").write_text(yaml.safe_dump(config))
+            argv = argv + ["--config", str(tmp_path / "run.yaml")]
+        out = tmp_path / "s.csv"
+        assert main(["surface", *argv, "--marg1", "0.6,0.4", "--marg2", "0.5,0.5", "--grid", "8",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--divergence", "kl", "--alpha", "-1"],
+                                      ["--divergence", "c", "--alpha", "0.5", "--weight", "0.3"]])
+    def test_read_or_default_parameter_accepted(self, tmp_path, argv):
+        out = tmp_path / "s.csv"
+        assert main(["surface", *argv, "--marg1", "0.6,0.4", "--marg2", "0.5,0.5", "--grid", "8",
+                     "--out", str(out)]) == 0
+        assert np.loadtxt(out, delimiter=",", skiprows=1).shape == (8, 3)
 
 
 class TestEval:

@@ -85,7 +85,8 @@ class TestConvexFunction:
 
     def test_non_finite_alpha_rejected(self):
         # a NaN or infinite alpha made every value NaN
-        for a in (np.nan, np.inf, -np.inf):
+        # text, bools and None are refused too, not parsed
+        for a in (np.nan, np.inf, -np.inf, "0.5", True, None):
             with pytest.raises(InvalidInput, match="alpha must be finite"):
                 convex_f(0.5, a)
             with pytest.raises(InvalidInput, match="alpha must be finite"):
@@ -216,6 +217,11 @@ class TestDivergenceValues:
             js_div(d, 1.5)
         with pytest.raises(InvalidInput):
             c_div(d, 0.5, -0.1)
+        for weight in (True, "0.5", np.nan):
+            with pytest.raises(InvalidInput, match="weight must be finite"):
+                js_div(d, weight)
+            with pytest.raises(InvalidInput, match="weight must be finite"):
+                c_div(d, 0.5, weight)
 
 
 class TestRegistry:
@@ -257,6 +263,24 @@ class TestSurfaces:
                 divergence_slice([0.7, 0.3], [0.5, 0.5], grid, "kl")
             with pytest.raises(InvalidInput):
                 divergence_surface([0.7, 0.3], grid, "kl")
+
+    @pytest.mark.parametrize("which, given", [("kl", dict(alpha=0.5)), ("kl", dict(beta=7.0)),
+                                              ("ccs", dict(weight=0.9)), ("js", dict(alpha=0.5))])
+    def test_unread_parameter_refused_before_any_node(self, monkeypatch, which, given):
+        calls = []
+        build = DiscreteBivariate.from_free_cells
+        monkeypatch.setattr(DiscreteBivariate, "from_free_cells",
+                            lambda *a: calls.append(a) or build(*a))
+        with pytest.raises(InvalidInput, match=f"divergence id {which} does not read"):
+            divergence_slice([0.7, 0.3], [0.5, 0.5], 16, which, **given)
+        with pytest.raises(InvalidInput, match="does not read"):
+            divergence_surface([0.7, 0.3], 8, which, **given)
+        assert calls == []
+        # at its default a parameter is accepted, and make_divergence ignores an unread one
+        divergence_slice([0.7, 0.3], [0.5, 0.5], 16, which, alpha=-1.0, weight=0.5, beta=2.0)
+        assert len(calls) == 16
+        d = DiscreteBivariate.independent([0.7, 0.3], [0.5, 0.5])
+        assert np.isfinite(make_divergence(which, **given)(d))
 
     def test_surface_nodes_interior_and_feasible(self):
         rows = divergence_surface([0.6, 0.4], 8, "e")

@@ -153,7 +153,7 @@ class TestCcsObjective:
 
     def test_rejects_non_finite_alpha(self):
         z = _standardized_pair(t=50, seed=7)
-        for alpha in (np.nan, np.inf, -np.inf):
+        for alpha in (np.nan, np.inf, -np.inf, "0.5", True, None):
             with pytest.raises(InvalidInput):
                 CcsObjective(z, alpha=alpha)
 

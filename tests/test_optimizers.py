@@ -422,7 +422,11 @@ class TestDispatcher:
         calls = []
         monkeypatch.setattr(optimizers, "center_and_whiten", lambda x: calls.append(1))
         for make in (lambda: GdConfig(alpha=float("nan")), lambda: JacobiConfig(alpha=float("inf")),
-                     lambda: separate(_pair(300, 1), "pairwise-gd", sweeps=0)):
+                     lambda: separate(_pair(300, 1), "pairwise-gd", sweeps=0),
+                     # text, bools and None are refused, not parsed or raised as TypeError
+                     lambda: GdConfig(alpha="0.5"), lambda: JacobiConfig(alpha=None),
+                     lambda: GdConfig(step_size="0.3"), lambda: GdConfig(epsilon="0"),
+                     lambda: GdConfig(alpha=True), lambda: GdConfig(epsilon=float("inf"))):
             with pytest.raises(InvalidInput):
                 make()
         assert calls == []
