@@ -32,7 +32,7 @@ import numpy as np
 from .errors import InvalidInput
 from .metrics import amari_index, sir_db
 from .optimizers import ALGORITHMS, GdConfig, JacobiConfig, separate
-from .preprocess import choose, validate_signal, whole_number
+from .preprocess import choose, resolve, validate_signal, whole_number
 from .sources import MixingModel, mix, noise_sigma_for_snr, random_mixing_matrix, rng_for, draw_source
 
 # fixed mixing matrices for the demo scenarios (columns mix the sources)
@@ -283,17 +283,16 @@ TABLE_IDS = tuple(_TABLES)
 def run_bench(table: str, scale: float = 1.0, seed: int = 0, jobs: int = 1, algorithm: str = "jacobi",
               wav_sources=None, dims=None, samples=None, eval_fracs=None,
               snr_db: float | None = None, matrix=None):
-    """Run one table of TABLE_IDS: (header, rows). A bad scale (a real number in (0, 1]), seed (a
-    whole number), jobs or algorithm is refused, as are a bad table id and an option off its default
+    """Run one table of TABLE_IDS: (header, rows). The table and algorithm ids match in any case,
+    blanks trimmed (preprocess.resolve). A bad scale (a real number in (0, 1]), seed (a whole
+    number), jobs or algorithm is refused, as are a bad table id and an option off its default
     (scale 1, algorithm jacobi, else None) that the table does not read (`_TABLES`, through
     preprocess.choose), and the table checks its own inputs: each before any trial."""
     if isinstance(scale, bool) or not isinstance(scale, numbers.Real) or not 0.0 < scale <= 1.0:
         raise InvalidInput(f"scale must be a real number in (0, 1], got {scale!r}")
     seed = whole_number(seed, "seed", least=None)
     jobs = whole_number(jobs, "jobs")
-    algorithm = str(algorithm).strip().lower()
-    if algorithm not in ALGORITHMS:
-        raise InvalidInput(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+    algorithm = resolve(algorithm, ALGORITHMS, "algorithm")
     builder, given = choose(
         _TABLES, table, "bench table", scale=None if scale == 1.0 else scale,
         algorithm=None if algorithm == "jacobi" else algorithm, dims=dims, samples=samples,

@@ -26,6 +26,7 @@ from .fileio import (WAV_RATE, read_matrix_csv, read_signal_csv, read_wav, write
                      write_matrix_csv, write_signal_csv, write_wav)
 from .metrics import amari_index, sir_db
 from .optimizers import ALGORITHMS, PAIRWISE_GD_SWEEPS, GdConfig, JacobiConfig, separate
+from .preprocess import resolve
 from .sources import (SOURCE_KINDS, MixingModel, mix, noise_sigma_for_snr,
                       random_mixing_matrix, rng_for, source_bank)
 
@@ -57,12 +58,16 @@ def _out_path(out: str, name: str | None = None) -> Path:
     return path
 
 
-def _read_signals(paths) -> tuple[np.ndarray, int | None]:
-    """The signals of a list of paths, each a signal CSV or a mono WAV,
-    trimmed to the shortest and stacked, and the WAVs' common sample rate
-    (None without a WAV).  InvalidInput if the WAVs' rates differ."""
+def _read_any_signal(paths) -> tuple[np.ndarray, int | None]:
+    """The signals of a comma list or a list of paths, each a signal CSV or a
+    mono WAV, trimmed to the shortest and stacked, and the WAVs' common sample
+    rate (None without a WAV).  InvalidInput if no path is given or the WAVs'
+    rates differ."""
+    parts = [p.strip() for p in paths.split(",") if p.strip()] if isinstance(paths, str) else paths
+    if not parts:
+        raise InvalidInput(f"no readable signal in {paths!r}")
     rows, rates = [], set()
-    for p in paths:
+    for p in parts:
         if str(p).endswith(".wav"):
             rate, data = read_wav(p)
             rates.add(rate)
@@ -73,15 +78,6 @@ def _read_signals(paths) -> tuple[np.ndarray, int | None]:
         raise InvalidInput(f"WAV inputs have different sample rates: {sorted(rates)} Hz")
     n = min(b.shape[1] for b in rows)
     return np.vstack([b[:, :n] for b in rows]), next(iter(rates), None)
-
-
-def _read_any_signal(path: str) -> tuple[np.ndarray, int | None]:
-    """One file or a comma list, each entry a signal CSV or a mono WAV, as
-    for _read_signals."""
-    parts = [p.strip() for p in path.split(",") if p.strip()]
-    if not parts:
-        raise InvalidInput(f"no readable signal in {path!r}")
-    return _read_signals(parts)
 
 
 def _wav_safe(row: np.ndarray) -> np.ndarray:
@@ -97,7 +93,8 @@ def _wav_safe(row: np.ndarray) -> np.ndarray:
 
 
 def cmd_gen(args) -> int:
-    kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
+    # resolved first, so that each file is named by the id it draws
+    kinds = [resolve(k, SOURCE_KINDS, "source kind") for k in args.kinds.split(",") if k.strip()]
     out = _out_path(args.out)
     # draw every row before writing, so a bad kind or shape leaves no files
     rows = source_bank(kinds, args.t, args.seed, args.tau1, args.tau2)
@@ -133,22 +130,23 @@ def cmd_separate(args) -> int:
     flags = {"--alpha": ("alpha", args.alpha), "--gamma": ("step_size", args.gamma),
              "--ts": ("stride", args.ts), "--max-iter": ("max_iter", args.max_iter),
              "--epsilon": ("epsilon", args.epsilon)}
-    jacobi = args.algorithm == "jacobi"
+    algorithm = resolve(args.algorithm, ALGORITHMS, "algorithm")
+    jacobi = algorithm == "jacobi"
     cfg_class = JacobiConfig if jacobi else GdConfig
     read = {f.name for f in fields(cfg_class)}
     # a flag at its default is accepted, given or not: argparse cannot tell the two apart
     unread = [flag for flag, (name, value) in flags.items()
               if name not in read and value != getattr(GdConfig, name)]
-    pairwise = args.algorithm == "pairwise-gd"
+    pairwise = algorithm == "pairwise-gd"
     if not pairwise and args.sweeps != PAIRWISE_GD_SWEEPS:
         unread.append("--sweeps")
     if unread:
-        raise InvalidInput(f"--algorithm {args.algorithm} does not read {', '.join(unread)}")
+        raise InvalidInput(f"--algorithm {algorithm} does not read {', '.join(unread)}")
     cfg = cfg_class(**{name: value for name, value in flags.values() if name in read})
     solver = {"jacobi_cfg": cfg} if jacobi else {"gd_cfg": cfg, "sweeps": args.sweeps if pairwise else None}
     x, rate = _read_any_signal(args.input)
     out = _out_path(args.out)
-    res = separate(x, args.algorithm, **solver)
+    res = separate(x, algorithm, **solver)
     y = res.estimate(x)
     if args.format == "wav":
         for k, row in enumerate(y):
@@ -185,19 +183,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    table = resolve(args.table, bench_mod.TABLE_IDS, "bench table")
     wav_sources = None
     if args.wav is not None:
         paths = sorted(Path(args.wav).glob("*.wav"))
         if len(paths) < 3:
             raise InvalidInput(f"bench fig6/fig7 needs 3 WAV files in {args.wav}")
-        wav_sources, _ = _read_signals(paths[:3])
+        wav_sources, _ = _read_any_signal(paths[:3])
     dims = _parse_list(args.dims) if args.dims else None
     samples = _parse_list(args.samples) if args.samples else None
     fracs = _parse_list(args.eval_fracs) if args.eval_fracs else None
     matrix = read_matrix_csv(args.matrix) if args.matrix else None
-    out_path = _out_path(args.out, f"bench_{args.table.lower()}.csv")
+    out_path = _out_path(args.out, f"bench_{table}.csv")
     header, rows = bench_mod.run_bench(
-        args.table, scale=args.scale, seed=args.seed, jobs=args.jobs,
+        table, scale=args.scale, seed=args.seed, jobs=args.jobs,
         algorithm=args.algorithm, wav_sources=wav_sources,
         dims=dims, samples=samples, eval_fracs=fracs, snr_db=args.snr_db,
         matrix=matrix,
@@ -208,13 +207,14 @@ def cmd_bench(args) -> int:
 
 
 def cmd_surface(args) -> int:
+    divergence = resolve(args.divergence, DIVERGENCE_IDS, "divergence id")
     marg1 = _parse_list(args.marg1)
-    out_path = _out_path(args.out, f"surface_{args.divergence}.csv")
+    out_path = _out_path(args.out, f"surface_{divergence}.csv")
     kwargs = dict(alpha=args.alpha, weight=args.weight, beta=args.beta)
     if args.marg2 is not None:
-        rows = divergence_slice(marg1, _parse_list(args.marg2), args.grid, args.divergence, **kwargs)
+        rows = divergence_slice(marg1, _parse_list(args.marg2), args.grid, divergence, **kwargs)
     else:
-        rows = divergence_surface(marg1, args.grid, args.divergence, **kwargs)
+        rows = divergence_surface(marg1, args.grid, divergence, **kwargs)
     write_csv(out_path, ["pAA", "pBA", "value"], [tuple(float(v) for v in r) for r in rows])
     print(f"wrote {out_path} ({len(rows)} nodes)")
     return EXIT_OK
@@ -261,7 +261,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sep = sub.add_parser("separate", help="estimate a demixing matrix")
     common(sep)
     sep.add_argument("--input", type=str, required=True, help="mixture CSV or comma list of WAVs")
-    sep.add_argument("--algorithm", choices=ALGORITHMS, default="jacobi", help="solver (default %(default)s)")
+    sep.add_argument("--algorithm", type=str, default="jacobi",
+                     help=f"solver, one of {ALGORITHMS} (default %(default)s)")
     sep.add_argument("--alpha", type=float, default=GdConfig.alpha, help="curvature (default %(default)s)")
     sep.add_argument("--gamma", type=float, default=GdConfig.step_size,
                      help="gradient step size (default %(default)s)")
@@ -292,8 +293,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                     help="trial/grid shrink factor in (0,1] (default %(default)s)")
     be.add_argument("--jobs", type=int, default=1,
                     help="trial worker processes, at most one per trial and per CPU (default %(default)s)")
-    be.add_argument("--algorithm", choices=ALGORITHMS, default="jacobi",
-                    help="solver for t1/t4/t5/fig6/fig7 (default %(default)s)")
+    be.add_argument("--algorithm", type=str, default="jacobi",
+                    help=f"solver for t1/t4/t5/fig6/fig7, one of {ALGORITHMS} (default %(default)s)")
     be.add_argument("--dims", type=str, default=None, help="override dimension list, e.g. 2,4")
     be.add_argument("--samples", type=str, default=None, help="override sample-count list")
     be.add_argument("--eval-fracs", dest="eval_fracs", type=str, default=None,

@@ -40,22 +40,18 @@ def write_csv(path, header, rows) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
+def _read_block(path) -> np.ndarray:
+    """The numbers under a CSV file's header row, one array row per non-empty line."""
     path = Path(path)
     try:
         with path.open("r", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = [row for row in reader if row]
+            rows = [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     if len(rows) < 2:
         raise IoFailure(f"{path} has no data rows")
-    return rows[0], rows[1:]
-
-
-def _parse_block(path, data_rows) -> np.ndarray:
     try:
-        return np.array([[float(v) for v in row] for row in data_rows])
+        return np.array([[float(v) for v in row] for row in rows[1:]])
     except ValueError as exc:
         raise IoFailure(f"{path} has non-numeric cells: {exc}") from exc
 
@@ -73,9 +69,7 @@ def write_signal_csv(path, data) -> None:
 
 def read_signal_csv(path) -> np.ndarray:
     """Returns a channels-by-samples matrix (transposing the column layout)."""
-    _, data_rows = _read_rows(path)
-    block = _parse_block(path, data_rows)
-    return block.T
+    return _read_block(path).T
 
 
 def write_matrix_csv(path, matrix) -> None:
@@ -87,8 +81,7 @@ def write_matrix_csv(path, matrix) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    _, data_rows = _read_rows(path)
-    return _parse_block(path, data_rows)
+    return _read_block(path)
 
 
 def write_wav(path, samples, rate: int = WAV_RATE) -> None:

@@ -1,4 +1,5 @@
-"""Input checks (`whole_number`, `finite_number`, `choose`, `validate_signal`) and `center_and_whiten`."""
+"""Input checks (`whole_number`, `finite_number`, `resolve`, `choose`, `validate_signal`) and
+`center_and_whiten`; `resolve` is the one rule that matches a registry id."""
 
 from __future__ import annotations
 
@@ -35,14 +36,19 @@ def finite_number(value, name: str) -> float:
     return float(value)
 
 
+def resolve(key, ids, what: str) -> str:
+    """The id in `ids` that `key` names after strip().lower(); InvalidInput if none does."""
+    name = str(key).strip().lower()
+    if name not in ids:
+        raise InvalidInput(f"unknown {what} {key!r}, expected one of {tuple(ids)}")
+    return name
+
+
 def choose(registry: dict, key, what: str, **options):
     """(entry, given) for `key` in `registry`, which maps each id to (entry, names of the options
-    it reads): the one resolver of an id and its unread-option rule.  The id is matched after
-    strip().lower(), `given` holds the options that are not None, and InvalidInput refuses an
-    unknown id or a given option that the entry does not read."""
-    name = str(key).strip().lower()
-    if name not in registry:
-        raise InvalidInput(f"unknown {what} {key!r}, expected one of {tuple(registry)}")
+    it reads): the id is matched by `resolve`, `given` holds the options that are not None, and
+    InvalidInput refuses a given option that the entry does not read."""
+    name = resolve(key, registry, what)
     entry, reads = registry[name]
     given = {k: v for k, v in options.items() if v is not None}
     unread = [k for k in given if k not in reads]

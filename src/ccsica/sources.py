@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .preprocess import validate_signal, whole_number
+from .preprocess import resolve, validate_signal, whole_number
 
 SOURCE_KINDS = ("uniform", "rayleigh", "laplacian", "lognormal")
 # random_mixing_matrix's invertibility floor and its cap on redraws
@@ -30,13 +30,12 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
 
 def draw_source(kind: str, n: int, rng: np.random.Generator,
                 tau1: float = 3.0, tau2: float = 1.0) -> np.ndarray:
-    """n draws of one source kind.
+    """n draws of one source kind, an id of SOURCE_KINDS matched by preprocess.resolve.
 
     tau1 is the half-width of the uniform kind, tau2 the scale of the
     laplacian kind; the rayleigh and lognormal kinds are fixed to unit shape.
     """
-    if kind not in SOURCE_KINDS:
-        raise InvalidInput(f"unknown source kind {kind!r}, expected one of {SOURCE_KINDS}")
+    kind = resolve(kind, SOURCE_KINDS, "source kind")
     n = whole_number(n, "sample count", least=2)
     # the uniform kind draws on a width of 2 tau1, which must stay a float too
     if not (0.0 < 2.0 * tau1 < np.inf and 0.0 < tau2 < np.inf):

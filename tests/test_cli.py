@@ -266,6 +266,7 @@ class TestSolverFlags:
         (["--algorithm", "jacobi", "--sweeps", "7"], None),
         (["--algorithm", "gd", "--sweeps", "7"], None),
         ([], {"algorithm": "jacobi", "max-iter": 400}),
+        (["--algorithm", "newton"], None),
     ])
     def test_unread_flag_exits_two_before_any_read(self, tmp_path, monkeypatch, argv, config):
         signal = tmp_path / "signal.csv"
@@ -545,6 +546,53 @@ class TestBench:
         assert main(["bench", *argv, "--scale", "0.01", "--out", str(out)]) == 2
         assert trials == []
         assert not out.exists()
+
+
+class _Started(Exception):
+    """Raised by a patched bench._execute: the table got past its refusals."""
+
+
+class TestIdCase:
+    # an id matches in any case with blanks trimmed, and a default file name uses the matched id
+
+    def test_surface_file_uses_the_matched_id(self, tmp_path):
+        out = tmp_path / "d"
+        assert main(["surface", "--divergence", " KL ", "--grid", "8", "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == ["surface_kl.csv"]
+
+    def test_bench_file_uses_the_matched_table(self, tmp_path):
+        out = tmp_path / "b"
+        assert main(["bench", " T1", "--scale", "0.01", "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == ["bench_t1.csv"]
+
+    def test_gen_files_use_the_matched_kinds(self, tmp_path):
+        for d, kinds in (("a", " Uniform,LAPLACIAN"), ("b", "uniform,laplacian")):
+            assert main(["gen", "--kinds", kinds, "--t", "64", "--out", str(tmp_path / d)]) == 0
+        names = ["source_00_uniform.csv", "source_01_laplacian.csv"]
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_separate_algorithm_from_flag_or_config(self, tmp_path):
+        _, mixture, _ = _gen_and_mix(tmp_path)
+        (tmp_path / "run.yaml").write_text(yaml.safe_dump({"algorithm": "GD"}))
+        for d, argv in (("lower", ["--algorithm", "gd"]), ("flag", ["--algorithm", " GD"]),
+                        ("config", ["--config", str(tmp_path / "run.yaml")])):
+            assert main(["separate", "--input", str(mixture), *argv, "--max-iter", "5",
+                         "--out", str(tmp_path / d)]) == 0
+        for d in ("flag", "config"):
+            assert (tmp_path / d / "demixer.csv").read_bytes() == \
+                   (tmp_path / "lower" / "demixer.csv").read_bytes()
+
+    @pytest.mark.parametrize("algorithm", ["JACOBI", " Jacobi "])
+    def test_bench_default_algorithm_in_any_case(self, tmp_path, monkeypatch, algorithm):
+        # fig4 reads no --algorithm, but the default jacobi is accepted however it is written
+        def started(tasks, jobs):
+            raise _Started
+
+        monkeypatch.setattr(bench, "_execute", started)
+        with pytest.raises(_Started):
+            main(["bench", "fig4", "--algorithm", algorithm, "--out", str(tmp_path)])
 
 
 class TestOutPath:

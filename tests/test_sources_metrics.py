@@ -55,6 +55,9 @@ class TestSources:
         with pytest.raises(InvalidInput):
             draw_source("cauchy", 10, rng_for(0))
 
+    def test_kind_matches_in_any_case_with_blanks_trimmed(self):
+        assert np.array_equal(draw_source(" Uniform ", 10, rng_for(0)), draw_source("uniform", 10, rng_for(0)))
+
     def test_spec_validation(self):
         with pytest.raises(InvalidInput):
             draw_source("uniform", 1, rng_for(0))
