@@ -21,7 +21,6 @@ demixer applied to centered observations can recover.
 
 from __future__ import annotations
 
-import numbers
 import os
 import time
 from dataclasses import dataclass, replace
@@ -32,7 +31,7 @@ import numpy as np
 from .errors import InvalidInput
 from .metrics import amari_index, sir_db
 from .optimizers import ALGORITHMS, GdConfig, JacobiConfig, separate
-from .preprocess import choose, resolve, validate_signal, whole_number
+from .preprocess import choose, finite_number, resolve, validate_signal, whole_number
 from .sources import MixingModel, mix, noise_sigma_for_snr, random_mixing_matrix, rng_for, draw_source
 
 # fixed mixing matrices for the demo scenarios (columns mix the sources)
@@ -192,7 +191,7 @@ def bench_t5(scale=1.0, seed=0, jobs=1, algorithm="jacobi", dims=None, samples=N
     dim_list, t_list, kinds = _grid_samples(
         dims or [m for m in (2, 4) if m <= max(2, int(np.ceil(4 * scale)))], samples, scale)
     fracs = eval_fracs or _T5_FRACS
-    if not all(0.0 < frac <= 1.0 for frac in fracs):
+    if not all(0.0 < finite_number(frac, "each evaluation fraction") <= 1.0 for frac in fracs):
         raise InvalidInput(f"evaluation fractions must lie in (0, 1], got {list(fracs)}")
     cells = []
     for m in dim_list:
@@ -288,8 +287,8 @@ def run_bench(table: str, scale: float = 1.0, seed: int = 0, jobs: int = 1, algo
     number), jobs or algorithm is refused, as are a bad table id and an option off its default
     (scale 1, algorithm jacobi, else None) that the table does not read (`_TABLES`, through
     preprocess.choose), and the table checks its own inputs: each before any trial."""
-    if isinstance(scale, bool) or not isinstance(scale, numbers.Real) or not 0.0 < scale <= 1.0:
-        raise InvalidInput(f"scale must be a real number in (0, 1], got {scale!r}")
+    if not 0.0 < finite_number(scale, "scale") <= 1.0:
+        raise InvalidInput(f"scale must lie in (0, 1], got {scale!r}")
     seed = whole_number(seed, "seed", least=None)
     jobs = whole_number(jobs, "jobs")
     algorithm = resolve(algorithm, ALGORITHMS, "algorithm")

@@ -50,7 +50,7 @@ import threading
 import numpy as np
 
 from .errors import InvalidInput
-from .preprocess import whole_number
+from .preprocess import finite_number, whole_number
 
 # kernel terms (query rows x references) per block
 _CHUNK = 1 << 16
@@ -122,11 +122,12 @@ def _kernel_sums(refs: np.ndarray, n, h: float, feats=None):
     q - r rounded once.
     """
     n_sets, _, n_refs = refs.shape
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= n_refs:
-        raise InvalidInput(f"query count must be an integer in [1, {n_refs}], got {n!r:.40}")
-    h = float(h)
-    if not 0.0 < h < np.inf:
-        raise InvalidInput(f"bandwidth must be positive and finite, got {h!r}")
+    n = whole_number(n, "query count")
+    if n > n_refs:
+        raise InvalidInput(f"query count must be at most the {n_refs} references, got {n!r}")
+    h = finite_number(h, "bandwidth")
+    if h <= 0.0:
+        raise InvalidInput(f"bandwidth must be positive, got {h!r}")
     with np.errstate(over="ignore"):
         ref_op = _operand(refs, h)
     # the last operand row is -|x/h|^2/2; a NaN fails the comparison too
@@ -214,10 +215,10 @@ def gaussian_density_nd(refs, n, h: float):
         raise InvalidInput("reference block must be channels x T")
     m, t_count = refs.shape
     try:
-        h_m = float(h) ** m
+        h_m = finite_number(h, "bandwidth") ** m
     except OverflowError:
         h_m = np.inf
-    # h = 0 and NaN fail here too; the kernel sums refuse any other h that is not positive and finite
+    # h = 0 fails here too; the kernel sums refuse any other h that is not positive
     if not (sys.float_info.min <= h_m and t_count * h_m < np.inf):
         raise InvalidInput(f"bandwidth {h!r} puts h^{m}, or T h^{m}, outside the normal positive "
                            "float range")

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInput, IoFailure
+from .preprocess import whole_number
 
 WAV_RATE = 8000
 _WAV_SCALE = 32768.0
@@ -85,6 +86,7 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def write_wav(path, samples, rate: int = WAV_RATE) -> None:
+    rate = whole_number(rate, "WAV sample rate")
     x = np.asarray(samples, dtype=float).ravel()
     if not np.all(np.isfinite(x)):
         raise InvalidInput(f"cannot write {path}: samples must be finite")

@@ -100,7 +100,7 @@ class SeparationResult:
 
 def rotation(theta: float) -> np.ndarray:
     """2x2 plane rotation; the solver only ever needs angles up to pi/4."""
-    th = float(theta)
+    th = finite_number(theta, "rotation angle")
     if not abs(th) <= QUARTER_PI + 1e-12:
         raise InvalidInput("rotation angle must lie in [-pi/4, pi/4]")
     c, s = np.cos(th), np.sin(th)

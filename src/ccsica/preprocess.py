@@ -1,5 +1,5 @@
-"""Input checks (`whole_number`, `finite_number`, `resolve`, `choose`, `validate_signal`) and
-`center_and_whiten`; `resolve` is the one rule that matches a registry id."""
+"""Input checks and `center_and_whiten`: `whole_number` decides every count, `finite_number` every
+real parameter and `resolve` every registry id, before a site's own range check."""
 
 from __future__ import annotations
 
@@ -103,9 +103,7 @@ def center_and_whiten(x) -> tuple[np.ndarray, WhiteningTransform]:
     if evals[0] <= 0.0 or np.any(evals <= RANK_EPS * evals[0]):
         raise RankDeficient("sample covariance is rank deficient, cannot whiten")
     # deterministic sign: each eigenvector's largest-magnitude entry is positive
-    for k in range(len(evals)):
-        pivot = int(np.argmax(np.abs(evecs[:, k])))
-        if evecs[pivot, k] < 0.0:
-            evecs[:, k] = -evecs[:, k]
+    pivots = np.argmax(np.abs(evecs), axis=0)
+    evecs = evecs * np.where(evecs[pivots, np.arange(len(evals))] < 0.0, -1.0, 1.0)
     v = (evecs / np.sqrt(evals)).T
     return v @ x, WhiteningTransform(mean=mean, matrix=v)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .preprocess import resolve, validate_signal, whole_number
+from .preprocess import finite_number, resolve, validate_signal, whole_number
 
 SOURCE_KINDS = ("uniform", "rayleigh", "laplacian", "lognormal")
 # random_mixing_matrix's invertibility floor and its cap on redraws
@@ -38,7 +38,7 @@ def draw_source(kind: str, n: int, rng: np.random.Generator,
     kind = resolve(kind, SOURCE_KINDS, "source kind")
     n = whole_number(n, "sample count", least=2)
     # the uniform kind draws on a width of 2 tau1, which must stay a float too
-    if not (0.0 < 2.0 * tau1 < np.inf and 0.0 < tau2 < np.inf):
+    if not (0.0 < 2.0 * finite_number(tau1, "tau1") < np.inf and 0.0 < finite_number(tau2, "tau2")):
         raise InvalidInput(f"scale parameters must be positive and finite, got tau1={tau1!r}, tau2={tau2!r}")
     if kind == "uniform":
         x = rng.uniform(-tau1, tau1, n)
@@ -87,8 +87,9 @@ class MixingModel:
             raise InvalidInput("mixing matrix contains non-finite entries")
         if abs(np.linalg.det(a)) <= 0.0:
             raise InvalidInput("mixing matrix is rank deficient")
-        if not 0.0 <= self.noise_sigma < np.inf:
-            raise InvalidInput(f"noise sigma must be nonnegative and finite, got {self.noise_sigma!r}")
+        object.__setattr__(self, "noise_sigma", finite_number(self.noise_sigma, "noise sigma"))
+        if self.noise_sigma < 0.0:
+            raise InvalidInput(f"noise sigma must be nonnegative, got {self.noise_sigma!r}")
         object.__setattr__(self, "matrix", a)
 
 
@@ -115,9 +116,7 @@ def noise_sigma_for_snr(clean, snr_db: float) -> float:
         raise InvalidInput("clean signal power (mean square) overflows the float range")
     if power <= 0.0:
         raise InvalidInput("clean signal has zero power")
-    snr_db = float(snr_db)
-    if not np.isfinite(snr_db):
-        raise InvalidInput(f"SNR must be finite, got {snr_db!r} dB")
+    snr_db = finite_number(snr_db, "SNR in dB")
     try:
         return float(np.sqrt(power * 10.0 ** (-snr_db / 10.0)))
     except OverflowError:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -171,7 +172,8 @@ def test_unknown_algorithm_refused_before_any_trial(monkeypatch, jobs):
 
 @pytest.mark.parametrize("given, match", [
     (dict(seed=0.5), "seed must be an integer"), (dict(seed="7"), "seed must be an integer"),
-    (dict(scale="0.5"), "scale must be a real number"), (dict(scale=True), "scale must be a real number"),
+    (dict(scale="0.5"), "scale must be finite and real"), (dict(scale=True), "scale must be finite and real"),
+    (dict(scale=Fraction(1, 2)), "scale must be finite and real"),
 ])
 def test_seed_and_scale_of_another_type_refused_before_any_trial(monkeypatch, given, match):
     # a fractional seed was truncated to its integer part, and a text one reached the trials
@@ -192,6 +194,15 @@ def test_fractional_grid_entry_refused_before_any_trial(monkeypatch, table, grid
     monkeypatch.setattr(bench, "_execute", lambda *a: calls.append(a))
     with pytest.raises(InvalidInput, match="must be an integer"):
         bench.run_bench(table, scale=0.01, **grid)
+    assert calls == []
+
+
+def test_evaluation_fraction_of_another_type_refused_before_any_trial(monkeypatch):
+    # a fraction is a real number, never a bool
+    calls = []
+    monkeypatch.setattr(bench, "_execute", lambda *a: calls.append(a))
+    with pytest.raises(InvalidInput, match="each evaluation fraction must be finite and real"):
+        bench.run_bench("t5", scale=0.01, dims=[2], eval_fracs=[True])
     assert calls == []
 
 

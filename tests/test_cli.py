@@ -660,6 +660,18 @@ class TestWavPipeline:
             write_wav(path, [0.1, np.nan, np.inf, -np.inf])
         assert not path.parent.exists()
 
+    @pytest.mark.parametrize("rate", [8000.7, True, 0])
+    def test_rate_not_a_whole_number_refused_before_the_file_opens(self, tmp_path, rate):
+        # a rate is a whole number >= 1, checked before any folder or file is made
+        path = tmp_path / "sub" / "x.wav"
+        with pytest.raises(InvalidInput, match="WAV sample rate must be an integer"):
+            write_wav(path, [0.1, -0.2], rate)
+        assert not path.parent.exists()
+
+    def test_whole_float_rate_written_as_its_integer(self, tmp_path):
+        write_wav(tmp_path / "x.wav", [0.1, -0.2], 8000.0)
+        assert read_wav(tmp_path / "x.wav")[0] == 8000
+
     @staticmethod
     def _wav_pair(folder, rates):
         # two mixed rows, one WAV each at its rate

@@ -461,6 +461,11 @@ class TestMultivariate:
             with pytest.raises(InvalidInput):
                 gaussian_density_nd(rng.normal(size=(2, 20)), bad, 0.5)
 
+    def test_whole_float_query_count_taken_as_its_integer(self, rng):
+        refs = rng.normal(size=(2, 20))
+        assert np.array_equal(gaussian_density_nd(refs, 3.0, 0.5), gaussian_density_nd(refs, 3, 0.5))
+        assert np.array_equal(gaussian_sums_1d(refs[0], 3.0, 0.5), gaussian_sums_1d(refs[0], 3, 0.5))
+
     def test_grad_worker_sign(self):
         # density falls to the right of a lone mass point, rises to the left
         assert _parzen_grad(np.array([0.0, 0.0]), np.array([0.5]), 0.4)[0] < 0.0

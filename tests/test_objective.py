@@ -142,11 +142,11 @@ class TestCcsObjective:
         # the joint density refuses a bandwidth that is not positive and finite,
         # or whose h^m leaves the float range (1e300 overflows, 1e-200 underflows)
         n = z.shape[1]
-        for h in (0.0, -0.3, np.nan, np.inf, 1e300, 1e-200):
+        for h in (0.0, -0.3, np.nan, np.inf, 1e300, 1e-200, True, "0.5", None):
             with pytest.raises(InvalidInput):
                 gaussian_density_nd(z, n, h)
         # so do the 1-D sums, on a row or a stack, with features or without
-        for h in (0.0, -0.3, np.nan, np.inf):
+        for h in (0.0, -0.3, np.nan, np.inf, True, "0.5", None):
             for refs, feats in ((z[0], None), (z, None), (z[0], z[1][:, None])):
                 with pytest.raises(InvalidInput):
                     gaussian_sums_1d(refs, n, h, feats)

@@ -96,7 +96,7 @@ class TestRotation:
         assert np.allclose(rotation(th) @ rotation(-th), np.eye(2), atol=1e-14)
 
     def test_range_guard(self):
-        for th in (np.pi / 4 + 0.01, np.nan):
+        for th in (np.pi / 4 + 0.01, np.nan, "0.1", True):
             with pytest.raises(InvalidInput):
                 rotation(th)
 

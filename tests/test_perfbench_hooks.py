@@ -76,3 +76,17 @@ def test_gated_workload_measures_without_a_failure(workload, seed):
     # run.py adds setup_s from its own probes
     contract = json.loads((_PERFBENCH.parent / "BENCHMARK.json").read_text())["end_to_end"]
     assert {m["name"] for m in contract} - {"setup_s"} <= result["metrics"].keys()
+
+
+@pytest.mark.parametrize("workload, attempted", [("jacobi-grid", 65), ("gd-fig4", 8)])
+def test_gated_workload_passes_every_round_and_a_rerun(workload, attempted):
+    # every set-up round once, then round 0 again, as a timed run cycles them:
+    # each separation passes its checks and the rerun gives the same demixer
+    wl, worker = _load("workloads"), _load("worker")
+    w = wl.WORKLOADS[workload]
+    rounds = wl.make_rounds(w, 1, w.rounds)
+    tally = worker.Tally()
+    worker._run_pass(wl, rounds + rounds[:1], tally)
+    assert tally.attempted == attempted
+    summary = tally.summary(wl)
+    assert summary["failed"] == 0, summary["problems"]

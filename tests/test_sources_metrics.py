@@ -69,6 +69,10 @@ class TestSources:
             draw_source("laplacian", 10, rng_for(0), tau2=-1.0)
         with pytest.raises(InvalidInput):
             draw_source("laplacian", 10, rng_for(0), tau2=float("nan"))
+        # a scale is a real number, never a bool, text or None
+        for scales in (dict(tau1=True), dict(tau1="3"), dict(tau2=None)):
+            with pytest.raises(InvalidInput):
+                draw_source("uniform", 10, rng_for(0), **scales)
         # a count is a whole number, never truncated or parsed from text
         for n in (2.5, "10"):
             with pytest.raises(InvalidInput):
@@ -172,12 +176,12 @@ class TestMixing:
         with pytest.raises(InvalidInput, match="clean signal power"):
             noise_sigma_for_snr(np.full((2, 10), 1e200), 20.0)
 
-    @pytest.mark.parametrize("snr_db", [-np.inf, np.nan, -4000.0])
+    @pytest.mark.parametrize("snr_db", [-np.inf, np.nan, -4000.0, "20", True])
     def test_snr_without_float_noise_scale_rejected(self, snr_db):
         with pytest.raises(InvalidInput):
             noise_sigma_for_snr(np.ones((2, 10)), snr_db)
 
-    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1, True, "0.1"])
     def test_noise_sigma_must_be_finite_and_nonnegative(self, sigma):
         with pytest.raises(InvalidInput):
             MixingModel(np.eye(2), noise_sigma=sigma)
