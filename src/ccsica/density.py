@@ -8,11 +8,11 @@ for both faces: `gaussian_sums_1d` is its m = 1 face, which adds the
 derivative sums the contrast gradient needs; `gaussian_density_nd` is its
 B = 1 face, the normalised joint density.
 
-`stack_rows` is the one rule for how many rows of a stack of 1-D sets one
-call takes: a stack of T-point rows and its 3-row operand (below) fit one
-block budget, `_CHUNK // (4 T)` rows, but never fewer than the rows of one
-caller's item (one demixer's m output rows), so a caller that groups its
-work by this rule holds O(_CHUNK) of stack whatever its number of items.
+`stack_members` is the one rule for how many demixers one call takes when a
+caller stacks their output rows as 1-D sets: as many as let their m T-point
+rows each and the rows' 3-row operand (below) fit one block budget,
+`_CHUNK // (4 m T)`, but at least one, so a caller that groups its demixers
+by this rule holds O(_CHUNK) of stack whatever its number of demixers.
 
 The loop splits the queries into strips of at most `_CHUNK` kernel terms
 (query rows x references), each worked in place in a block that starts on a
@@ -69,11 +69,11 @@ def default_bandwidth(t_count: int) -> float:
     return 1.06 * float(whole_number(t_count, "bandwidth sample count")) ** -0.2
 
 
-def stack_rows(n_refs: int, least: int) -> int:
-    """How many rows of a stack of 1-D sets of n_refs points one kernel-sum
-    call takes: as many as fit one block budget with their 3-row operand,
-    but never fewer than `least`."""
-    return max(least, _CHUNK // (4 * n_refs))
+def stack_members(n_refs: int, rows: int) -> int:
+    """How many demixers with `rows` output rows of n_refs points each one
+    kernel-sum call takes: as many as fit one block budget with their 3-row
+    operand, but at least one."""
+    return max(1, _CHUNK // (4 * n_refs * rows))
 
 
 def _block_rows(n_queries: int, n_refs: int) -> int:

@@ -22,10 +22,6 @@ WAV_RATE = 8000
 _WAV_SCALE = 32768.0
 
 
-def format_float(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def write_csv(path, header, rows) -> None:
     path = Path(path)
     try:
@@ -35,13 +31,13 @@ def write_csv(path, header, rows) -> None:
             writer.writerow(header)
             for row in rows:
                 writer.writerow(
-                    [format_float(v) if isinstance(v, (float, np.floating)) else str(v) for v in row]
+                    [f"{float(v):.17g}" if isinstance(v, (float, np.floating)) else str(v) for v in row]
                 )
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _read_block(path) -> np.ndarray:
+def read_matrix_csv(path) -> np.ndarray:
     """The numbers under a CSV file's header row, one array row per non-empty line."""
     path = Path(path)
     try:
@@ -70,7 +66,7 @@ def write_signal_csv(path, data) -> None:
 
 def read_signal_csv(path) -> np.ndarray:
     """Returns a channels-by-samples matrix (transposing the column layout)."""
-    return _read_block(path).T
+    return read_matrix_csv(path).T
 
 
 def write_matrix_csv(path, matrix) -> None:
@@ -79,10 +75,6 @@ def write_matrix_csv(path, matrix) -> None:
         raise InvalidInput(f"expected a matrix, got shape {matrix.shape}")
     header = [f"c{i + 1}" for i in range(matrix.shape[1])]
     write_csv(path, header, matrix)
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    return _read_block(path)
 
 
 def write_wav(path, samples, rate: int = WAV_RATE) -> None:

@@ -19,8 +19,8 @@ T^2/ts - (T/ts)^2/2 kernel terms per output row, about T^2/2 at ts 1.
 
 `value` also takes a K x m x m stack of demixers, such as the angle grid of
 a Jacobi pair visit, and returns K values.  It checks the stack and takes
-its determinants once, then evaluates it in groups of as many members as
-`density.stack_rows` lets one kernel-sum call take (at least one), so a
+its determinants once, then evaluates it in groups of as many demixers as
+`density.stack_members` lets one kernel-sum call take (at least one), so a
 group's output rows fit one block budget whatever K is.  A group's output
 rows are projected by one product and summed by one kernel-sum call, and
 its contrast terms are assembled on G x n arrays, each member's row
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .density import _SQRT_2PI, default_bandwidth, gaussian_density_nd, gaussian_sums_1d, stack_rows
+from .density import _SQRT_2PI, default_bandwidth, gaussian_density_nd, gaussian_sums_1d, stack_members
 from .divergences import EPS_FLOOR, convex_f, convex_f_prime, log_ratio
 from .errors import InvalidInput, NonFinite, SingularDemixer
 from .preprocess import finite_number, validate_signal, whole_number
@@ -70,7 +70,7 @@ class CcsObjective:
     """
 
     def __init__(self, data, alpha: float, stride: int = 1):
-        data = np.ascontiguousarray(validate_signal(data))
+        data = validate_signal(data)
         stride = whole_number(stride, "stride")
         n_points = len(range(0, data.shape[1], stride))
         if n_points < 2:
@@ -177,15 +177,15 @@ class CcsObjective:
 
         The whole stack is checked, and its determinants taken, before any
         member is evaluated.  Members are then evaluated in groups of
-        stack_rows(T, m) // m, one kernel-sum call per group, so a group's
-        output rows fit one block budget whatever K is; each member is
+        stack_members(T, m) demixers, one kernel-sum call per group, so a
+        group's output rows fit one block budget whatever K is; each member is
         computed as it would be alone, so value(ws)[k] == value(ws[k]) bit
         for bit.
         """
         w = np.asarray(w, dtype=float)
         abs_dets = self._checked(w, stacks=True)
         ws = w.reshape(-1, self.n_channels, self.n_channels)
-        size = stack_rows(self.n_refs, self.n_channels) // self.n_channels
+        size = stack_members(self.n_refs, self.n_channels)
         values = np.concatenate([self._evaluate(ws[lo : lo + size], abs_dets[lo : lo + size], False)[0]
                                  for lo in range(0, len(ws), size)])
         return float(values[0]) if w.ndim == 2 else values

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +257,48 @@ class TestExitCodes:
         missing = str(tmp_path / "nope.csv")
         assert main(["separate", "--input", missing, "--out", str(tmp_path)]) == 4
         assert main(["mix", "--inputs", missing, "--out", str(tmp_path)]) == 4
+
+    @staticmethod
+    def _failing_files(folder):
+        # one file per way an input can fail, a good signal, and a folder of two WAVs
+        x = np.random.default_rng(0).laplace(size=200)
+        write_signal_csv(folder / "equal.csv", np.vstack([x, x]))
+        write_signal_csv(folder / "good.csv", np.random.default_rng(1).laplace(size=(2, 200)))
+        (folder / "header.csv").write_text("ch1,ch2\n")
+        (folder / "cell.csv").write_text("ch1,ch2\n0.1,0.2\n0.3,abc\n")
+        for name, channels, width in [("stereo.wav", 2, 2), ("8bit.wav", 1, 1)]:
+            with wave.open(str(folder / name), "wb") as wf:
+                wf.setnchannels(channels)
+                wf.setsampwidth(width)
+                wf.setframerate(8000)
+                wf.writeframes(bytes(400))
+        (folder / "bad.yaml").write_text("ts: [1\n")
+        (folder / "list.yaml").write_text("- 1\n- 2\n")
+        for k in range(2):
+            write_wav(folder / "wavs" / f"s{k}.wav", np.random.default_rng(k).uniform(-0.5, 0.5, 400))
+
+    @pytest.mark.parametrize("argv, code", [
+        (["separate", "--input", "@equal.csv"], 3),
+        (["separate", "--input", "@header.csv"], 4),
+        (["separate", "--input", "@cell.csv"], 4),
+        (["separate", "--input", "@stereo.wav"], 4),
+        (["separate", "--input", "@8bit.wav"], 4),
+        (["separate", "--input", "@good.csv", "--config", "@missing.yaml"], 4),
+        (["separate", "--input", "@good.csv", "--config", "@bad.yaml"], 2),
+        (["separate", "--input", "@good.csv", "--config", "@list.yaml"], 2),
+        (["bench", "t4", "--dims", "a,b"], 2),
+        (["separate", "--input", ","], 2),
+        (["bench", "fig6", "--wav", "@wavs"], 2),
+    ])
+    def test_each_failure_exits_with_its_code_and_writes_nothing(self, tmp_path, capsys, argv, code):
+        # an "@" argument names a file of _failing_files
+        self._failing_files(tmp_path)
+        out = tmp_path / "out"
+        argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+        assert main([*argv, "--out", str(out)]) == code
+        prefix = {2: "error: invalid input: ", 3: "error: numerical failure: ", 4: "error: i/o failure: "}
+        assert capsys.readouterr().err.startswith(prefix[code])
+        assert not out.exists()
 
 
 class TestSolverFlags:
@@ -667,6 +710,12 @@ class TestWavPipeline:
         with pytest.raises(InvalidInput, match="WAV sample rate must be an integer"):
             write_wav(path, [0.1, -0.2], rate)
         assert not path.parent.exists()
+
+    def test_samples_outside_the_range_clipped_with_a_warning(self, tmp_path):
+        with pytest.warns(UserWarning, match="clipped"):
+            write_wav(tmp_path / "x.wav", [-3.0, -1.0, 0.5, 1.0, 2.0])
+        top = 32767 / 32768
+        assert np.array_equal(read_wav(tmp_path / "x.wav")[1], [-1.0, -1.0, 0.5, top, top])
 
     def test_whole_float_rate_written_as_its_integer(self, tmp_path):
         write_wav(tmp_path / "x.wav", [0.1, -0.2], 8000.0)
