@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -53,8 +53,9 @@ _T4_BASE_TRIALS = {2: 100, 4: 50, 8: 20, 16: 10, 20: 5}
 _T4_DIMS = tuple(_T4_BASE_TRIALS)
 _T4_SAMPLES = (1000, 2000, 4000, 8000)
 _T5_FRACS = (0.1, 0.01, 0.001, 1.0)
-# the two fig4/fig5 descents, each run to its bench_fig4 max_iter
-_FIG4_CONFIGS = (GdConfig(epsilon=0.0), GdConfig(alpha=1.0, step_size=0.7, epsilon=0.0))
+# the two fig4/fig5 descents, each run to max_iter 250 unless it stops early (epsilon 0)
+_FIG4_CONFIGS = (GdConfig(max_iter=250, epsilon=0.0),
+                 GdConfig(alpha=1.0, step_size=0.7, max_iter=250, epsilon=0.0))
 # cycled to fill an m-row bank; the m=2 prefix is the canonical sub+super pair
 _KIND_CYCLE = ("uniform", "laplacian", "rayleigh", "lognormal")
 
@@ -211,31 +212,28 @@ def bench_t5(scale=1.0, seed=0, jobs=1, algorithm="jacobi", dims=None, samples=N
     return header, _grid_rows(seed, jobs, cells)
 
 
-def _fig4_records(seed, jobs, max_iter=250) -> list[ExperimentRecord]:
-    """The two-source demo's descents, one per _FIG4_CONFIGS entry: epsilon 0
-    runs each to max_iter unless a step leaves the contrast bit-equal to the
-    step before, which stops it early (at 247 on the first branch, seed 0)."""
-    tasks = [
-        dict(seed=seed, key=(44,), kinds=("uniform", "laplacian"), t=1000, matrix=DEMO_MATRIX_2,
-             solver=dict(algorithm="gd", gd_cfg=replace(cfg, max_iter=max_iter)))
-        for cfg in _FIG4_CONFIGS
-    ]
+def _fig4_records(seed, jobs) -> list[ExperimentRecord]:
+    """The two-source demo's descents, each the gd call of its _FIG4_CONFIGS entry: epsilon 0
+    runs it to its max_iter 250 unless a step leaves the contrast bit-equal to the step
+    before, which stops it early (at 247 on the first branch, seed 0)."""
+    tasks = [dict(seed=seed, key=(44,), kinds=("uniform", "laplacian"), t=1000, matrix=DEMO_MATRIX_2,
+                  solver=dict(algorithm="gd", gd_cfg=cfg)) for cfg in _FIG4_CONFIGS]
     return _execute(tasks, jobs)
 
 
-def bench_fig4(seed=0, jobs=1, max_iter=250):
+def bench_fig4(seed=0, jobs=1):
     header = ["alpha", "source", "sir_db", "iterations", "runtime_s"]
     rows = []
-    for cfg, rec in zip(_FIG4_CONFIGS, _fig4_records(seed, jobs, max_iter)):
+    for cfg, rec in zip(_FIG4_CONFIGS, _fig4_records(seed, jobs)):
         for k, s in enumerate(rec.sir_db):
             rows.append([cfg.alpha, k, float(s), rec.iterations, rec.runtime_seconds])
     return header, rows
 
 
-def bench_fig5(seed=0, jobs=1, max_iter=250):
+def bench_fig5(seed=0, jobs=1):
     header = ["alpha", "iteration", "contrast"]
     rows = []
-    for cfg, rec in zip(_FIG4_CONFIGS, _fig4_records(seed, jobs, max_iter)):
+    for cfg, rec in zip(_FIG4_CONFIGS, _fig4_records(seed, jobs)):
         for k, v in enumerate(rec.trace):
             rows.append([cfg.alpha, k, float(v)])
     return header, rows
@@ -243,9 +241,10 @@ def bench_fig5(seed=0, jobs=1, max_iter=250):
 
 def _bench_three_source(table_key, scale=1.0, seed=0, jobs=1, algorithm="jacobi", snr_db=None,
                         wav_sources=None, matrix=None):
-    """fig6/fig7 under table_key; the matrix and any sources are checked before any trial."""
+    """fig6/fig7 under table_key; the matrix, any sources and any SNR are checked before any trial."""
     header = ["trial", "source", "sir_db", "baseline_sir_db", "amari_x100"]
     trials = _scaled_trials(10, scale)
+    snr_db = None if snr_db is None else finite_number(snr_db, "SNR in dB")
     a = MixingModel(DEMO_MATRIX_3 if matrix is None else matrix).matrix
     sources = None if wav_sources is None else validate_signal(wav_sources)
     if len(a) != 3 or (sources is not None and len(sources) != 3):

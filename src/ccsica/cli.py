@@ -113,7 +113,10 @@ def cmd_mix(args) -> int:
     if args.matrix in (None, "random"):
         a = random_mixing_matrix(sources.shape[0], rng_for(args.seed, 0x31))
     else:
-        a = read_matrix_csv(args.matrix)
+        # a matrix that cannot mix the sources is refused before a @ sources sets the noise level
+        a = MixingModel(read_matrix_csv(args.matrix)).matrix
+        if len(a) != len(sources):
+            raise InvalidInput(f"mixing matrix is {len(a)}x{len(a)} but sources have {len(sources)} rows")
     out = _out_path(args.out)
     sigma = 0.0
     if args.snr_db is not None:

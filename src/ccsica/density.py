@@ -60,7 +60,6 @@ _MAX_SCALED = 2.0**16
 # on a block that does not, and where an unaligned block starts depends on the
 # heap's history, so the speed of a sum would change from process to process
 _ALIGN = 64
-_SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 _scratch = threading.local()
 
 

@@ -14,11 +14,12 @@ every measure finite and continuous up to the boundary of the simplex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DegenerateDivergence, InvalidInput
-from .preprocess import choose, finite_number, whole_number
+from .preprocess import choose, finite_number, resolve, whole_number
 
 EPS_FLOOR = 1e-12
 _TABLE_TOL = 1e-12
@@ -233,25 +234,21 @@ def beta_div(d: DiscreteBivariate, beta: float) -> float:
 # surfaces over the free cells of the table
 
 
-# each id's evaluator of (table, alpha, weight, beta) and the parameters it reads
+# each id's measure and the parameters it reads, by name
 _EVALUATORS = {
-    "ccs": (lambda d, alpha, weight, beta: ccs_div(d, alpha), ("alpha",)),
-    "cs": (lambda d, alpha, weight, beta: cs_div(d), ()),
-    "kl": (lambda d, alpha, weight, beta: kl_div(d), ()),
-    "e": (lambda d, alpha, weight, beta: e_div(d), ()),
-    "alpha": (lambda d, alpha, weight, beta: alpha_div(d, alpha), ("alpha",)),
-    "js": (lambda d, alpha, weight, beta: js_div(d, weight), ("weight",)),
-    "c": (lambda d, alpha, weight, beta: c_div(d, alpha, weight), ("alpha", "weight")),
-    "beta": (lambda d, alpha, weight, beta: beta_div(d, beta), ("beta",)),
+    "ccs": (ccs_div, ("alpha",)), "cs": (cs_div, ()), "kl": (kl_div, ()), "e": (e_div, ()),
+    "alpha": (alpha_div, ("alpha",)), "js": (js_div, ("weight",)),
+    "c": (c_div, ("alpha", "weight")), "beta": (beta_div, ("beta",)),
 }
 DIVERGENCE_IDS = tuple(_EVALUATORS)
 
 
 def make_divergence(which: str, alpha: float = -1.0, weight: float = 0.5, beta: float = 2.0):
-    """Resolve a divergence id to a single-argument evaluator on tables; a parameter the id
+    """Resolve a divergence id to its measure on tables, with the parameters it reads bound; one it
     does not read (`_EVALUATORS`) is ignored, where the surfaces refuse it off its default."""
-    evaluator, _ = choose(_EVALUATORS, which, "divergence id")
-    return lambda d: evaluator(d, alpha, weight, beta)
+    measure, reads = _EVALUATORS[resolve(which, _EVALUATORS, "divergence id")]
+    given = dict(alpha=alpha, weight=weight, beta=beta)
+    return partial(measure, **{name: given[name] for name in reads})
 
 
 def _centers(lo: float, hi: float, n: int) -> np.ndarray:
@@ -261,13 +258,13 @@ def _centers(lo: float, hi: float, n: int) -> np.ndarray:
 
 def _walk(m1: np.ndarray, p_ba_values, grid: int, which: str, alpha, weight, beta) -> np.ndarray:
     """Rows (p_aa, p_ba, value) over the grid cell centers of p_aa in (0, m1[0]) times p_ba_values,
-    each p_ba in [0, m1[1]] (every table is feasible: no p_aa center reaches m1[0]), after
-    refusing a parameter off its default that the id does not read."""
-    evaluator, _ = choose(_EVALUATORS, which, "divergence id", alpha=None if alpha == -1.0 else alpha,
-                          weight=None if weight == 0.5 else weight, beta=None if beta == 2.0 else beta)
-    rows = [(p_aa, p_ba, evaluator(DiscreteBivariate.from_free_cells(m1, p_aa, p_ba), alpha, weight, beta))
-            for p_aa in _centers(0.0, m1[0], grid) for p_ba in p_ba_values]
-    return np.asarray(rows, dtype=float)
+    each p_ba in [0, m1[1]] (every table is feasible: no p_aa center reaches m1[0]), each value from
+    make_divergence, after refusing a parameter off its default that the id does not read."""
+    choose(_EVALUATORS, which, "divergence id", alpha=None if alpha == -1.0 else alpha,
+           weight=None if weight == 0.5 else weight, beta=None if beta == 2.0 else beta)
+    measure = make_divergence(which, alpha, weight, beta)
+    return np.asarray([(p_aa, p_ba, measure(DiscreteBivariate.from_free_cells(m1, p_aa, p_ba)))
+                       for p_aa in _centers(0.0, m1[0], grid) for p_ba in p_ba_values], dtype=float)
 
 
 def divergence_surface(marg1, grid: int, which: str, *, alpha: float = -1.0,

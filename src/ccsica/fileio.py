@@ -48,9 +48,12 @@ def read_matrix_csv(path) -> np.ndarray:
     if len(rows) < 2:
         raise IoFailure(f"{path} has no data rows")
     try:
-        return np.array([[float(v) for v in row] for row in rows[1:]])
+        cells = [[float(v) for v in row] for row in rows[1:]]
     except ValueError as exc:
         raise IoFailure(f"{path} has non-numeric cells: {exc}") from exc
+    if len({len(row) for row in cells}) > 1:
+        raise IoFailure(f"{path} has data rows of unequal lengths")
+    return np.array(cells)
 
 
 def write_signal_csv(path, data) -> None:

@@ -41,12 +41,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .density import _SQRT_2PI, default_bandwidth, gaussian_density_nd, gaussian_sums_1d, stack_members
+from .density import default_bandwidth, gaussian_density_nd, gaussian_sums_1d, stack_members
 from .divergences import EPS_FLOOR, convex_f, convex_f_prime, log_ratio
 from .errors import InvalidInput, NonFinite, SingularDemixer
 from .preprocess import finite_number, validate_signal, whole_number
 
 DET_FLOOR = 1e-12
+_SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,8 +1,12 @@
 """Shared fixtures and hypothesis strategies for the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
+
+from ccsica import bench
 
 settings.register_profile(
     "desk",
@@ -30,3 +34,9 @@ def binary_marginals(draw):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def five_step_fig4(monkeypatch):
+    """bench._FIG4_CONFIGS with each descent cut to 5 steps, so that fig4/fig5 run in moments."""
+    monkeypatch.setattr(bench, "_FIG4_CONFIGS", tuple(replace(cfg, max_iter=5) for cfg in bench._FIG4_CONFIGS))

@@ -22,9 +22,9 @@ def test_three_source_rows_do_not_depend_on_jobs():
 
 
 @pytest.mark.parametrize("table, n_rows", [(bench.bench_fig4, 4), (bench.bench_fig5, 12)])
-def test_gd_demo_rows_do_not_depend_on_jobs(table, n_rows):
-    header, serial = table(jobs=1, max_iter=5)
-    _, pooled = table(jobs=2, max_iter=5)
+def test_gd_demo_rows_do_not_depend_on_jobs(five_step_fig4, table, n_rows):
+    header, serial = table(jobs=1)
+    _, pooled = table(jobs=2)
     keep = [k for k, name in enumerate(header) if name != "runtime_s"]
     assert len(serial) == n_rows
     assert np.array_equal(np.array(serial)[:, keep], np.array(pooled)[:, keep])
@@ -76,11 +76,13 @@ def test_table_trials_make_the_table_solver_call(solver_calls, algorithm, solver
 
 
 def test_fig4_descents_make_their_config_calls(solver_calls):
-    bench.bench_fig4(max_iter=5)
+    # the spy makes each call cheap, so the descents keep their full 250 steps
+    bench.bench_fig4()
     assert solver_calls == [
-        dict(algorithm="gd", gd_cfg=GdConfig(epsilon=0.0, max_iter=5)),
-        dict(algorithm="gd", gd_cfg=GdConfig(alpha=1.0, step_size=0.7, epsilon=0.0, max_iter=5)),
+        dict(algorithm="gd", gd_cfg=GdConfig(epsilon=0.0, max_iter=250)),
+        dict(algorithm="gd", gd_cfg=GdConfig(alpha=1.0, step_size=0.7, epsilon=0.0, max_iter=250)),
     ]
+    assert [call["gd_cfg"] for call in solver_calls] == list(bench._FIG4_CONFIGS)
 
 
 def _fake_trial(task):
@@ -152,10 +154,10 @@ def test_pool_is_capped_at_the_trials_and_cpus(monkeypatch, pool_sizes, jobs, n_
     assert [r.amari_times_100 for r in records] == list(range(n_tasks))
 
 
-def test_fig4_with_many_jobs_starts_one_worker_per_trial(monkeypatch, pool_sizes):
+def test_fig4_with_many_jobs_starts_one_worker_per_trial(monkeypatch, pool_sizes, five_step_fig4):
     monkeypatch.setattr(bench.os, "cpu_count", lambda: 64)
-    _, pooled = bench.bench_fig4(jobs=500, max_iter=5)
-    _, serial = bench.bench_fig4(jobs=1, max_iter=5)
+    _, pooled = bench.bench_fig4(jobs=500)
+    _, serial = bench.bench_fig4(jobs=1)
     assert pool_sizes == [2]
     assert [row[:4] for row in pooled] == [row[:4] for row in serial]
 
@@ -216,6 +218,17 @@ def test_three_source_input_of_another_size_refused_before_any_trial(monkeypatch
     monkeypatch.setattr(bench, "_execute", lambda *a: calls.append(a))
     with pytest.raises(InvalidInput, match="3x3 mixing matrix and 3 source rows"):
         bench.run_bench(table, scale=0.1, **given)
+    assert calls == []
+
+
+@pytest.mark.parametrize("snr_db", [float("nan"), "10"])
+def test_three_source_bad_snr_refused_before_any_trial(monkeypatch, snr_db):
+    # refused before the first trial draws its sources, not by noise_sigma_for_snr inside that trial
+    calls = []
+    monkeypatch.setattr(bench, "draw_source", lambda *a: calls.append(a))
+    monkeypatch.setattr(bench, "_execute", lambda *a: calls.append(a))
+    with pytest.raises(InvalidInput, match="SNR in dB must be finite and real"):
+        bench.run_bench("fig7", scale=0.1, snr_db=snr_db)
     assert calls == []
 
 

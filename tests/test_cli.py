@@ -266,6 +266,10 @@ class TestExitCodes:
         write_signal_csv(folder / "good.csv", np.random.default_rng(1).laplace(size=(2, 200)))
         (folder / "header.csv").write_text("ch1,ch2\n")
         (folder / "cell.csv").write_text("ch1,ch2\n0.1,0.2\n0.3,abc\n")
+        (folder / "ragged.csv").write_text("ch1,ch2\n0.1,0.2\n0.3\n")
+        (folder / "matrix3.csv").write_text("c1,c2,c3\n1,0,0\n0,1,0\n0,0,1\n")
+        (folder / "matrix23.csv").write_text("c1,c2,c3\n1,0,0\n0,1,0\n")
+        (folder / "matrixnan.csv").write_text("c1,c2\n1,nan\n0,1\n")
         for name, channels, width in [("stereo.wav", 2, 2), ("8bit.wav", 1, 1)]:
             with wave.open(str(folder / name), "wb") as wf:
                 wf.setnchannels(channels)
@@ -289,6 +293,8 @@ class TestExitCodes:
         (["bench", "t4", "--dims", "a,b"], 2),
         (["separate", "--input", ","], 2),
         (["bench", "fig6", "--wav", "@wavs"], 2),
+        (["mix", "--inputs", "@good.csv", "--matrix", "@matrix3.csv", "--snr-db", "10"], 2),
+        (["separate", "--input", "@ragged.csv"], 4),
     ])
     def test_each_failure_exits_with_its_code_and_writes_nothing(self, tmp_path, capsys, argv, code):
         # an "@" argument names a file of _failing_files
@@ -299,6 +305,22 @@ class TestExitCodes:
         prefix = {2: "error: invalid input: ", 3: "error: numerical failure: ", 4: "error: i/o failure: "}
         assert capsys.readouterr().err.startswith(prefix[code])
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["separate", "--input", "@ragged.csv"], "ragged.csv has data rows of unequal lengths"),
+        (["mix", "--inputs", "@good.csv", "--matrix", "@matrix3.csv", "--snr-db", "10"],
+         "mixing matrix is 3x3 but sources have 2 rows"),
+        (["mix", "--inputs", "@good.csv", "--matrix", "@matrix23.csv", "--snr-db", "10"],
+         "mixing matrix must be square"),
+        (["mix", "--inputs", "@good.csv", "--matrix", "@matrixnan.csv", "--snr-db", "10"],
+         "mixing matrix contains non-finite entries"),
+    ], ids=["ragged-csv", "3x3-matrix", "2x3-matrix", "nan-matrix"])
+    def test_failure_message_names_its_fault(self, tmp_path, capsys, argv, message):
+        # a mix with --snr-db checks its matrix before the noise level, as one without it does
+        self._failing_files(tmp_path)
+        argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+        main([*argv, "--out", str(tmp_path / "out")])
+        assert message in capsys.readouterr().err
 
 
 class TestSolverFlags:

@@ -1,3 +1,9 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import ccsica
 
 
@@ -11,3 +17,16 @@ def test_removed_whitening_stages_not_exported():
     for name in ("remove_mean", "whiten"):
         assert name not in ccsica.__all__
         assert not hasattr(ccsica, name)
+
+
+def test_readme_library_sketch_runs_as_written():
+    # README's one python block, run in a fresh process as CI's "Docs smoke" step runs it
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=str(Path(ccsica.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", blocks[0]], env=env, capture_output=True, text=True, check=True)
+    amari, sirs = out.stdout.splitlines()
+    assert float(amari) < 0.01
+    assert all(float(v) > 25.0 for v in sirs.strip("[]").split())
+    assert out.stderr == ""

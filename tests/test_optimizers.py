@@ -186,12 +186,12 @@ class TestGradientDescent:
         assert np.array_equal(res.demixer, quiet.demixer)
         assert np.array_equal(res.trace, quiet.trace)
 
-    def test_no_first_step_warning_on_the_fig4_input(self):
+    def test_no_first_step_warning_on_the_fig4_input(self, five_step_fig4):
         x = DEMO_MATRIX_2 @ source_bank(("uniform", "laplacian"), 1000, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert separate(x, "gd", gd_cfg=GdConfig(max_iter=5)).n_iter == 5
-            assert [row[3] for row in bench.bench_fig4(max_iter=5)[1]] == [5] * 4
+            assert [row[3] for row in bench.bench_fig4()[1]] == [5] * 4
 
 
 class TestPairwiseGd:
