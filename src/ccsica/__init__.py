@@ -14,9 +14,6 @@ from .optimizers import (ALGORITHMS, GdConfig, JacobiConfig, SeparationResult, r
 from .sources import (SOURCE_KINDS, MixingModel, draw_source, mix,
                       noise_sigma_for_snr, random_mixing_matrix, rng_for, source_bank)
 from .metrics import align_sources, amari_index, kurtosis, sir_db
-from .fileio import (read_matrix_csv, read_signal_csv, read_wav, write_csv,
-                     write_matrix_csv, write_signal_csv, write_wav)
-from .bench import TABLE_IDS, run_bench
 
 __version__ = "0.1.0"
 
@@ -34,8 +31,5 @@ __all__ = [
     "SOURCE_KINDS", "MixingModel", "draw_source", "mix",
     "noise_sigma_for_snr", "random_mixing_matrix", "rng_for", "source_bank",
     "align_sources", "amari_index", "kurtosis", "sir_db",
-    "read_matrix_csv", "read_signal_csv", "read_wav", "write_csv",
-    "write_matrix_csv", "write_signal_csv", "write_wav",
-    "TABLE_IDS", "run_bench",
     "__version__",
 ]

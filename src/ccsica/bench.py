@@ -244,7 +244,9 @@ def _bench_three_source(table_key, scale=1.0, seed=0, jobs=1, algorithm="jacobi"
     """fig6/fig7 under table_key; the matrix, any sources and any SNR are checked before any trial."""
     header = ["trial", "source", "sir_db", "baseline_sir_db", "amari_x100"]
     trials = _scaled_trials(10, scale)
-    snr_db = None if snr_db is None else finite_number(snr_db, "SNR in dB")
+    if snr_db is not None:
+        # refuses a non-finite SNR, and one whose noise scale overflows for a unit-power mixture
+        noise_sigma_for_snr(1.0, snr_db)
     a = MixingModel(DEMO_MATRIX_3 if matrix is None else matrix).matrix
     sources = None if wav_sources is None else validate_signal(wav_sources)
     if len(a) != 3 or (sources is not None and len(sources) != 3):

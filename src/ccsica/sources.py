@@ -118,6 +118,9 @@ def noise_sigma_for_snr(clean, snr_db: float) -> float:
         raise InvalidInput("clean signal has zero power")
     snr_db = finite_number(snr_db, "SNR in dB")
     try:
-        return float(np.sqrt(power * 10.0 ** (-snr_db / 10.0)))
+        sigma = float(np.sqrt(power * 10.0 ** (-snr_db / 10.0)))
     except OverflowError:
-        raise InvalidInput(f"SNR {snr_db!r} dB puts the noise scale outside the float range") from None
+        sigma = np.inf
+    if not np.isfinite(sigma):
+        raise InvalidInput(f"SNR {snr_db!r} dB puts the noise scale outside the float range")
+    return sigma

@@ -221,13 +221,17 @@ def test_three_source_input_of_another_size_refused_before_any_trial(monkeypatch
     assert calls == []
 
 
-@pytest.mark.parametrize("snr_db", [float("nan"), "10"])
-def test_three_source_bad_snr_refused_before_any_trial(monkeypatch, snr_db):
+@pytest.mark.parametrize("snr_db, message", [
+    (float("nan"), "SNR in dB must be finite and real"),
+    ("10", "SNR in dB must be finite and real"),
+    (-1e308, "puts the noise scale outside the float range"),
+], ids=["nan", "10", "-1e+308"])
+def test_three_source_bad_snr_refused_before_any_trial(monkeypatch, snr_db, message):
     # refused before the first trial draws its sources, not by noise_sigma_for_snr inside that trial
     calls = []
     monkeypatch.setattr(bench, "draw_source", lambda *a: calls.append(a))
     monkeypatch.setattr(bench, "_execute", lambda *a: calls.append(a))
-    with pytest.raises(InvalidInput, match="SNR in dB must be finite and real"):
+    with pytest.raises(InvalidInput, match=message):
         bench.run_bench("fig7", scale=0.1, snr_db=snr_db)
     assert calls == []
 

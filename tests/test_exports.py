@@ -14,9 +14,24 @@ def test_every_export_resolves_once():
 
 
 def test_removed_whitening_stages_not_exported():
-    for name in ("remove_mean", "whiten"):
+    # the bench runner and the file helpers are imported from ccsica.bench and ccsica.fileio
+    for name in ("remove_mean", "whiten", "TABLE_IDS", "run_bench", "read_matrix_csv", "read_signal_csv",
+                 "read_wav", "write_csv", "write_matrix_csv", "write_signal_csv", "write_wav"):
         assert name not in ccsica.__all__
         assert not hasattr(ccsica, name)
+
+
+def test_import_loads_the_separation_library_only():
+    # a fresh `import ccsica` leaves the bench runner, the file helpers, csv and wave unloaded
+    env = dict(os.environ, PYTHONPATH=str(Path(ccsica.__file__).parents[1]))
+    code = ("import sys, ccsica\n"
+            "print(sorted(m for m in ('ccsica.bench', 'ccsica.fileio', 'csv', 'wave') if m in sys.modules))\n"
+            "from ccsica.bench import TABLE_IDS, run_bench\n"
+            "from ccsica.fileio import (read_matrix_csv, read_signal_csv, read_wav, write_csv,\n"
+            "                           write_matrix_csv, write_signal_csv, write_wav)\n"
+            "print('ccsica.bench' in sys.modules and 'ccsica.fileio' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["[]", "True"]
 
 
 def test_readme_library_sketch_runs_as_written():

@@ -181,6 +181,11 @@ class TestMixing:
         with pytest.raises(InvalidInput):
             noise_sigma_for_snr(np.ones((2, 10)), snr_db)
 
+    def test_overflowing_noise_scale_named(self):
+        # a finite power times 10^300 overflows to inf without an OverflowError
+        with pytest.raises(InvalidInput, match="SNR -3000.0 dB puts the noise scale outside the float range"):
+            noise_sigma_for_snr(np.full((2, 10), 1e5), -3000.0)
+
     @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1, True, "0.1"])
     def test_noise_sigma_must_be_finite_and_nonnegative(self, sigma):
         with pytest.raises(InvalidInput):
