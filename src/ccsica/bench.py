@@ -244,14 +244,15 @@ def _bench_three_source(table_key, scale=1.0, seed=0, jobs=1, algorithm="jacobi"
     """fig6/fig7 under table_key; the matrix, any sources and any SNR are checked before any trial."""
     header = ["trial", "source", "sir_db", "baseline_sir_db", "amari_x100"]
     trials = _scaled_trials(10, scale)
-    if snr_db is not None:
-        # refuses a non-finite SNR, and one whose noise scale overflows for a unit-power mixture
-        noise_sigma_for_snr(1.0, snr_db)
     a = MixingModel(DEMO_MATRIX_3 if matrix is None else matrix).matrix
     sources = None if wav_sources is None else validate_signal(wav_sources)
     if len(a) != 3 or (sources is not None and len(sources) != 3):
         raise InvalidInput(f"bench fig6/fig7 needs a 3x3 mixing matrix and 3 source rows, got a {a.shape} "
                            f"matrix and {'3 drawn' if sources is None else sources.shape} sources")
+    if snr_db is not None:
+        # refuses a non-finite SNR, or an overflowing noise scale: given sources fix the mixture
+        noise_sigma_for_snr(1.0 if sources is None else a @ (sources - sources.mean(axis=1, keepdims=True)),
+                            snr_db)
     t_count = _THREE_SOURCE_SAMPLES if sources is None else sources.shape[1]
     tasks = [
         dict(seed=seed, key=(table_key, k), kinds=("uniform", "rayleigh", "laplacian"),

@@ -10,9 +10,11 @@ B = 1 face, the normalised joint density.
 
 `stack_members` is the one rule for how many demixers one call takes when a
 caller stacks their output rows as 1-D sets: as many as let their m T-point
-rows each and the rows' 3-row operand (below) fit one block budget,
-`_CHUNK // (4 m T)`, but at least one, so a caller that groups its demixers
-by this rule holds O(_CHUNK) of stack whatever its number of demixers.
+rows each take a quarter of one block budget, `_CHUNK // (4 m T)`, but at
+least one, so a caller that groups its demixers by this rule holds
+O(_CHUNK) of stack whatever its number of demixers.  A call builds the
+operand (below) of one set at a time, so the operand does not grow with the
+group: it is (m + 2) x T, and the query rows n x (m + 2), whatever B is.
 
 The loop splits the queries into strips of at most `_CHUNK` kernel terms
 (query rows x references), each worked in place in a block that starts on a
@@ -22,17 +24,20 @@ Each thread keeps its own two blocks (`_scratch`) for its lifetime, sized by
 its largest sum (at most 2 x 512 KiB when T <= 21,845); no caller holds any.
 A block holds at least three query rows, unless there are fewer queries, so
 that a last strip of one row can take a row from the strip before it: no
-strip has one row unless n = 1.  Points are divided by h once per call, and
-a strip's exponents -|q - r|^2 / 2 are one matrix product of its query rows
-[-|q|^2/2 | q | 1] with the reference operand [1 ; r ; -|r|^2/2], followed
-by `exp` in place.  That rounds each term to within about eps * max|q|^2 (a
-subtraction first would give eps * |u| * max|q|, but costs two more
-passes), so a call refuses points that are not finite or have max|x/h|
-above `_MAX_SCALED` = 2^16, where that error reaches about 1e-6 of a term;
-a whitened solver row stays below T^0.7 / 1.06, which passes 2^16 only
-beyond T = 8 * 10^6.  A product of two or more rows goes to gemm, which
-rounds a row's exponents the same way however its strip falls; a one-row
-product would go to gemv, which rounds differently.
+strip has one row unless n = 1.  A set's points are divided by h once, into
+its reference operand [1 ; r ; -|r|^2/2] and query rows [-|q|^2/2 | q | 1],
+two buffers that each set of the call refills in turn, and a strip's
+exponents -|q - r|^2 / 2 are one matrix product of its query rows with the
+operand, followed by `exp` in place.  That rounds each term to within about
+eps * max|q|^2 (a subtraction first would give eps * |u| * max|q|, but
+costs two more passes), so a call refuses points that are not finite or
+have max|x/h| above `_MAX_SCALED` = 2^16, where that error reaches about
+1e-6 of a term; a whitened solver row stays below T^0.7 / 1.06, which
+passes 2^16 only beyond T = 8 * 10^6.  Each set is checked before its
+strips, so a refused stack reports the max |x|/h of its first offending
+set.  A product of two or more rows goes to gemm, which rounds a row's
+exponents the same way however its strip falls; a one-row product would go
+to gemv, which rounds differently.
 
 Each pair of queries is computed once, about n*T - n^2/2 terms in all: a
 query gathers its pairs with earlier queries strip by strip, and each block
@@ -70,8 +75,8 @@ def default_bandwidth(t_count: int) -> float:
 
 def stack_members(n_refs: int, rows: int) -> int:
     """How many demixers with `rows` output rows of n_refs points each one
-    kernel-sum call takes: as many as fit one block budget with their 3-row
-    operand, but at least one."""
+    kernel-sum call takes: as many as fit a quarter of one block budget, but
+    at least one.  The call's operand is one set's, whatever the group."""
     return max(1, _CHUNK // (4 * n_refs * rows))
 
 
@@ -100,16 +105,6 @@ def _kernel_scratch(n_queries: int, n_refs: int) -> list[np.ndarray]:
     return _scratch.blocks
 
 
-def _operand(x: np.ndarray, h: float) -> np.ndarray:
-    """The B x (m+2) x T operand [1 ; x/h ; -|x/h|^2/2] of a B x m x T stack of points."""
-    m = x.shape[1]
-    op = np.ones((x.shape[0], m + 2, x.shape[2]))
-    np.divide(x, h, out=op[:, 1 : m + 1])
-    np.einsum("bij,bij->bj", op[:, 1 : m + 1], op[:, 1 : m + 1], out=op[:, m + 1])
-    op[:, m + 1] *= -0.5
-    return op
-
-
 def _kernel_sums(refs: np.ndarray, n, h: float, feats=None):
     """Unnormalised kernel sums against each set of a B x m x T stack at its
     first n points, as a tuple of arrays with a leading axis of B.
@@ -120,25 +115,16 @@ def _kernel_sums(refs: np.ndarray, n, h: float, feats=None):
     query rows [q | -1] and operand rows [1 ; r], two exact products, so u is
     q - r rounded once.
     """
-    n_sets, _, n_refs = refs.shape
+    n_sets, m, n_refs = refs.shape
     n = whole_number(n, "query count")
     if n > n_refs:
         raise InvalidInput(f"query count must be at most the {n_refs} references, got {n!r}")
     h = finite_number(h, "bandwidth")
     if h <= 0.0:
         raise InvalidInput(f"bandwidth must be positive, got {h!r}")
-    with np.errstate(over="ignore"):
-        ref_op = _operand(refs, h)
-    # the last operand row is -|x/h|^2/2; a NaN fails the comparison too
-    low = ref_op[:, -1].min()
-    if not -low <= _MAX_SCALED**2 / 2:
-        raise InvalidInput(f"points must be finite with |x|/h <= {_MAX_SCALED:g}, "
-                           f"got max |x|/h = {np.sqrt(-2.0 * low):.3g} at h = {h!r}")
     strips, work = _strips(n, n_refs), _kernel_scratch(n, n_refs)
-    # query rows [-|q|^2/2 | q | 1], built once
-    q_rows = np.ones((n_sets, n, ref_op.shape[1]))
-    q_rows[..., 0] = ref_op[:, -1, :n]
-    q_rows[..., 1:-1] = ref_op[:, 1:-1, :n].transpose(0, 2, 1)
+    # one set at a time: its operand [1 ; r ; -|r|^2/2] and query rows [-|q|^2/2 | q | 1]
+    op, q_rows = np.ones((m + 2, n_refs)), np.ones((n, m + 2))
     # a strip of query rows [lo, hi) runs over the references from lo; its
     # part against the later queries hi:n is also their part against the
     # strip, so it is added to those queries by column (*_cols)
@@ -150,27 +136,39 @@ def _kernel_sums(refs: np.ndarray, n, h: float, feats=None):
         uf, uf_cols = np.empty((n_sets, n, f1.shape[1])), np.empty((n, f1.shape[1]))
         uf_part = np.empty_like(uf_cols)
         u_op = np.full((_block_rows(n, n_refs), 2), -1.0)
-    for b in range(n_sets):
-        k_cols.fill(0.0)
-        if feats is not None:
-            uf_cols.fill(0.0)
-        for lo, hi in strips:
-            r, cols, ref = hi - lo, n - hi, ref_op[b, :, lo:]
-            k = np.matmul(q_rows[b, lo:hi], ref, out=work[0][: r * (n_refs - lo)].reshape(r, -1))
-            np.exp(k, out=k)
-            np.matmul(k, ones[: n_refs - lo], out=ksum[b, lo:hi])
-            if cols:
-                k_cols[hi:] += np.matmul(ones[:r], k[:, r : r + cols], out=part[:cols])
+    # x/h and its square may overflow, which the check refuses; an errstate per set costs a visit 4 %
+    with np.errstate(over="ignore"):
+        for b in range(n_sets):
+            np.divide(refs[b], h, out=op[1:-1])
+            np.einsum("ij,ij->j", op[1:-1], op[1:-1], out=op[-1])
+            op[-1] *= -0.5
+            # the last operand row is -|x/h|^2/2; a NaN fails the comparison too
+            low = op[-1].min()
+            if not -low <= _MAX_SCALED**2 / 2:
+                raise InvalidInput(f"points must be finite with |x|/h <= {_MAX_SCALED:g}, "
+                                   f"got max |x|/h = {np.sqrt(-2.0 * low):.3g} at h = {h!r}")
+            q_rows[:, 0] = op[-1, :n]
+            q_rows[:, 1:-1] = op[1:-1, :n].T
+            k_cols.fill(0.0)
             if feats is not None:
-                u_op[:r, 0] = q_rows[b, lo:hi, 1]
-                u = np.matmul(u_op[:r], ref[:2], out=work[1][: r * (n_refs - lo)].reshape(r, -1))
-                u *= k
-                np.matmul(u, f1[lo:], out=uf[b, lo:hi])
+                uf_cols.fill(0.0)
+            for lo, hi in strips:
+                r, cols, ref = hi - lo, n - hi, op[:, lo:]
+                k = np.matmul(q_rows[lo:hi], ref, out=work[0][: r * (n_refs - lo)].reshape(r, -1))
+                np.exp(k, out=k)
+                np.matmul(k, ones[: n_refs - lo], out=ksum[b, lo:hi])
                 if cols:
-                    uf_cols[hi:] += np.matmul(u[:, r : r + cols].T, f1[lo:hi], out=uf_part[:cols])
-        ksum[b] += k_cols
-        if feats is not None:
-            uf[b] -= uf_cols
+                    k_cols[hi:] += np.matmul(ones[:r], k[:, r : r + cols], out=part[:cols])
+                if feats is not None:
+                    u_op[:r, 0] = q_rows[lo:hi, 1]
+                    u = np.matmul(u_op[:r], ref[:2], out=work[1][: r * (n_refs - lo)].reshape(r, -1))
+                    u *= k
+                    np.matmul(u, f1[lo:], out=uf[b, lo:hi])
+                    if cols:
+                        uf_cols[hi:] += np.matmul(u[:, r : r + cols].T, f1[lo:hi], out=uf_part[:cols])
+            ksum[b] += k_cols
+            if feats is not None:
+                uf[b] -= uf_cols
     return (ksum,) if feats is None else (ksum, uf[..., 0], uf[..., 1:])
 
 

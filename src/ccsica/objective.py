@@ -21,10 +21,11 @@ T^2/ts - (T/ts)^2/2 kernel terms per output row, about T^2/2 at ts 1.
 a Jacobi pair visit, and returns K values.  It checks the stack and takes
 its determinants once, then evaluates it in groups of as many demixers as
 `density.stack_members` lets one kernel-sum call take (at least one), so a
-group's output rows fit one block budget whatever K is.  A group's output
-rows are projected by one product and summed by one kernel-sum call, and
-its contrast terms are assembled on G x n arrays, each member's row
-computed exactly as that member alone.  The gradient is the group of one demixer.
+group's output rows fit a quarter of one block budget whatever K is.  A
+group's output rows are projected by one product and summed by one
+kernel-sum call, which builds one row's kernel operand at a time, and its
+contrast terms are assembled on G x n arrays, each member's row computed
+exactly as that member alone.  The gradient is the group of one demixer.
 
 The gradient is the exact derivative of the log form,
 
@@ -179,9 +180,9 @@ class CcsObjective:
         The whole stack is checked, and its determinants taken, before any
         member is evaluated.  Members are then evaluated in groups of
         stack_members(T, m) demixers, one kernel-sum call per group, so a
-        group's output rows fit one block budget whatever K is; each member is
-        computed as it would be alone, so value(ws)[k] == value(ws[k]) bit
-        for bit.
+        group's output rows fit a quarter block whatever K is, beside one
+        row's kernel operand; each member is computed as it would be alone,
+        so value(ws)[k] == value(ws[k]) bit for bit.
         """
         w = np.asarray(w, dtype=float)
         abs_dets = self._checked(w, stacks=True)

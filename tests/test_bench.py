@@ -221,18 +221,21 @@ def test_three_source_input_of_another_size_refused_before_any_trial(monkeypatch
     assert calls == []
 
 
-@pytest.mark.parametrize("snr_db, message", [
-    (float("nan"), "SNR in dB must be finite and real"),
-    ("10", "SNR in dB must be finite and real"),
-    (-1e308, "puts the noise scale outside the float range"),
-], ids=["nan", "10", "-1e+308"])
-def test_three_source_bad_snr_refused_before_any_trial(monkeypatch, snr_db, message):
+@pytest.mark.parametrize("snr_db, message, given", [
+    (float("nan"), "SNR in dB must be finite and real", {}),
+    ("10", "SNR in dB must be finite and real", {}),
+    (-1e308, "puts the noise scale outside the float range", {}),
+    # a unit-power mixture keeps this noise scale a float, the mixture of these sources does not
+    (-3082.4, "puts the noise scale outside the float range",
+     dict(wav_sources=3 * source_bank(("uniform", "rayleigh", "laplacian"), 400, 0))),
+], ids=["nan", "10", "-1e+308", "-3082.4-wav"])
+def test_three_source_bad_snr_refused_before_any_trial(monkeypatch, snr_db, message, given):
     # refused before the first trial draws its sources, not by noise_sigma_for_snr inside that trial
     calls = []
     monkeypatch.setattr(bench, "draw_source", lambda *a: calls.append(a))
     monkeypatch.setattr(bench, "_execute", lambda *a: calls.append(a))
     with pytest.raises(InvalidInput, match=message):
-        bench.run_bench("fig7", scale=0.1, snr_db=snr_db)
+        bench.run_bench("fig7", scale=0.1, snr_db=snr_db, **given)
     assert calls == []
 
 
